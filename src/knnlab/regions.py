@@ -11,11 +11,8 @@ similarity transformation, into a canonical frame in which
   or above the axis (``a1.y >= 0 >= a2.y``), and
 * ``b1`` is the ``b`` endpoint closer to ``a1`` (hence ``a1.x <= 1/2``).
 
-This module builds that frame (:func:`normalize_crossing_pair`), the
-named families of regions attached to it (:func:`build_named_regions`),
-and the auxiliary frames used by the connectivity analysis
-(:func:`build_component_setup`, :func:`build_tile_frame`,
-:func:`build_beta_frame`).
+This module builds that frame (:func:`normalize_crossing_pair`) and the
+named families of regions attached to it (:func:`build_named_regions`).
 
 Region names follow a fixed vocabulary.  ``H``-regions must collectively
 hold many points (the disk around ``a1`` or ``a2`` is forced to capture
@@ -26,34 +23,26 @@ probability that a crossing configuration occurs.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from .geom import (
-    EMPTY,
     AngularSector,
     ConvexPolygon,
     Difference,
     Disk,
     Ellipse,
-    HalfDisk,
     HalfPlane,
     Intersection,
     Point,
     PointLike,
     Primitive,
     Region,
-    RegionLike,
     Segment,
     Union,
     as_point,
-    as_region,
     distance,
-    membership,
     point_segment_distance,
     segments_intersect,
 )
@@ -80,14 +69,6 @@ __all__ = [
     "build_named_regions",
     "s1_polygon",
     "s2_triangle",
-    "ComponentSetupFrame",
-    "build_component_setup",
-    "TileFrame",
-    "build_tile_frame",
-    "BetaFrame",
-    "build_beta_frame",
-    "region_to_json_dict",
-    "region_from_json_dict",
 ]
 
 SQRT3 = math.sqrt(3.0)
@@ -357,22 +338,6 @@ class NamedRegionSet:
             return Intersection((self.regions[name], Primitive(_LOWER)))
         raise ValueError("sign must be '+' or '-'")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "frame": {
-                "a1": [self.frame.a1.x, self.frame.a1.y],
-                "a2": [self.frame.a2.x, self.frame.a2.y],
-                "rho1": self.frame.rho1,
-                "rho2": self.frame.rho2,
-            },
-            "points": {k: [p.x, p.y] for k, p in self.points.items()},
-            "regions": {k: region_to_json_dict(r) for k, r in self.regions.items()},
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
 
 def build_named_regions(f: CrossingFrame,
                         variant: str = "restricted") -> NamedRegionSet:
@@ -529,348 +494,3 @@ def build_named_regions(f: CrossingFrame,
     }
     return NamedRegionSet(frame=f, variant=variant, regions=regions, points=points)
 
-
-# ---------------------------------------------------------------------------
-# component set-up frame
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ComponentSetupFrame:
-    """The two-sided emptiness configuration around a candidate edge gap.
-
-    ``C`` is the union of the left half-disk at ``xl`` and the right
-    half-disk at ``xr`` (both of radius ``rho = |ab|``) clipped to the
-    window; ``A`` and ``B`` are the two leftover lune regions around
-    ``a`` and ``b``.
-    """
-
-    a: Point
-    b: Point
-    xl: Point
-    xr: Point
-    rho: float
-    window: Region
-    C: Region
-    A: Region
-    B: Region
-
-
-def build_component_setup(
-    a: PointLike,
-    b: PointLike,
-    xl: PointLike,
-    xr: PointLike,
-    window: RegionLike,
-) -> ComponentSetupFrame:
-    """Build the emptiness configuration for points ``a`` and ``b``.
-
-    Parameters
-    ----------
-    a, b : Point
-        Two distinct points; ``rho`` is their distance.
-    xl, xr : Point
-        Centres of the left and right half-disks forming ``C``.
-    window : Region
-        The sampling window; all three regions are clipped to it.
-    """
-    a, b = as_point(a), as_point(b)
-    xl, xr = as_point(xl), as_point(xr)
-    if a.x == b.x and a.y == b.y:
-        raise ValueError("a and b must be distinct")
-    rho = distance(a, b)
-    win = as_region(window)
-    C = Intersection(
-        (Union((Primitive(HalfDisk(xl, rho, "left")),
-                Primitive(HalfDisk(xr, rho, "right")))), win)
-    )
-    A = Intersection(
-        (Difference(Primitive(Disk(a, rho)), Union((Primitive(Disk(b, rho)), C))),
-         win)
-    )
-    B = Intersection(
-        (Difference(Primitive(Disk(b, rho)), Union((Primitive(Disk(a, rho)), C))),
-         win)
-    )
-    return ComponentSetupFrame(a=a, b=b, xl=xl, xr=xr, rho=rho, window=win,
-                               C=C, A=A, B=B)
-
-
-# ---------------------------------------------------------------------------
-# tile frames
-# ---------------------------------------------------------------------------
-
-
-def _tile_polygon(i: int, j: int, s: float) -> ConvexPolygon:
-    return ConvexPolygon(
-        [Point(i * s, j * s), Point((i + 1) * s, j * s),
-         Point((i + 1) * s, (j + 1) * s), Point(i * s, (j + 1) * s)]
-    )
-
-
-def _tiles_region(tiles: Iterable[Tuple[int, int]], s: float) -> Region:
-    polys = [Primitive(_tile_polygon(i, j, s)) for (i, j) in tiles]
-    if not polys:
-        return EMPTY
-    return Union(tuple(polys))
-
-
-def _containing_tiles(p: Point, s: float) -> Tuple[Tuple[int, int], ...]:
-    """All tile indices whose closed tile contains ``p`` (1, 2 or 4 tiles)."""
-    qx = p.x / s
-    qy = p.y / s
-    ix = [math.floor(qx)]
-    if qx == math.floor(qx):
-        ix.append(math.floor(qx) - 1)
-    iy = [math.floor(qy)]
-    if qy == math.floor(qy):
-        iy.append(math.floor(qy) - 1)
-    return tuple((i, j) for i in ix for j in iy)
-
-
-@dataclass(frozen=True, eq=False)
-class TileFrame:
-    """A tile-set configuration around a point ``a`` and its witness ``b``.
-
-    ``Y`` is a set of grid tiles (side ``s``, anchored at the origin)
-    containing ``a`` but not ``b``.  Derived data:
-
-    * ``r = rho - sqrt(2) * s`` where ``rho = |ab|``;
-    * ``Z``: tiles outside ``Y`` whose centre lies within ``r`` of some
-      ``Y``-tile centre;
-    * ``Y_prime``: tiles of ``Y`` whose centre lies within
-      ``rho + sqrt(2) * s`` of ``a``;
-    * ``B_prime``: the disk about ``b`` of radius ``rho`` minus the disk
-      about ``a``, the ``Y`` tiles and the ``Z`` tiles.
-    """
-
-    a: Point
-    b: Point
-    s: float
-    Y: FrozenSet[Tuple[int, int]]
-    rho: float
-    r: float
-    Z: FrozenSet[Tuple[int, int]]
-    Y_prime: FrozenSet[Tuple[int, int]]
-    Y_region: Region
-    Z_region: Region
-    Yprime_region: Region
-    Bprime_region: Region
-
-
-def build_tile_frame(
-    a: PointLike, b: PointLike, Y: Iterable[Tuple[int, int]], s: float
-) -> TileFrame:
-    """Build a tile frame.
-
-    Parameters
-    ----------
-    a, b : Point
-        ``a`` must lie in the closed union of the ``Y`` tiles and ``b``
-        must not.
-    Y : iterable of (int, int)
-        Tile indices; tile ``(i, j)`` is the square
-        ``[i*s, (i+1)*s] x [j*s, (j+1)*s]``.
-    s : float
-        Tile side, positive and small enough that
-        ``r = |ab| - sqrt(2)*s`` is positive.
-
-    Raises
-    ------
-    ValueError
-        If ``a`` lies outside ``Y``, ``b`` lies inside ``Y``, or ``s`` is
-        not in the admissible range.
-    """
-    a, b = as_point(a), as_point(b)
-    s = float(s)
-    if not (s > 0.0 and math.isfinite(s)):
-        raise ValueError("tile side must be positive and finite")
-    Yset = frozenset((int(i), int(j)) for (i, j) in Y)
-    if not Yset:
-        raise ValueError("Y must contain at least one tile")
-    if not any(t in Yset for t in _containing_tiles(a, s)):
-        raise ValueError("a must lie inside the tile set Y")
-    if any(t in Yset for t in _containing_tiles(b, s)):
-        raise ValueError("b lies inside the tile set Y")
-    rho = distance(a, b)
-    r = rho - math.sqrt(2.0) * s
-    if r <= 0.0:
-        raise ValueError("tile side too large: rho - sqrt(2)*s must be positive")
-
-    yc = np.array([((i + 0.5) * s, (j + 0.5) * s) for (i, j) in Yset])
-    lo_i = math.floor((yc[:, 0].min() - r) / s) - 1
-    hi_i = math.floor((yc[:, 0].max() + r) / s) + 1
-    lo_j = math.floor((yc[:, 1].min() - r) / s) - 1
-    hi_j = math.floor((yc[:, 1].max() + r) / s) + 1
-    ii, jj = np.meshgrid(
-        np.arange(lo_i, hi_i + 1), np.arange(lo_j, hi_j + 1), indexing="ij"
-    )
-    ii = ii.ravel()
-    jj = jj.ravel()
-    cx = (ii + 0.5) * s
-    cy = (jj + 0.5) * s
-    near = np.zeros(cx.shape, dtype=bool)
-    for k in range(yc.shape[0]):
-        near |= (cx - yc[k, 0]) ** 2 + (cy - yc[k, 1]) ** 2 <= r * r
-    Zset = frozenset(
-        (int(i), int(j))
-        for i, j, flag in zip(ii, jj, near)
-        if flag and (int(i), int(j)) not in Yset
-    )
-    reach = rho + math.sqrt(2.0) * s
-    Yp = frozenset(
-        (i, j)
-        for (i, j) in Yset
-        if math.hypot((i + 0.5) * s - a.x, (j + 0.5) * s - a.y) <= reach
-    )
-    Y_region = _tiles_region(sorted(Yset), s)
-    Z_region = _tiles_region(sorted(Zset), s)
-    Yp_region = _tiles_region(sorted(Yp), s)
-    Bprime = Difference(
-        Primitive(Disk(b, rho)),
-        Union((Primitive(Disk(a, rho)), Y_region, Z_region)),
-    )
-    return TileFrame(
-        a=a, b=b, s=s, Y=Yset, rho=rho, r=r, Z=Zset, Y_prime=Yp,
-        Y_region=Y_region, Z_region=Z_region, Yprime_region=Yp_region,
-        Bprime_region=Bprime,
-    )
-
-
-# ---------------------------------------------------------------------------
-# beta frames
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class BetaFrame:
-    """The auxiliary disk system about a competitor point ``beta``.
-
-    Given a tile frame and a point ``beta`` outside ``Y`` and ``B'``,
-    with ``lam > rho``:
-
-    * ``B_star``: the disk about ``beta`` of radius ``|a beta|``,
-      restricted to ``B'`` inside the matching disk about ``a`` and
-      unrestricted outside it, minus the ``Y`` and ``Z`` tiles;
-    * ``B_lambda = B' intersected with the disk about a of radius lam``;
-    * ``A_lambda``: the annulus ``lam``-disk minus ``rho``-disk about
-      ``a``, minus ``B'``.
-    """
-
-    base: TileFrame
-    beta: Point
-    lam: float
-    a_beta: float
-    Bstar_region: Region
-    Blambda_region: Region
-    Alambda_region: Region
-
-
-def build_beta_frame(t: TileFrame, beta: PointLike, lam: float) -> BetaFrame:
-    """Build the competitor-disk frame over a tile frame.
-
-    Raises
-    ------
-    ValueError
-        If ``lam <= rho``, or ``beta`` lies inside ``Y`` or ``B'``.
-    """
-    beta = as_point(beta)
-    lam = float(lam)
-    if not (lam > t.rho):
-        raise ValueError("lam must exceed rho")
-    if membership(t.Y_region, beta) or membership(t.Bprime_region, beta):
-        raise ValueError("beta must lie outside Y and B'")
-    a_beta = distance(t.a, beta)
-    if a_beta == 0.0:
-        raise ValueError("beta must differ from a")
-    Dbeta = Primitive(Disk(beta, a_beta))
-    Da = Primitive(Disk(t.a, a_beta))
-    excluded = Union((t.Y_region, t.Z_region))
-    Bstar = Difference(
-        Union((Intersection((Dbeta, t.Bprime_region)), Difference(Dbeta, Da))),
-        excluded,
-    )
-    Blam = Intersection((t.Bprime_region, Primitive(Disk(t.a, lam))))
-    Alam = Difference(
-        Primitive(Disk(t.a, lam)),
-        Union((Primitive(Disk(t.a, t.rho)), t.Bprime_region)),
-    )
-    return BetaFrame(
-        base=t, beta=beta, lam=lam, a_beta=a_beta,
-        Bstar_region=Bstar, Blambda_region=Blam, Alambda_region=Alam,
-    )
-
-
-# ---------------------------------------------------------------------------
-# JSON serialisation of region trees
-# ---------------------------------------------------------------------------
-
-
-def region_to_json_dict(r: RegionLike) -> dict:
-    """Serialise a region tree to a JSON-compatible dictionary."""
-    r = as_region(r)
-    if isinstance(r, Primitive):
-        s = r.shape
-        if isinstance(s, Disk):
-            return {"type": "disk", "center": [s.center.x, s.center.y],
-                    "radius": s.radius}
-        if isinstance(s, HalfDisk):
-            return {"type": "half_disk", "center": [s.center.x, s.center.y],
-                    "radius": s.radius, "side": s.side}
-        if isinstance(s, Ellipse):
-            return {"type": "ellipse", "focus1": [s.focus1.x, s.focus1.y],
-                    "focus2": [s.focus2.x, s.focus2.y],
-                    "distance_sum": s.distance_sum}
-        if isinstance(s, HalfPlane):
-            return {"type": "half_plane", "anchor": [s.anchor.x, s.anchor.y],
-                    "normal": [s.normal.x, s.normal.y]}
-        if isinstance(s, AngularSector):
-            return {"type": "angular_sector", "apex": [s.apex.x, s.apex.y],
-                    "ray1": [s.ray1.x, s.ray1.y], "ray2": [s.ray2.x, s.ray2.y]}
-        if isinstance(s, ConvexPolygon):
-            return {"type": "convex_polygon",
-                    "vertices": [[v.x, v.y] for v in s.vertices]}
-        raise TypeError(f"unknown primitive shape {type(s).__name__}")
-    if isinstance(r, Union):
-        return {"type": "union",
-                "children": [region_to_json_dict(c) for c in r.children]}
-    if isinstance(r, Intersection):
-        return {"type": "intersection",
-                "children": [region_to_json_dict(c) for c in r.children]}
-    if isinstance(r, Difference):
-        return {"type": "difference", "left": region_to_json_dict(r.left),
-                "right": region_to_json_dict(r.right)}
-    if r is EMPTY:
-        return {"type": "empty"}
-    raise TypeError(f"unknown region node {type(r).__name__}")
-
-
-def region_from_json_dict(d: dict) -> Region:
-    """Rebuild a region tree from its JSON dictionary form."""
-    t = d["type"]
-    if t == "disk":
-        return Primitive(Disk(Point(*d["center"]), d["radius"]))
-    if t == "half_disk":
-        return Primitive(HalfDisk(Point(*d["center"]), d["radius"], d["side"]))
-    if t == "ellipse":
-        return Primitive(
-            Ellipse(Point(*d["focus1"]), Point(*d["focus2"]), d["distance_sum"])
-        )
-    if t == "half_plane":
-        return Primitive(HalfPlane(Point(*d["anchor"]), Point(*d["normal"])))
-    if t == "angular_sector":
-        return Primitive(
-            AngularSector(Point(*d["apex"]), Point(*d["ray1"]), Point(*d["ray2"]))
-        )
-    if t == "convex_polygon":
-        return Primitive(ConvexPolygon([Point(*v) for v in d["vertices"]]))
-    if t == "union":
-        return Union(tuple(region_from_json_dict(c) for c in d["children"]))
-    if t == "intersection":
-        return Intersection(tuple(region_from_json_dict(c) for c in d["children"]))
-    if t == "difference":
-        return Difference(region_from_json_dict(d["left"]),
-                          region_from_json_dict(d["right"]))
-    if t == "empty":
-        return EMPTY
-    raise ValueError(f"unknown region type {t!r}")

@@ -10,10 +10,11 @@ four-disk containment implication, the separation of foreign points from
 edges, and the six "goodness" conditions used to rule out pathological
 configurations).
 
-The graph builders are deliberately exact: :func:`build_graph` uses a
-uniform-cell index with expanding search rings and certifies each
-neighbour list (any unexamined point is provably farther than the
-``k``-th neighbour), so its output is identical to the quadratic
+The graph builders are deliberately exact: :func:`build_graph` takes
+candidates from a ``scipy.spatial.cKDTree``, recomputes their distances
+with the reference formula and certifies each neighbour list (any point
+left out is provably farther than the ``k``-th neighbour, otherwise the
+row is re-gathered), so its output is identical to the quadratic
 reference :func:`brute_force_graph` down to tie-breaking.  Ties in
 distance are always broken by lower point index.
 
@@ -59,6 +60,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .bounds import ModelConstants
@@ -347,109 +350,99 @@ def _sorted_take(cand: np.ndarray, d2: np.ndarray, self_idx: int,
     return cand, np.sqrt(d2)
 
 
-def _knn_lists(pts: np.ndarray, k: int) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+# Relative margin on cKDTree results.  The tree's distances (and edge
+# midpoints) round differently from the exact tests that follow, by a few
+# ulps; search radii are padded, and certainty is required, by this much.
+_SLACK = 1e-9
+# Rows per cKDTree query, which bounds the candidate arrays at large N.
+_CHUNK = 1 << 16
+
+
+def _knn_query(pts: np.ndarray, k: int) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Exact ``min(k, N-1)``-nearest lists for every point.
 
-    Uses a uniform grid with cell side ``sqrt(k)`` (unit intensity makes a
-    ``k``-neighbourhood about that big) and, per occupied cell, gathers
-    candidate points from expanding square rings of cells.  A batch stops
-    growing once every member's ``k``-th candidate distance is at most
-    ``m * cell`` for ring count ``m`` — every unexamined point lies beyond
-    that — so the result is certified exact, with ties broken by index.
+    A cKDTree proposes the ``kk + 2`` nearest candidates of each point (the
+    point itself included), whose squared distances are recomputed with the
+    formula of :func:`brute_force_graph` and ordered by (distance, index).
+    A row is certain when its farthest candidate lies beyond the ``kk``-th by
+    more than rounding, since every point the tree left out is farther still.
+    The other rows (distance ties, coincident points) are re-gathered with a
+    ball query of the ``kk``-th radius and filtered exactly.
     """
     n = pts.shape[0]
     kk = min(k, n - 1)
     empty_i = np.empty(0, dtype=np.int64)
     empty_d = np.empty(0, dtype=np.float64)
+    out_idx: List[np.ndarray] = [empty_i] * n
+    out_d: List[np.ndarray] = [empty_d] * n
     if n == 0 or kk <= 0:
-        return [empty_i] * n, [empty_d] * n
-
-    cell = math.sqrt(max(k, 1))
-    ij = np.floor(pts / cell).astype(np.int64)
-    cells: Dict[Tuple[int, int], List[int]] = {}
-    for idx in range(n):
-        cells.setdefault((int(ij[idx, 0]), int(ij[idx, 1])), []).append(idx)
-    occupied = {key: np.array(val, dtype=np.int64) for key, val in cells.items()}
-    imin = int(ij[:, 0].min())
-    imax = int(ij[:, 0].max())
-    jmin = int(ij[:, 1].min())
-    jmax = int(ij[:, 1].max())
-
-    out_idx: List[np.ndarray] = [empty_i] * n
-    out_d: List[np.ndarray] = [empty_d] * n
-
-    for (ci, cj), members in occupied.items():
-        pm = pts[members]
-        m = 1
-        while True:
-            blocks = [occupied[(a, b)]
-                      for a in range(ci - m, ci + m + 1)
-                      for b in range(cj - m, cj + m + 1)
-                      if (a, b) in occupied]
-            cand = np.concatenate(blocks)
-            full = (ci - m <= imin and ci + m >= imax
-                    and cj - m <= jmin and cj + m >= jmax)
-            if cand.size >= kk + 1:
-                diff = pm[:, None, :] - pts[cand][None, :, :]
-                d2 = np.einsum("ijk,ijk->ij", diff, diff)
-                kth = np.partition(d2, kk, axis=1)[:, kk]
-                if full or bool(np.all(kth <= (m * cell) ** 2)):
-                    break
-            elif full:
-                diff = pm[:, None, :] - pts[cand][None, :, :]
-                d2 = np.einsum("ijk,ijk->ij", diff, diff)
-                kth = np.full(len(members), np.inf)
-                break
-            m += 1
-        for row, i in enumerate(members):
-            d2i = d2[row]
-            thr = kth[row]
-            if math.isinf(thr):
-                sel = np.arange(cand.size)
-            else:
-                sel = np.flatnonzero(d2i <= thr)
-            got_i, got_d = _sorted_take(cand[sel], d2i[sel], int(i), kk)
-            out_idx[int(i)] = got_i
-            out_d[int(i)] = got_d
-    return out_idx, out_d
-
-
-def _radius_lists(pts: np.ndarray, radius: float) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Per-point lists of all other points within ``radius`` (closed ball)."""
-    n = pts.shape[0]
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_d = np.empty(0, dtype=np.float64)
-    out_idx: List[np.ndarray] = [empty_i] * n
-    out_d: List[np.ndarray] = [empty_d] * n
-    if n <= 1:
         return out_idx, out_d
-    cell = radius
-    ij = np.floor(pts / cell).astype(np.int64)
-    cells: Dict[Tuple[int, int], List[int]] = {}
-    for idx in range(n):
-        cells.setdefault((int(ij[idx, 0]), int(ij[idx, 1])), []).append(idx)
-    occupied = {key: np.array(val, dtype=np.int64) for key, val in cells.items()}
-    r2 = radius * radius
-    for (ci, cj), members in occupied.items():
-        blocks = [occupied[(a, b)]
-                  for a in range(ci - 1, ci + 2)
-                  for b in range(cj - 1, cj + 2)
-                  if (a, b) in occupied]
-        cand = np.concatenate(blocks)
-        diff = pts[members][:, None, :] - pts[cand][None, :, :]
+    q = min(kk + 2, n)
+    tree = cKDTree(pts)
+    for start in range(0, n, _CHUNK):
+        rows = np.arange(start, min(start + _CHUNK, n))
+        _, cand = tree.query(pts[rows], k=q)
+        diff = pts[rows][:, None, :] - pts[cand]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        for row, i in enumerate(members):
-            sel = np.flatnonzero(d2[row] <= r2)
-            got_i, got_d = _sorted_take(cand[sel], d2[row][sel], int(i),
-                                        sel.size)
-            out_idx[int(i)] = got_i
-            out_d[int(i)] = got_d
+        order = np.lexsort((cand, d2))
+        cand = np.take_along_axis(cand, order, axis=1)
+        d2 = np.take_along_axis(d2, order, axis=1)
+        # The point's own distance 0 leads each sorted row, so column kk is
+        # the kk-th neighbour; a certain row holds the point exactly once.
+        kth = d2[:, kk]
+        sure = (d2[:, -1] > kth * (1.0 + _SLACK)) | (q == n)
+        own = cand[sure] == rows[sure, None]
+        nbrs = cand[sure][~own].reshape(-1, q - 1)[:, :kk]
+        dists = np.sqrt(d2[sure][~own].reshape(-1, q - 1)[:, :kk])
+        for i, nb, di in zip(rows[sure], nbrs, dists):
+            out_idx[i] = nb
+            out_d[i] = di
+        unsure = rows[~sure]
+        balls = tree.query_ball_point(pts[unsure],
+                                      np.sqrt(kth[~sure]) * (1.0 + _SLACK))
+        for i, ball, thr in zip(unsure, balls, kth[~sure]):
+            ball = np.asarray(ball, dtype=np.int64)
+            diff = pts[i] - pts[ball]
+            d2i = np.einsum("ij,ij->i", diff, diff)
+            sel = d2i <= thr
+            out_idx[i], out_d[i] = _sorted_take(ball[sel], d2i[sel], int(i), kk)
     return out_idx, out_d
+
+
+def _radius_query(pts: np.ndarray, radius: float) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Per-point lists of all other points within ``radius`` (closed ball).
+
+    A cKDTree pair query with a slightly padded radius proposes the pairs;
+    the exact ``d2 <= radius**2`` test decides them, and each point's list
+    is ordered by (distance, index).
+    """
+    n = pts.shape[0]
+    if n <= 1:
+        return ([np.empty(0, dtype=np.int64)] * n,
+                [np.empty(0, dtype=np.float64)] * n)
+    pairs = cKDTree(pts).query_pairs(radius * (1.0 + _SLACK),
+                                     output_type="ndarray")
+    diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    within = d2 <= radius * radius
+    pairs = pairs[within].astype(np.int64)
+    d2 = np.tile(d2[within], 2)
+    src = np.concatenate((pairs[:, 0], pairs[:, 1]))
+    dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
+    order = np.lexsort((dst, d2, src))
+    cuts = np.cumsum(np.bincount(src, minlength=n))[:-1]
+    return (np.split(dst[order], cuts), np.split(np.sqrt(d2[order]), cuts))
 
 
 def build_graph(ps: PointSet, k: int, model: str = "mutual",
                 radius: Optional[float] = None) -> NearestNeighborGraph:
     """Build the nearest-neighbour graph of ``ps`` exactly.
+
+    The ``k``-nearest models take ``k + 2`` candidates per point from a
+    cKDTree and re-gather, with a ball query, the rows whose candidate set
+    cannot prove the ``k``-th neighbour (distance ties, coincident points);
+    ``gilbert`` takes a cKDTree pair query.  Every kept distance is
+    recomputed and compared exactly.
 
     Parameters
     ----------
@@ -481,11 +474,11 @@ def build_graph(ps: PointSet, k: int, model: str = "mutual",
     if model == "gilbert":
         if radius is None or not radius > 0.0:
             raise ValueError("the gilbert model requires a positive radius")
-        out_idx, out_d = _radius_lists(ps.points, radius)
+        out_idx, out_d = _radius_query(ps.points, radius)
     else:
         if radius is not None:
             raise ValueError("radius applies to the gilbert model only")
-        out_idx, out_d = _knn_lists(ps.points, k)
+        out_idx, out_d = _knn_query(ps.points, k)
     return NearestNeighborGraph(pointset=ps, k=int(k), model=model,
                                 out_neighbors=out_idx, out_dists=out_d,
                                 radius=radius)
@@ -600,11 +593,11 @@ def _component_diameter(pts: np.ndarray) -> float:
 def components(g: NearestNeighborGraph) -> ComponentDecomposition:
     """Decompose ``g`` into connected components with exact diameters.
 
-    Uses union-find over :meth:`NearestNeighborGraph.edges`; for the
-    ``directed`` model this is weak connectivity.  Components of fewer than
-    5000 points get their diameter by direct pairwise maximisation, larger
-    ones via their convex hull vertices (the diameter is attained at hull
-    vertices).
+    Uses ``scipy.sparse.csgraph.connected_components`` over
+    :meth:`NearestNeighborGraph.edges`; for the ``directed`` model this is
+    weak connectivity.  Components of fewer than 5000 points get their
+    diameter by direct pairwise maximisation, larger ones via their convex
+    hull vertices (the diameter is attained at hull vertices).
 
     Examples
     --------
@@ -614,34 +607,21 @@ def components(g: NearestNeighborGraph) -> ComponentDecomposition:
     0
     """
     n = g.n_points
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for lo, hi in g.edges():
-        ra, rb = find(int(lo)), find(int(hi))
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        labels[i] = find(i)
-    # Union by smaller root keeps roots minimal, so labels are already the
-    # smallest member index of each component.
+    e = g.edges()
+    adjacency = coo_matrix((np.ones(e.shape[0], dtype=np.int8),
+                            (e[:, 0], e[:, 1])), shape=(n, n))
+    _, raw = connected_components(adjacency, directed=False)
+    # The first point of each raw label, in index order, is its smallest
+    # member; relabel by it.
+    _, first = np.unique(raw, return_index=True)
+    labels = first[raw].astype(np.int64)
+    ids, counts = np.unique(labels, return_counts=True)
+    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
     sizes: Dict[int, int] = {}
     diameters: Dict[int, float] = {}
-    for label in np.unique(labels):
-        members = np.flatnonzero(labels == label)
-        sizes[int(label)] = int(members.size)
-        diameters[int(label)] = _component_diameter(g.points[members])
+    for label, members in zip(ids.tolist(), groups):
+        sizes[label] = int(members.size)
+        diameters[label] = _component_diameter(g.points[members])
     return ComponentDecomposition(labels=labels, sizes=sizes,
                                   diameters=diameters)
 
@@ -680,10 +660,15 @@ def find_crossing_pairs(g: NearestNeighborGraph,
                         ) -> CrossingReport:
     """Find every pair of crossing edges that lie in different components.
 
-    Candidate edge pairs come from a uniform grid over edge bounding boxes
-    (cell side = longest edge), so only nearby edges are compared; the
-    crossing test itself is the exact closed-segment predicate
-    :func:`knnlab.geom.segments_intersect`.  Each hit is normalized with
+    Only edges of different components are compared, so every candidate
+    pair has an edge outside the largest component.  Edges whose bounding
+    boxes meet have midpoints within Chebyshev distance of the longest edge
+    length, so a cKDTree over edge midpoints, queried around each such
+    edge, proposes the pairs.  Labels, closed bounding-box overlap and
+    non-zero lengths are then filtered exactly (``candidates_tested``
+    counts the survivors), and the crossing test itself is the exact
+    closed-segment predicate :func:`knnlab.geom.segments_intersect`.  Each
+    hit is normalized with
     :func:`knnlab.regions.normalize_crossing_pair_with_map`.
 
     Examples
@@ -698,7 +683,6 @@ def find_crossing_pairs(g: NearestNeighborGraph,
         comps = components(g)
     edges = g.edges()
     pts = g.points
-    labels = comps.labels
     quadruples: List[Tuple[int, int, int, int]] = []
     frames: List[Optional[CrossingFrame]] = []
     maps: List[Optional[NormalizationMap]] = []
@@ -709,54 +693,43 @@ def find_crossing_pairs(g: NearestNeighborGraph,
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
         lengths = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
-        cell = max(float(lengths.max()), 1e-12)
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        lo_cells = np.floor(lo / cell).astype(np.int64)
-        hi_cells = np.floor(hi / cell).astype(np.int64)
-        for e in range(edges.shape[0]):
-            for cx in range(lo_cells[e, 0], hi_cells[e, 0] + 1):
-                for cy in range(lo_cells[e, 1], hi_cells[e, 1] + 1):
-                    buckets.setdefault((cx, cy), []).append(e)
-        seen: set = set()
-        elab = labels[edges[:, 0]]
-        for bucket in buckets.values():
-            for ii in range(len(bucket)):
-                e1 = bucket[ii]
-                for jj in range(ii + 1, len(bucket)):
-                    e2 = bucket[jj]
-                    key = (e1, e2) if e1 < e2 else (e2, e1)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if elab[e1] == elab[e2]:
-                        continue
-                    if (lo[e1, 0] > hi[e2, 0] or lo[e2, 0] > hi[e1, 0]
-                            or lo[e1, 1] > hi[e2, 1] or lo[e2, 1] > hi[e1, 1]):
-                        continue
-                    if lengths[e1] == 0.0 or lengths[e2] == 0.0:
-                        continue
-                    tested += 1
-                    s1 = Segment(Point(*pts[edges[e1, 0]]),
-                                 Point(*pts[edges[e1, 1]]))
-                    s2 = Segment(Point(*pts[edges[e2, 0]]),
-                                 Point(*pts[edges[e2, 1]]))
-                    if not segments_intersect(s1, s2):
-                        continue
-                    inputs = (int(edges[e1, 0]), int(edges[e1, 1]),
-                              int(edges[e2, 0]), int(edges[e2, 1]))
-                    try:
-                        frame, nmap = normalize_crossing_pair_with_map(
-                            s1.a, s1.b, s2.a, s2.b)
-                    except ValueError:
-                        frame, nmap = None, None
-                    if nmap is not None:
-                        quad = tuple(inputs[nmap.roles[r]]
-                                     for r in ("a1", "a2", "b1", "b2"))
-                    else:
-                        quad = inputs
-                    quadruples.append(quad)  # type: ignore[arg-type]
-                    frames.append(frame)
-                    maps.append(nmap)
+        elab = comps.labels[edges[:, 0]]
+        giant = max(comps.sizes, key=comps.sizes.get)
+        minor = np.flatnonzero(elab != giant)
+        reach = float(lengths.max())
+        reach += _SLACK * (reach + float(np.abs(pts).max()))
+        mid = (a + b) / 2.0
+        near = cKDTree(mid[minor]).sparse_distance_matrix(
+            cKDTree(mid), reach, p=np.inf, output_type="ndarray")
+        e1 = minor[near["i"]]
+        e2 = near["j"].astype(np.int64)
+        # A pair of two minor edges is proposed from both sides; keep one.
+        keep = (elab[e1] != elab[e2]) & ((elab[e2] == giant) | (e1 < e2))
+        e1, e2 = np.minimum(e1, e2)[keep], np.maximum(e1, e2)[keep]
+        keep = (np.all((lo[e1] <= hi[e2]) & (lo[e2] <= hi[e1]), axis=1)
+                & (lengths[e1] != 0.0) & (lengths[e2] != 0.0))
+        e1, e2 = e1[keep], e2[keep]
+        tested = int(e1.size)
+        for i, j in zip(e1.tolist(), e2.tolist()):
+            s1 = Segment(Point(*pts[edges[i, 0]]), Point(*pts[edges[i, 1]]))
+            s2 = Segment(Point(*pts[edges[j, 0]]), Point(*pts[edges[j, 1]]))
+            if not segments_intersect(s1, s2):
+                continue
+            inputs = (int(edges[i, 0]), int(edges[i, 1]),
+                      int(edges[j, 0]), int(edges[j, 1]))
+            try:
+                frame, nmap = normalize_crossing_pair_with_map(
+                    s1.a, s1.b, s2.a, s2.b)
+            except ValueError:
+                frame, nmap = None, None
+            if nmap is not None:
+                quad = tuple(inputs[nmap.roles[r]]
+                             for r in ("a1", "a2", "b1", "b2"))
+            else:
+                quad = inputs
+            quadruples.append(quad)  # type: ignore[arg-type]
+            frames.append(frame)
+            maps.append(nmap)
         order = sorted(range(len(quadruples)), key=lambda t: quadruples[t])
         quadruples = [quadruples[t] for t in order]
         frames = [frames[t] for t in order]
@@ -1312,7 +1285,8 @@ class TrialResult:
     ``largest_two_diameters`` is (largest, second largest) component
     diameter, the second being 0 when connected.  ``num_crossing_pairs`` is
     0 for connected graphs without running the crossing search.
-    ``smallest_component_size`` is the size of the smallest component.
+    ``second_component_size`` is the size of the second-largest component
+    (0 when connected).
     """
 
     n: float
@@ -1323,7 +1297,7 @@ class TrialResult:
     num_components: int
     largest_two_diameters: Tuple[float, float]
     num_crossing_pairs: int
-    smallest_component_size: int
+    second_component_size: int
 
 
 @dataclass(frozen=True)
@@ -1374,7 +1348,7 @@ def run_trial(n: float, c: float, seed: int, model: str = "mutual"
     if len(ps) == 0:
         return TrialResult(n=n, k=k, c=c, seed=seed, connected=True,
                            num_components=0, largest_two_diameters=(0.0, 0.0),
-                           num_crossing_pairs=0, smallest_component_size=0)
+                           num_crossing_pairs=0, second_component_size=0)
     g = build_graph(ps, k, model=model, radius=radius)
     comps = components(g)
     connected = comps.num_components <= 1
@@ -1388,7 +1362,7 @@ def run_trial(n: float, c: float, seed: int, model: str = "mutual"
         num_components=comps.num_components,
         largest_two_diameters=comps.largest_two_diameters(),
         num_crossing_pairs=crossings,
-        smallest_component_size=sizes[-1] if sizes else 0)
+        second_component_size=sizes[1] if len(sizes) > 1 else 0)
 
 
 def estimate_connectivity(n: float, c_values: Sequence[float], trials: int,
@@ -1420,35 +1394,11 @@ def estimate_connectivity(n: float, c_values: Sequence[float], trials: int,
             n=n, k=results[0].k, c=float(c), model=model, trials=trials,
             connected_frac=connected / trials, wilson_lo=lo, wilson_hi=hi,
             mean_components=sum(r.num_components for r in results) / trials,
-            max_small_component=_max_second_component(n, c, model, results),
+            max_small_component=max(r.second_component_size
+                                    for r in results),
             crossing_pairs_total=sum(r.num_crossing_pairs for r in results),
             seed=master_seed, results=tuple(results)))
     return estimates
-
-
-def _max_second_component(n: float, c: float, model: str,
-                          results: Sequence[TrialResult]) -> int:
-    """Largest second-largest-component size over trials.
-
-    For trials with exactly two components the second-largest size is
-    ``smallest_component_size``; trials with more components are re-derived
-    from their recorded seed (rare in the regimes of interest).
-    """
-    best = 0
-    for r in results:
-        if r.connected or r.num_components == 0:
-            continue
-        if r.num_components == 2:
-            second = r.smallest_component_size
-        else:
-            ps = sample_poisson(n, r.seed)
-            radius = (math.sqrt(c * math.log(n) / math.pi)
-                      if model == "gilbert" else None)
-            g = build_graph(ps, r.k, model=model, radius=radius)
-            sizes = components(g).sizes_sorted()
-            second = sizes[1] if len(sizes) > 1 else 0
-        best = max(best, second)
-    return best
 
 
 # ---------------------------------------------------------------------------

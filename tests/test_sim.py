@@ -11,6 +11,7 @@ import pytest
 
 from knnlab import sim
 from knnlab.bounds import model_constants
+from knnlab.geom import Point, Segment, segments_intersect
 from knnlab.sim import (
     PointSet,
     SampleWindow,
@@ -141,6 +142,17 @@ def test_neighbourhood_radius_is_kth_distance():
         gilbert.neighbourhood_radius(0)
 
 
+def _assert_matches_brute_force(ps, k, model, radius):
+    g = build_graph(ps, k, model=model, radius=radius)
+    ref = brute_force_graph(ps, k, model=model, radius=radius)
+    assert np.array_equal(g.edges(), ref.edges())
+    assert len(g.out_neighbors) == len(ref.out_neighbors)
+    for a, b in zip(g.out_neighbors, ref.out_neighbors):
+        assert np.array_equal(a, b)
+    for a, b in zip(g.out_dists, ref.out_dists):
+        assert np.array_equal(a, b)
+
+
 def test_build_graph_matches_brute_force():
     rng = np.random.default_rng(42)
     for trial in range(15):
@@ -151,13 +163,26 @@ def test_build_graph_matches_brute_force():
         k = int(rng.integers(1, 40))
         model = sim.MODELS[trial % 4]
         radius = float(rng.uniform(0.5, 2.0)) if model == "gilbert" else None
-        g = build_graph(ps, k, model=model, radius=radius)
-        ref = brute_force_graph(ps, k, model=model, radius=radius)
-        assert np.array_equal(g.edges(), ref.edges())
-        for a, b in zip(g.out_neighbors, ref.out_neighbors):
-            assert np.array_equal(a, b)
-        for a, b in zip(g.out_dists, ref.out_dists):
-            assert np.array_equal(a, b)
+        _assert_matches_brute_force(ps, k, model, radius)
+
+    # Tie-heavy inputs: on an integer lattice most neighbour distances tie,
+    # and duplicated points tie at distance zero (also with themselves).
+    lattice = np.array([[x, y] for x in range(1, 16) for y in range(1, 13)],
+                       dtype=float)
+    base = rng.uniform(0.0, 10.0, size=(60, 2))
+    duplicated = np.vstack([base, base[:25], base[:8], lattice[:30],
+                            lattice[:30]])
+    tie_sets = [PointSet(points=lattice, seed=0, window=SampleWindow(256.0)),
+                PointSet(points=duplicated, seed=0,
+                         window=SampleWindow(256.0))]
+    for ps in tie_sets:
+        for model in sim.MODELS:
+            if model == "gilbert":
+                for radius in (1.0, math.sqrt(2.0), 2.0, 2.5):
+                    _assert_matches_brute_force(ps, 1, model, radius)
+            else:
+                for k in (1, 2, 3, 4, 5, 8, 12, 21):
+                    _assert_matches_brute_force(ps, k, model, None)
 
 
 def test_build_graph_handles_degenerate_sizes():
@@ -290,6 +315,72 @@ def test_crossing_search_reports_planted_crossing():
     quad = report.quadruples[0]
     assert {quad[0], quad[1]} == {2, 3}  # shorter edge takes the a role
     assert {quad[2], quad[3]} == {0, 1}
+
+
+def _planted_segments(pts):
+    """Graph joining points ``2i`` and ``2i + 1``: one component per pair."""
+    ps = PointSet(points=pts, seed=0, window=SampleWindow(400.0))
+    g = build_graph(ps, k=1, model="mutual")
+    g.out_neighbors = [np.array([i ^ 1]) for i in range(len(pts))]
+    g.out_dists = [np.array([1.0])] * len(pts)
+    g._edges = None
+    g._edge_keys = None
+    return g
+
+
+def test_crossing_search_matches_all_pairs_reference():
+    rng = np.random.default_rng(8)
+    m = 300
+    starts = rng.uniform(1.0, 19.0, size=(m, 2))
+    ends = np.clip(starts + rng.normal(0.0, 0.7, size=(m, 2)), 0.0, 20.0)
+    # Shared endpoints: a segment starting where the previous one ends.
+    for i in range(0, 40, 2):
+        starts[i + 1] = ends[i]
+    # Collinear segments touching end to start, and overlapping ones.
+    starts[40:44] = [[2.0, 3.0], [3.0, 3.0], [5.0, 3.0], [5.5, 3.0]]
+    ends[40:44] = [[3.0, 3.0], [4.0, 3.0], [6.0, 3.0], [6.5, 3.0]]
+    # A zero-length edge lying on another segment.
+    starts[44] = ends[44] = [2.5, 3.0]
+    pts = np.empty((2 * m, 2))
+    pts[0::2] = starts
+    pts[1::2] = ends
+    g = _planted_segments(pts)
+    comps = components(g)
+    assert comps.num_components == m
+    report = find_crossing_pairs(g, comps)
+
+    edges = g.edges()
+    lo = np.minimum(pts[edges[:, 0]], pts[edges[:, 1]])
+    hi = np.maximum(pts[edges[:, 0]], pts[edges[:, 1]])
+    lengths = np.hypot(*(pts[edges[:, 1]] - pts[edges[:, 0]]).T)
+    tested = 0
+    expected = set()
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            if (comps.labels[edges[i, 0]] == comps.labels[edges[j, 0]]
+                    or lengths[i] == 0.0 or lengths[j] == 0.0
+                    or np.any(lo[i] > hi[j]) or np.any(lo[j] > hi[i])):
+                continue
+            tested += 1
+            if segments_intersect(Segment(Point(*pts[edges[i, 0]]),
+                                          Point(*pts[edges[i, 1]])),
+                                  Segment(Point(*pts[edges[j, 0]]),
+                                          Point(*pts[edges[j, 1]]))):
+                expected.add(frozenset((frozenset(edges[i].tolist()),
+                                        frozenset(edges[j].tolist()))))
+    found = {frozenset((frozenset(q[:2]), frozenset(q[2:])))
+             for q in report.quadruples}
+    assert report.candidates_tested == tested
+    assert report.num_crossings == len(expected) > 20
+    assert found == expected
+    assert report.quadruples == sorted(report.quadruples)
+    # The planted touching cases are among the hits; the zero-length edge
+    # (points 88 and 89) is never tested.
+    for i, j in ((0, 1), (40, 41), (42, 43)):
+        pair = frozenset((frozenset((2 * i, 2 * i + 1)),
+                          frozenset((2 * j, 2 * j + 1))))
+        assert pair in expected
+    assert not any(88 in q or 89 in q for q in report.quadruples)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +578,17 @@ def test_estimate_connectivity_is_reproducible():
         assert len(est.results) == 5
         for r in est.results:
             assert r.connected == (r.num_components <= 1)
+    # The sparse row has trials of three or more components; recount the
+    # second-largest component of each from a fresh build.
+    sparse = a[0]
+    assert any(r.num_components >= 3 for r in sparse.results)
+    seconds = []
+    for r in sparse.results:
+        sizes = components(build_graph(sample_poisson(300.0, r.seed), r.k,
+                                       model="mutual")).sizes_sorted()
+        seconds.append(sizes[1] if len(sizes) > 1 else 0)
+        assert r.second_component_size == seconds[-1]
+    assert sparse.max_small_component == max(seconds) > 0
 
 
 def test_trial_results_vary_with_trial_index():
