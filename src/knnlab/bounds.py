@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from . import _census
-from .geom import Point, disk_lens_area, disks_intersection_area
+from .geom import disk_lens_area, disks_intersection_area
 
 __all__ = [
     "CRESCENT_AREA",
@@ -71,9 +71,6 @@ __all__ = [
     "capture_chain",
     "Certificate",
     "make_certificate",
-    "SquareCandidate",
-    "square_candidate_a1",
-    "square_candidate_a2",
     "verify_L_plus",
     "verify_L_minus",
     "verify_H_plus",
@@ -623,49 +620,8 @@ def make_certificate(name: str, step: float, computed: float, target: float,
 
 
 # ---------------------------------------------------------------------------
-# per-square data and the four census certificates
+# the four census certificates
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SquareCandidate:
-    """Certified per-square data for one candidate grid square.
-
-    ``sigma`` is the certified lower bound and ``rho_max`` the certified
-    upper bound on the neighbourhood radius, valid wherever the free
-    point sits inside the square; ``h1`` and ``h2`` are the forced
-    boundary locations (for the upper-frame point) or the fixed anchor
-    locations (for the lower-frame point) whose distances produce
-    ``sigma``.
-    """
-
-    center: Point
-    s: float
-    sigma: float
-    rho_max: float
-    h1: Point
-    h2: Point
-
-    def __post_init__(self) -> None:
-        if self.sigma > self.rho_max:
-            raise ValueError("certified radii out of order "
-                             "(sigma exceeds rho_max)")
-
-
-def square_candidate_a1(center, s: float) -> SquareCandidate:
-    """Per-square certified radii for an upper-frame (``a1``) square."""
-    cx, cy = (center.x, center.y) if isinstance(center, Point) else center
-    sigma, rho_max, h1, h2 = _census.candidate_data_a1(cx, cy, s)
-    return SquareCandidate(center=Point(cx, cy), s=s, sigma=sigma,
-                           rho_max=rho_max, h1=Point(*h1), h2=Point(*h2))
-
-
-def square_candidate_a2(center, s: float) -> SquareCandidate:
-    """Per-square certified radii for a lower-frame (``a2``) square."""
-    cx, cy = (center.x, center.y) if isinstance(center, Point) else center
-    sigma, rho_max, h1, h2 = _census.candidate_data_a2(cx, cy, s)
-    return SquareCandidate(center=Point(cx, cy), s=s, sigma=sigma,
-                           rho_max=rho_max, h1=Point(*h1), h2=Point(*h2))
 
 
 def _census_certificate(name: str, outcome: _census.CensusOutcome,

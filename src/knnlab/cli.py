@@ -285,13 +285,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         parts = {name: single[name](step, threads=threads, progress=progress)
                  for name in ("lplus", "lminus", "hplus", "hminus")}
-        if which == "ratio":
-            certificates.append(bounds.crossing_ratio(step, components=parts,
-                                                      threads=threads))
-        else:
+        if which != "ratio":
             certificates.extend(parts.values())
-            certificates.append(bounds.crossing_ratio(step, components=parts,
-                                                      threads=threads))
+        certificates.append(bounds.crossing_ratio(step, components=parts))
 
     manifest = RunManifest(command="verify", config=_public_config(cfg),
                            seed=cfg["seed"], started=started)

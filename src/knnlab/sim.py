@@ -310,14 +310,16 @@ class NearestNeighborGraph:
                 else:
                     enc = np.unique(code)
             self._edges = np.column_stack((enc // max(n, 1), enc % max(n, 1)))
-            self._edge_keys = set(int(c) for c in enc)
+            self._edge_keys = None
         return self._edges
 
     def has_edge(self, i: int, j: int) -> bool:
         """Whether the undirected edge ``{i, j}`` is present."""
         if i == j:
             return False
-        self.edges()
+        e = self.edges()
+        if self._edge_keys is None:
+            self._edge_keys = set((e[:, 0] * self.n_points + e[:, 1]).tolist())
         lo, hi = (i, j) if i < j else (j, i)
         return (lo * self.n_points + hi) in self._edge_keys
 

@@ -11,6 +11,7 @@ censuses only shrink as the grid is refined.
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -56,17 +57,19 @@ GOLDEN_0004 = {
 }
 
 
-def _run(name: str, s: float):
+def _run(name: str, s: float, **kw):
     if name == "lplus":
-        return census_L_plus(s)
+        return census_L_plus(s, **kw)
     if name == "lminus":
-        return census_L_minus(s)
+        return census_L_minus(s, **kw)
     if name == "hplus":
-        return census_H_plus(s)
+        return census_H_plus(s, **kw)
+    if name == "hplus_intersection":
+        return census_H_plus(s, exclusion="intersection", **kw)
     if name == "hminus":
-        return census_H_minus(s)
+        return census_H_minus(s, **kw)
     if name == "hminus_cover":
-        return census_H_minus(s, semantics="cover")
+        return census_H_minus(s, semantics="cover", **kw)
     raise KeyError(name)
 
 
@@ -102,13 +105,27 @@ def test_refinement_monotonicity():
     assert hminus == sorted(hminus, reverse=True)
 
 
-def test_census_independent_of_thread_count():
-    for threads in (None, 1, 2, 4):
-        out = census_L_plus(0.008, threads=threads)
-        assert out.count == GOLDEN_0008["lplus"][1]
-        assert out.witness == pytest.approx(GOLDEN_0008["lplus"][2])
-        out = census_H_minus(0.008, threads=threads)
-        assert out.count == GOLDEN_0008["hminus"][1]
+@pytest.mark.parametrize("name", ["hminus", "hminus_cover", "hplus",
+                                  "hplus_intersection", "lminus", "lplus"])
+def test_census_independent_of_thread_count(name):
+    reference = _run(name, 0.008, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the worker threads finely
+    try:
+        for threads in (None, 2, 4):
+            assert _run(name, 0.008, threads=threads) == reference
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threaded_progress_is_monotone_and_completes():
+    seen = []
+    out = census_L_minus(0.008, threads=2,
+                         progress=lambda done, total: seen.append((done, total)))
+    dones = [done for done, _ in seen]
+    assert dones == sorted(dones)
+    assert {total for _, total in seen} == {out.candidates}
+    assert seen[-1] == (out.candidates, out.candidates)
 
 
 def test_hminus_universal_is_tighter_than_cover():
