@@ -8,9 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from knnlab import sim
-from knnlab.bounds import model_constants
+from knnlab.bounds import ModelConstants, model_constants
 from knnlab.geom import Point, Segment, segments_intersect
 from knnlab.sim import (
     PointSet,
@@ -427,6 +428,48 @@ def test_half_disk_check_detects_removed_edge():
     assert (x, y, z) in violations
 
 
+def _half_disk_violations_per_edge(g):
+    """Per-edge, per-endpoint reference scan in the order of single queries."""
+    pts = g.points
+    tree = cKDTree(pts)
+    out = []
+    for lo, hi in g.edges().tolist():
+        half = math.hypot(*(pts[hi] - pts[lo])) / 2.0
+        for x, other in ((lo, hi), (hi, lo)):
+            for z in tree.query_ball_point(pts[x], half):
+                if z in (lo, hi):
+                    continue
+                if (math.hypot(*(pts[z] - pts[x])) < half
+                        and not g.has_edge(x, z)):
+                    out.append((x, other, z))
+    return out
+
+
+def test_half_disk_check_order_matches_per_edge_scan():
+    g = build_graph(sample_poisson(600.0, seed=4), k=8, model="mutual")
+    pts = g.points
+    # Keep only the two longest edges of the best-connected point x: its
+    # other neighbours become non-edges, several inside one half-disk of x
+    # and some inside both.
+    deg = np.bincount(g.edges().ravel(), minlength=len(pts))
+    x = int(np.argmax(deg))
+    nbrs = [int(y) for y in g.out_neighbors[x] if g.has_edge(x, int(y))]
+    nbrs.sort(key=lambda y: math.hypot(*(pts[y] - pts[x])))
+    for z in nbrs[:-2]:
+        for a, b in ((x, z), (z, x)):
+            keep = g.out_neighbors[a] != b
+            g.out_neighbors[a] = g.out_neighbors[a][keep]
+            g.out_dists[a] = g.out_dists[a][keep]
+    g._edges = None
+    g._edge_keys = None
+    violations = check_half_disk_lemma(g)
+    from_x = [(y, z) for v, y, z in violations if v == x]
+    assert len(from_x) >= 4
+    assert any((nbrs[-1], z) in from_x and (nbrs[-2], z) in from_x
+               for z in nbrs[:-2])
+    assert violations == _half_disk_violations_per_edge(g)
+
+
 def test_intersect_union_degenerate_pairs_are_true():
     g = build_graph(sample_poisson(200.0, 8), k=4, model="mutual")
     e = g.edges()[0]
@@ -515,6 +558,96 @@ def test_goodness_detects_empty_half_disk():
     idx, direction = report.witnesses[3]
     assert idx in (0, 1)
     assert 0.0 <= direction < 2.0 * math.pi
+
+
+def _check_condition_three(ps, consts, k=3):
+    """Compare condition 3 of ``check_goodness`` with a scan of every point.
+
+    Also checks that every point with an empty half-disk survives the
+    pre-filter, not just the first.  Returns the reference witness.
+    """
+    pts = ps.points
+    radius = consts.d * math.sqrt(math.log(ps.window.n))
+    side = ps.window.side
+    tree = cKDTree(pts)
+    found = [(i, sim._empty_half_disk(pts, tree, i, radius, side))
+             for i in range(len(pts))]
+    accepted = [(i, float(u)) for i, u in found if u is not None]
+    expected = accepted[0] if accepted else None
+    report = check_goodness(build_graph(ps, k=k, model="mutual"), consts)
+    assert report.bad[2] == (expected is not None)
+    assert report.witnesses.get(3) == expected
+    survivors = sim._half_disk_survivors(pts, radius, side).tolist()
+    assert survivors == sorted(set(survivors))
+    assert {i for i, _ in accepted} <= set(survivors)
+    return expected
+
+
+def _small_d(n, radius):
+    """Constants whose ``D = d sqrt(log n)`` equals ``radius``."""
+    return ModelConstants(c=1.0, c_minus=0.5, c_plus=23.9,
+                          d=radius / math.sqrt(math.log(n)))
+
+
+@pytest.mark.parametrize("n", [1000.0, 2000.0])
+def test_condition_three_matches_full_scan_on_poisson_graphs(n):
+    for seed in (0, 1):
+        ps = sample_poisson(n, seed)
+        k = math.ceil(1.2 * math.log(n))
+        # At the model's D condition 3 never fires; at D = 1.4 nearly every
+        # point passes the fit test, and many fire.
+        assert _check_condition_three(ps, model_constants(1.2, n=n), k) is None
+        assert _check_condition_three(ps, _small_d(n, 1.4), k) is not None
+
+
+def test_fit_test_leaves_no_point_when_the_window_is_small():
+    # At n = 1000 the window's half-diagonal, 22.4, is below D = 27.7, so no
+    # half-disk fits and condition 3 scans no point.
+    ps = sample_poisson(1000.0, 0)
+    radius = model_constants(1.0, n=1000.0).d * math.sqrt(math.log(1000.0))
+    assert radius > ps.window.side / math.sqrt(2.0)
+    assert sim._half_disk_survivors(ps.points, radius, ps.window.side).size == 0
+
+
+def _cone_under_a_hole():
+    # Background points around an empty box near the bottom wall, and a
+    # point 5 above the wall over a narrow cone of three neighbours: the
+    # half-disk of radius D ~ 32 pointing up from it is empty and fits, so
+    # condition 3 fires there, behind background points that do not.
+    rng = np.random.default_rng(3)
+    bg = rng.uniform(0.0, 100.0, size=(1500, 2))
+    bg = bg[~((np.abs(bg[:, 0] - 50.0) < 40.0) & (bg[:, 1] < 45.0))]
+    cone = np.array([[50.0, 3.0], [49.7, 2.0], [50.3, 2.5]])
+    pts = np.vstack([bg[:3], [[50.0, 5.0]], cone, bg[3:]])
+    return pts, 10000.0, model_constants(1.0, n=10000.0), 3
+
+
+def _touching_two_walls():
+    # A lone point on the bottom wall at distance D from the left wall: the
+    # half-disk pointing up touches both walls, and the fit test holds with
+    # equality.
+    consts = model_constants(1.0, n=10000.0)
+    radius = consts.d * math.sqrt(math.log(10000.0))
+    return np.array([[radius, 0.0]]), 10000.0, consts, 0
+
+
+def _lattice_with_duplicates():
+    # Unit lattice on a side-10 window with a 5 x 5 block removed except its
+    # centre, which is doubled, as is every fourth other lattice point; D is
+    # 1.5.  Straight edges leave gaps of exactly pi, which must not fire.
+    grid = [(float(x), float(y)) for y in range(11) for x in range(11)
+            if not (3 <= x <= 7 and 3 <= y <= 7) or (x, y) == (5, 5)]
+    pts = np.array(grid + [(5.0, 5.0)] + grid[1::4])
+    return pts, 100.0, _small_d(100.0, 1.5), grid.index((5.0, 5.0))
+
+
+@pytest.mark.parametrize("make", [_cone_under_a_hole, _touching_two_walls,
+                                  _lattice_with_duplicates])
+def test_condition_three_matches_full_scan_on_planted_sets(make):
+    pts, n, consts, index = make()
+    ps = PointSet(points=pts, seed=0, window=SampleWindow(n))
+    expected = _check_condition_three(ps, consts)
+    assert expected is not None and expected[0] == index
 
 
 def test_component_setup_on_split_graph():
