@@ -16,11 +16,11 @@ Four subcommands drive the library from the shell:
     foreign-point separation) plus the six goodness conditions.
 
 Every command accepts ``--config FILE`` (``key=value`` lines, ``#``
-comments; explicit flags override file values), honours ``--seed`` for
-bit-reproducibility and ``--threads`` / the ``KNNLAB_THREADS`` environment
-variable for the verification work pool, and writes a run manifest next to
-any file outputs recording the resolved configuration and SHA-256 digests
-of what was produced.
+comments; explicit flags override file values) and ``--seed``, and writes a
+run manifest next to any file outputs recording the resolved configuration
+and SHA-256 digests of what was produced.  ``verify`` takes its census
+worker count from ``--threads`` or the ``KNNLAB_THREADS`` environment
+variable; ``simulate`` and ``check`` accept and record the same setting.
 
 Exit codes: 0 success / all bounds passed; 1 a certified bound or a
 deterministic structural check failed; 2 usage error.
@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from scipy.spatial import cKDTree
 
@@ -99,6 +99,27 @@ class RunManifest:
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _public_config(cfg: Dict[str, object]) -> Dict[str, object]:
+    return {k: v for k, v in cfg.items() if k != "config"}
+
+
+def _write_manifest(command: str, cfg: Dict[str, object], seed: Optional[int],
+                    started: str, t0: float, outputs: Sequence[Path],
+                    directory: Path) -> None:
+    """Write the run manifest of ``command`` into ``directory``.
+
+    ``started`` (wall clock) and ``t0`` (``time.perf_counter``) mark when
+    the command began; ``outputs`` are the files it wrote.
+    """
+    manifest = RunManifest(command=command, config=_public_config(cfg),
+                           seed=seed, started=started)
+    for path in outputs:
+        manifest.add_output(path)
+    manifest.finished = _utc_now()
+    manifest.runtime_ms = (time.perf_counter() - t0) * 1000.0
+    manifest.save(directory)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +202,6 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         "c_prime": (float, 0.0),
         "out": (str, None),
         "seed": (int, None),
-        "threads": (int, _threads_default()),
     }
     cfg = _resolve(args, spec)
     if cfg["c"] is None:
@@ -209,17 +229,9 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         out = Path(cfg["out"])
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(blob + "\n", encoding="utf-8")
-        manifest = RunManifest(command="constants", config=_public_config(cfg),
-                               seed=cfg["seed"], started=started)
-        manifest.add_output(out)
-        manifest.finished = _utc_now()
-        manifest.runtime_ms = (time.perf_counter() - t0) * 1000.0
-        manifest.save(out.parent)
+        _write_manifest("constants", cfg, cfg["seed"], started, t0, [out],
+                        out.parent)
     return 0
-
-
-def _public_config(cfg: Dict[str, object]) -> Dict[str, object]:
-    return {k: v for k, v in cfg.items() if k != "config"}
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +301,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             certificates.extend(parts.values())
         certificates.append(bounds.crossing_ratio(step, components=parts))
 
-    manifest = RunManifest(command="verify", config=_public_config(cfg),
-                           seed=cfg["seed"], started=started)
+    paths = []
     all_passed = True
     for cert in certificates:
         path = out_dir / ("%s_%g.json" % (cert.name, step))
         cert.save(path)
-        manifest.add_output(path)
+        paths.append(path)
         all_passed &= cert.passed
         verdict = "PASS" if cert.passed else "FAIL"
         print("%-7s %s  computed=%s  target %s %s" %
               (cert.name, verdict, _fmt_float(cert.computed),
                cert.comparator, _fmt_float(cert.target)))
-    manifest.finished = _utc_now()
-    manifest.runtime_ms = (time.perf_counter() - t0) * 1000.0
-    manifest.save(out_dir)
+    _write_manifest("verify", cfg, cfg["seed"], started, t0, paths, out_dir)
     return 0 if all_passed else 1
 
 
@@ -394,13 +403,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         out = Path(cfg["out"])
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_bytes(text.encode("utf-8"))
-        manifest = RunManifest(command="simulate",
-                               config=_public_config(cfg),
-                               seed=int(cfg["seed"]), started=started)
-        manifest.add_output(out)
-        manifest.finished = _utc_now()
-        manifest.runtime_ms = (time.perf_counter() - t0) * 1000.0
-        manifest.save(out.parent)
+        _write_manifest("simulate", cfg, int(cfg["seed"]), started, t0, [out],
+                        out.parent)
     else:
         sys.stdout.write(text)
     return 0
@@ -411,13 +415,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _inject_half_disk_bug(g: sim.NearestNeighborGraph) -> Optional[tuple]:
+def _inject_half_disk_bug(g: sim.NearestNeighborGraph
+                          ) -> Tuple[sim.NearestNeighborGraph,
+                                     Optional[tuple]]:
     """Remove one mutual edge that the containment property forces to exist.
 
     Finds an edge ``x y`` and a third point ``z`` strictly inside the open
     half-disk at ``x`` (radius ``|xy| / 2``); the property guarantees
     ``x z`` is an edge, so deleting it plants a genuine violation.  Returns
-    the planted triple, or ``None`` when no half-disk holds a third point.
+    the graph without that edge and the planted triple, or ``g`` and
+    ``None`` when no half-disk holds a third point.
     """
     pts = g.points
     tree = cKDTree(pts)
@@ -431,14 +438,8 @@ def _inject_half_disk_bug(g: sim.NearestNeighborGraph) -> Optional[tuple]:
                     continue
                 if (math.hypot(*(pts[z] - pts[cx])) < length / 2.0
                         and g.has_edge(cx, z)):
-                    for a, b in ((cx, z), (z, cx)):
-                        keep = g.out_neighbors[a] != b
-                        g.out_neighbors[a] = g.out_neighbors[a][keep]
-                        g.out_dists[a] = g.out_dists[a][keep]
-                    g._edges = None
-                    g._edge_keys = None
-                    return (cx, other, z)
-    return None
+                    return g.without_edges([(cx, z)]), (cx, other, z)
+    return g, None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -481,7 +482,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             continue
         g = sim.build_graph(ps, k, model="mutual")
         if cfg["inject_bug"] and injected is None:
-            injected = _inject_half_disk_bug(g)
+            g, injected = _inject_half_disk_bug(g)
         hd = sim.check_half_disk_lemma(g)
         comps = sim.components(g)
         fa = sim.check_farapart(g, comps)
@@ -527,12 +528,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         out = Path(cfg["out"])
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(blob, encoding="utf-8")
-        manifest = RunManifest(command="check", config=_public_config(cfg),
-                               seed=seq_master, started=started)
-        manifest.add_output(out)
-        manifest.finished = _utc_now()
-        manifest.runtime_ms = (time.perf_counter() - t0) * 1000.0
-        manifest.save(out.parent)
+        _write_manifest("check", cfg, seq_master, started, t0, [out],
+                        out.parent)
     else:
         sys.stdout.write(blob)
     return 1 if violations else 0
@@ -558,7 +555,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("verify",

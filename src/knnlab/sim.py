@@ -54,10 +54,11 @@ __all__ = [
     "figure_one_pointset",
 ]
 
+import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -248,26 +249,29 @@ def sample_poisson(n: float, seed: int) -> PointSet:
 class NearestNeighborGraph:
     """A nearest-neighbour-type graph over a :class:`PointSet`.
 
-    ``out_neighbors[i]`` lists the out-neighbours of point ``i`` ordered by
-    (distance, index); ``out_dists[i]`` holds the matching distances.  For the
-    ``k``-nearest models the list has ``min(k, N - 1)`` entries and its last
-    distance is the ``k``-th-neighbour radius; for ``gilbert`` it lists every
-    point within ``radius``.
+    The out-neighbours are stored in CSR form: point ``i``'s out-neighbours
+    are ``indices[indptr[i]:indptr[i + 1]]``, ordered by (distance, index),
+    and ``dists`` holds the matching distances.  For the ``k``-nearest
+    models each row has ``min(k, N - 1)`` entries and its last distance is
+    the ``k``-th-neighbour radius; for ``gilbert`` a row lists every point
+    within ``radius``.
 
     The undirected edge set, component structure, and crossing search all go
     through :meth:`edges`: mutual keeps reciprocated pairs, ``either`` and
     ``directed`` the union of directions (weak connectivity), ``gilbert`` the
-    radius pairs.
+    radius pairs.  A graph is not edited in place; :meth:`without_edges`
+    returns an edited copy.
     """
 
     pointset: PointSet
     k: int
     model: str
-    out_neighbors: List[np.ndarray]
-    out_dists: List[np.ndarray]
+    indptr: np.ndarray
+    indices: np.ndarray
+    dists: np.ndarray
     radius: Optional[float] = None
-    _edges: Optional[np.ndarray] = field(default=None, repr=False)
-    _edge_keys: Optional[set] = field(default=None, repr=False)
+    _edges: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _codes: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def points(self) -> np.ndarray:
@@ -276,6 +280,11 @@ class NearestNeighborGraph:
     @property
     def n_points(self) -> int:
         return len(self.pointset)
+
+    def _sources(self) -> np.ndarray:
+        """Source point of every stored arc, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n_points, dtype=np.int64),
+                         np.diff(self.indptr))
 
     def neighbourhood_radius(self, i: int) -> float:
         """Radius of the closed ``k``-th-neighbour disk around point ``i``.
@@ -286,51 +295,67 @@ class NearestNeighborGraph:
         if self.model == "gilbert":
             raise ValueError("neighbourhood radius is k-NN specific; "
                              "the gilbert model has a global radius")
-        d = self.out_dists[i]
-        return float(d[-1]) if d.size else 0.0
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return float(self.dists[hi - 1]) if hi > lo else 0.0
 
     def edges(self) -> np.ndarray:
         """Undirected edge list, shape ``(E, 2)`` with ``lo < hi`` per row.
 
-        Rows are sorted lexicographically; the array is cached.
+        Rows are sorted lexicographically; the array is cached, together
+        with the sorted edge codes ``lo * N + hi`` that :meth:`has_edges`
+        searches.
         """
         if self._edges is None:
             n = self.n_points
-            sizes = [a.size for a in self.out_neighbors]
-            if n == 0 or sum(sizes) == 0:
-                enc = np.empty(0, dtype=np.int64)
+            src = self._sources()
+            code = (np.minimum(src, self.indices) * n
+                    + np.maximum(src, self.indices))
+            if self.model == "mutual":
+                uniq, cnt = np.unique(code, return_counts=True)
+                self._codes = uniq[cnt == 2]
             else:
-                src = np.repeat(np.arange(n, dtype=np.int64), sizes)
-                dst = np.concatenate(self.out_neighbors).astype(np.int64)
-                lo = np.minimum(src, dst)
-                hi = np.maximum(src, dst)
-                code = lo * n + hi
-                if self.model == "mutual":
-                    uniq, cnt = np.unique(code, return_counts=True)
-                    enc = uniq[cnt == 2]
-                else:
-                    enc = np.unique(code)
-            self._edges = np.column_stack((enc // max(n, 1), enc % max(n, 1)))
-            self._edge_keys = None
+                self._codes = np.unique(code)
+            self._edges = np.column_stack((self._codes // max(n, 1),
+                                           self._codes % max(n, 1)))
         return self._edges
+
+    def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether each undirected pair ``{a[t], b[t]}`` is an edge.
+
+        A binary search in the sorted edge codes that :meth:`edges` caches.
+        """
+        self.edges()
+        n = self.n_points
+        code = np.minimum(a, b) * n + np.maximum(a, b)
+        pos = np.searchsorted(self._codes, code)
+        found = pos < self._codes.size
+        found[found] = self._codes[pos[found]] == code[found]
+        return found
 
     def has_edge(self, i: int, j: int) -> bool:
         """Whether the undirected edge ``{i, j}`` is present."""
-        if i == j:
-            return False
-        e = self.edges()
-        if self._edge_keys is None:
-            self._edge_keys = set((e[:, 0] * self.n_points + e[:, 1]).tolist())
-        lo, hi = (i, j) if i < j else (j, i)
-        return (lo * self.n_points + hi) in self._edge_keys
+        return bool(self.has_edges([i], [j])[0])
+
+    def without_edges(self, pairs) -> "NearestNeighborGraph":
+        """Copy of the graph without both arcs of every pair in ``pairs``.
+
+        Each row ``(i, j)`` of ``pairs`` removes the arcs ``i -> j`` and
+        ``j -> i``; the graph itself is unchanged.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        n = self.n_points
+        src = self._sources()
+        drop = np.concatenate((pairs[:, 0] * n + pairs[:, 1],
+                               pairs[:, 1] * n + pairs[:, 0]))
+        keep = ~np.isin(src * n + self.indices, drop)
+        # Kept sources stay sorted, so row i starts after those below i.
+        indptr = np.searchsorted(src[keep], np.arange(n + 1))
+        return replace(self, indptr=indptr, indices=self.indices[keep],
+                       dists=self.dists[keep])
 
     def degree_histogram(self) -> Dict[int, int]:
         """Counts of undirected degrees."""
-        e = self.edges()
-        deg = np.zeros(self.n_points, dtype=np.int64)
-        if e.size:
-            np.add.at(deg, e[:, 0], 1)
-            np.add.at(deg, e[:, 1], 1)
+        deg = np.bincount(self.edges().ravel(), minlength=self.n_points)
         vals, cnts = np.unique(deg, return_counts=True)
         return {int(v): int(c) for v, c in zip(vals, cnts)}
 
@@ -339,6 +364,17 @@ def _validate_model(model: str) -> None:
     if model not in MODELS:
         raise ValueError("unknown model %r; expected one of %s"
                          % (model, ", ".join(MODELS)))
+
+
+def _validate_graph_args(model: str, k: int, radius: Optional[float]) -> None:
+    _validate_model(model)
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if model == "gilbert":
+        if radius is None or not radius > 0.0:
+            raise ValueError("the gilbert model requires a positive radius")
+    elif radius is not None:
+        raise ValueError("radius applies to the gilbert model only")
 
 
 def _sorted_take(cand: np.ndarray, d2: np.ndarray, self_idx: int,
@@ -360,9 +396,11 @@ _SLACK = 1e-9
 # Rows per cKDTree query, which bounds the candidate arrays at large N.
 _CHUNK = 1 << 16
 
+_CSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-def _knn_query(pts: np.ndarray, k: int) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Exact ``min(k, N-1)``-nearest lists for every point.
+
+def _knn_query(pts: np.ndarray, k: int) -> _CSR:
+    """Exact ``min(k, N-1)``-nearest lists for every point, as CSR arrays.
 
     A cKDTree proposes the ``kk + 2`` nearest candidates of each point (the
     point itself included), whose squared distances are recomputed with the
@@ -370,16 +408,16 @@ def _knn_query(pts: np.ndarray, k: int) -> Tuple[List[np.ndarray], List[np.ndarr
     A row is certain when its farthest candidate lies beyond the ``kk``-th by
     more than rounding, since every point the tree left out is farther still.
     The other rows (distance ties, coincident points) are re-gathered with a
-    ball query of the ``kk``-th radius and filtered exactly.
+    ball query of the ``kk``-th radius and filtered exactly.  Every row has
+    exactly ``kk`` entries, so the lists fill one ``(N, kk)`` array.
     """
     n = pts.shape[0]
-    kk = min(k, n - 1)
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_d = np.empty(0, dtype=np.float64)
-    out_idx: List[np.ndarray] = [empty_i] * n
-    out_d: List[np.ndarray] = [empty_d] * n
-    if n == 0 or kk <= 0:
-        return out_idx, out_d
+    kk = max(min(k, n - 1), 0)
+    indptr = np.arange(n + 1, dtype=np.int64) * kk
+    nbrs = np.empty((n, kk), dtype=np.int64)
+    dists = np.empty((n, kk), dtype=np.float64)
+    if kk == 0:
+        return indptr, nbrs.ravel(), dists.ravel()
     q = min(kk + 2, n)
     tree = cKDTree(pts)
     for start in range(0, n, _CHUNK):
@@ -395,11 +433,8 @@ def _knn_query(pts: np.ndarray, k: int) -> Tuple[List[np.ndarray], List[np.ndarr
         kth = d2[:, kk]
         sure = (d2[:, -1] > kth * (1.0 + _SLACK)) | (q == n)
         own = cand[sure] == rows[sure, None]
-        nbrs = cand[sure][~own].reshape(-1, q - 1)[:, :kk]
-        dists = np.sqrt(d2[sure][~own].reshape(-1, q - 1)[:, :kk])
-        for i, nb, di in zip(rows[sure], nbrs, dists):
-            out_idx[i] = nb
-            out_d[i] = di
+        nbrs[rows[sure]] = cand[sure][~own].reshape(-1, q - 1)[:, :kk]
+        dists[rows[sure]] = np.sqrt(d2[sure][~own].reshape(-1, q - 1)[:, :kk])
         unsure = rows[~sure]
         balls = tree.query_ball_point(pts[unsure],
                                       np.sqrt(kth[~sure]) * (1.0 + _SLACK))
@@ -408,21 +443,18 @@ def _knn_query(pts: np.ndarray, k: int) -> Tuple[List[np.ndarray], List[np.ndarr
             diff = pts[i] - pts[ball]
             d2i = np.einsum("ij,ij->i", diff, diff)
             sel = d2i <= thr
-            out_idx[i], out_d[i] = _sorted_take(ball[sel], d2i[sel], int(i), kk)
-    return out_idx, out_d
+            nbrs[i], dists[i] = _sorted_take(ball[sel], d2i[sel], int(i), kk)
+    return indptr, nbrs.ravel(), dists.ravel()
 
 
-def _radius_query(pts: np.ndarray, radius: float) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Per-point lists of all other points within ``radius`` (closed ball).
+def _radius_query(pts: np.ndarray, radius: float) -> _CSR:
+    """All other points within ``radius`` (closed ball), as CSR arrays.
 
     A cKDTree pair query with a slightly padded radius proposes the pairs;
-    the exact ``d2 <= radius**2`` test decides them, and each point's list
+    the exact ``d2 <= radius**2`` test decides them, and each point's row
     is ordered by (distance, index).
     """
     n = pts.shape[0]
-    if n <= 1:
-        return ([np.empty(0, dtype=np.int64)] * n,
-                [np.empty(0, dtype=np.float64)] * n)
     pairs = cKDTree(pts).query_pairs(radius * (1.0 + _SLACK),
                                      output_type="ndarray")
     diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
@@ -433,8 +465,8 @@ def _radius_query(pts: np.ndarray, radius: float) -> Tuple[List[np.ndarray], Lis
     src = np.concatenate((pairs[:, 0], pairs[:, 1]))
     dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
     order = np.lexsort((dst, d2, src))
-    cuts = np.cumsum(np.bincount(src, minlength=n))[:-1]
-    return (np.split(dst[order], cuts), np.split(np.sqrt(d2[order]), cuts))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return indptr, dst[order], np.sqrt(d2[order])
 
 
 def build_graph(ps: PointSet, k: int, model: str = "mutual",
@@ -461,7 +493,7 @@ def build_graph(ps: PointSet, k: int, model: str = "mutual",
     Returns
     -------
     NearestNeighborGraph
-        Identical (lists, ordering, ties) to :func:`brute_force_graph`.
+        Identical (CSR arrays, ordering, ties) to :func:`brute_force_graph`.
 
     Examples
     --------
@@ -471,19 +503,13 @@ def build_graph(ps: PointSet, k: int, model: str = "mutual",
     >>> bool(np.array_equal(g.edges(), ref.edges()))
     True
     """
-    _validate_model(model)
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _validate_graph_args(model, k, radius)
     if model == "gilbert":
-        if radius is None or not radius > 0.0:
-            raise ValueError("the gilbert model requires a positive radius")
-        out_idx, out_d = _radius_query(ps.points, radius)
+        indptr, indices, dists = _radius_query(ps.points, radius)
     else:
-        if radius is not None:
-            raise ValueError("radius applies to the gilbert model only")
-        out_idx, out_d = _knn_query(ps.points, k)
+        indptr, indices, dists = _knn_query(ps.points, k)
     return NearestNeighborGraph(pointset=ps, k=int(k), model=model,
-                                out_neighbors=out_idx, out_dists=out_d,
+                                indptr=indptr, indices=indices, dists=dists,
                                 radius=radius)
 
 
@@ -494,36 +520,26 @@ def brute_force_graph(ps: PointSet, k: int, model: str = "mutual",
     Computes the full pairwise squared-distance matrix and sorts each row by
     (distance, index).  Intended for validation; memory grows as ``N**2``.
     """
-    _validate_model(model)
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _validate_graph_args(model, k, radius)
     pts = ps.points
     n = pts.shape[0]
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_d = np.empty(0, dtype=np.float64)
-    out_idx: List[np.ndarray] = [empty_i] * n
-    out_d: List[np.ndarray] = [empty_d] * n
-    if n >= 2:
-        diff = pts[:, None, :] - pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        idx = np.arange(n, dtype=np.int64)
+    diff = pts[:, None, :] - pts[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    rows = []
+    for i in range(n):
+        cand = np.arange(n, dtype=np.int64)
+        kk = min(k, n - 1)
         if model == "gilbert":
-            if radius is None or not radius > 0.0:
-                raise ValueError("the gilbert model requires a positive radius")
-            r2 = radius * radius
-            for i in range(n):
-                sel = np.flatnonzero(d2[i] <= r2)
-                out_idx[i], out_d[i] = _sorted_take(sel.astype(np.int64),
-                                                    d2[i][sel], i, sel.size)
-        else:
-            if radius is not None:
-                raise ValueError("radius applies to the gilbert model only")
-            kk = min(k, n - 1)
-            for i in range(n):
-                out_idx[i], out_d[i] = _sorted_take(idx, d2[i].copy(), i, kk)
-    return NearestNeighborGraph(pointset=ps, k=int(k), model=model,
-                                out_neighbors=out_idx, out_dists=out_d,
-                                radius=radius)
+            cand = cand[d2[i] <= radius * radius]
+            kk = cand.size
+        rows.append(_sorted_take(cand, d2[i][cand], i, kk))
+    return NearestNeighborGraph(
+        pointset=ps, k=int(k), model=model,
+        indptr=np.cumsum([0] + [nb.size for nb, _ in rows]),
+        indices=np.concatenate([nb for nb, _ in rows]
+                               + [np.empty(0, dtype=np.int64)]),
+        dists=np.concatenate([di for _, di in rows] + [np.empty(0)]),
+        radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +552,15 @@ class ComponentDecomposition:
     """Connected components of an undirected edge set.
 
     ``labels[i]`` is the smallest point index in the component of ``i``, so
-    the labelling depends only on the partition.  ``sizes`` and ``diameters``
-    map each label to the member count and the exact Euclidean diameter
-    (0 for singletons).
+    the labelling depends only on the partition.  ``sizes`` maps each label
+    to its member count.  ``diameters`` maps each label to the exact
+    Euclidean diameter of its members among ``points`` (0 for singletons);
+    it is computed on first read.
     """
 
     labels: np.ndarray
     sizes: Dict[int, int]
-    diameters: Dict[int, float]
+    points: np.ndarray = field(repr=False)
 
     @property
     def num_components(self) -> int:
@@ -556,12 +573,14 @@ class ComponentDecomposition:
     def members(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.labels == label)
 
-    def largest_two_diameters(self) -> Tuple[float, float]:
-        """The two largest component diameters (second is 0 if connected)."""
-        vals = sorted(self.diameters.values(), reverse=True)
-        first = vals[0] if vals else 0.0
-        second = vals[1] if len(vals) > 1 else 0.0
-        return (first, second)
+    @functools.cached_property
+    def diameters(self) -> Dict[int, float]:
+        """Exact diameter of every component, keyed by ascending label."""
+        ids, counts = np.unique(self.labels, return_counts=True)
+        groups = np.split(np.argsort(self.labels, kind="stable"),
+                          np.cumsum(counts)[:-1])
+        return {label: _component_diameter(self.points[members])
+                for label, members in zip(ids.tolist(), groups)}
 
     def sizes_sorted(self) -> List[int]:
         return sorted(self.sizes.values(), reverse=True)
@@ -594,13 +613,14 @@ def _component_diameter(pts: np.ndarray) -> float:
 
 
 def components(g: NearestNeighborGraph) -> ComponentDecomposition:
-    """Decompose ``g`` into connected components with exact diameters.
+    """Decompose ``g`` into connected components.
 
     Uses ``scipy.sparse.csgraph.connected_components`` over
     :meth:`NearestNeighborGraph.edges`; for the ``directed`` model this is
-    weak connectivity.  Components of fewer than 5000 points get their
-    diameter by direct pairwise maximisation, larger ones via their convex
-    hull vertices (the diameter is attained at hull vertices).
+    weak connectivity.  Diameters are left to the first read of
+    :attr:`ComponentDecomposition.diameters`: components of fewer than 5000
+    points get theirs by direct pairwise maximisation, larger ones via their
+    convex hull vertices (the diameter is attained at hull vertices).
 
     Examples
     --------
@@ -619,14 +639,8 @@ def components(g: NearestNeighborGraph) -> ComponentDecomposition:
     _, first = np.unique(raw, return_index=True)
     labels = first[raw].astype(np.int64)
     ids, counts = np.unique(labels, return_counts=True)
-    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
-    sizes: Dict[int, int] = {}
-    diameters: Dict[int, float] = {}
-    for label, members in zip(ids.tolist(), groups):
-        sizes[label] = int(members.size)
-        diameters[label] = _component_diameter(g.points[members])
-    return ComponentDecomposition(labels=labels, sizes=sizes,
-                                  diameters=diameters)
+    sizes = dict(zip(ids.tolist(), counts.tolist()))
+    return ComponentDecomposition(labels=labels, sizes=sizes, points=g.points)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +785,6 @@ def check_half_disk_lemma(g: NearestNeighborGraph
     if edges.size == 0:
         return violations
     pts = g.points
-    n = pts.shape[0]
     tree = cKDTree(pts)
     a = pts[edges[:, 0]]
     b = pts[edges[:, 1]]
@@ -788,11 +801,7 @@ def check_half_disk_lemma(g: NearestNeighborGraph
                     count=int(sizes.sum()))
     row = np.repeat(np.arange(balls.size), sizes)
     x, y = centre[row], other[row]
-    # Edge codes are sorted because the edge rows are.
-    edge_code = edges[:, 0] * n + edges[:, 1]
-    code = np.minimum(x, z) * n + np.maximum(x, z)
-    pos = np.minimum(np.searchsorted(edge_code, code), edge_code.size - 1)
-    test = (z != x) & (z != y) & (edge_code[pos] != code)
+    test = (z != x) & (z != y) & ~g.has_edges(x, z)
     for r, xi, yi, zi in zip(row[test].tolist(), x[test].tolist(),
                              y[test].tolist(), z[test].tolist()):
         dz = math.hypot(pts[zi, 0] - pts[xi, 0], pts[zi, 1] - pts[xi, 1])
@@ -902,7 +911,8 @@ def sample_intersect_union_quadruples(g: NearestNeighborGraph, samples: int,
             e = edges[int(rng.integers(edges.shape[0]))]
             y, z = int(e[0]), int(e[1])
             pool = np.unique(np.concatenate((
-                g.out_neighbors[y], g.out_neighbors[z],
+                g.indices[g.indptr[y]:g.indptr[y + 1]],
+                g.indices[g.indptr[z]:g.indptr[z + 1]],
                 np.array([y, z], dtype=np.int64))))
             w, x = (int(v) for v in rng.choice(pool, size=2, replace=True))
         elif mode == 1:
@@ -1013,25 +1023,18 @@ def _empty_half_disk(pts: np.ndarray, tree: cKDTree, idx: int, radius: float,
     p = pts[idx]
     ids = [j for j in tree.query_ball_point(p, radius * (1.0 + 1e-12))
            if j != idx]
-    if ids:
-        rel = pts[ids] - p
-        keep = np.hypot(rel[:, 0], rel[:, 1]) <= radius
-        rel = rel[keep]
+    rel = pts[ids] - p
+    rel = rel[np.hypot(rel[:, 0], rel[:, 1]) <= radius]
+    ang = np.sort(np.arctan2(rel[:, 1], rel[:, 0]))
+    if ang.size == 0 or ang[0] == ang[-1]:
+        # No neighbour, or all in one direction (one point, a ray,
+        # duplicates): the rest of the circle is a single gap.
+        gaps = [(float(ang[0]) if ang.size else 0.0, 2.0 * math.pi)]
     else:
-        rel = np.empty((0, 2))
-    if rel.shape[0] == 0:
-        gaps = [(0.0, 2.0 * math.pi)]
-    else:
-        ang = np.sort(np.arctan2(rel[:, 1], rel[:, 0]))
-        gaps = []
-        for t in range(ang.size):
-            start = float(ang[t])
-            end = float(ang[(t + 1) % ang.size])
-            width = (end - start) % (2.0 * math.pi)
-            if t == ang.size - 1 and ang.size == 1:
-                width = 2.0 * math.pi
-            if width > math.pi:
-                gaps.append((start, width))
+        # Gap t runs from ang[t] to the next direction, cyclically.
+        width = np.diff(ang, append=ang[0]) % (2.0 * math.pi)
+        gaps = [(float(ang[t]), float(width[t]))
+                for t in np.flatnonzero(width > math.pi)]
     for start, width in gaps:
         # u must keep all neighbour directions out of (u - pi/2, u + pi/2):
         # any u in [start + pi/2, start + width - pi/2] does.
@@ -1145,12 +1148,12 @@ def check_goodness(g: NearestNeighborGraph, consts: ModelConstants,
     tree = cKDTree(pts)
     near = root / d
     close_pairs = tree.query_pairs(near, output_type="ndarray")
-    for i, j in close_pairs:
-        if not g.has_edge(int(i), int(j)):
-            bad[1] = True
-            witnesses[2] = (int(i), int(j),
-                            float(math.hypot(*(pts[j] - pts[i]))))
-            break
+    missing = np.flatnonzero(~g.has_edges(close_pairs[:, 0],
+                                          close_pairs[:, 1]))
+    if missing.size:
+        i, j = close_pairs[missing[0]]
+        bad[1] = True
+        witnesses[2] = (int(i), int(j), float(math.hypot(*(pts[j] - pts[i]))))
 
     # Condition 3: empty half-disk of radius D fully inside the window.
     for i in _half_disk_survivors(pts, big_d, side).tolist():
@@ -1268,7 +1271,6 @@ def find_component_setup(g: NearestNeighborGraph,
         xs = pts[members, 0]
         x_l = int(members[np.lexsort((members, xs))[0]])
         x_r = int(members[np.lexsort((members, -xs))[0]])
-        quad = {a, b, x_l, x_r}
 
         pa = pts[a]
         pb = pts[b]
@@ -1277,8 +1279,8 @@ def find_component_setup(g: NearestNeighborGraph,
         close = max(math.hypot(*(pb - pa)), math.hypot(*(pl - pa)),
                     math.hypot(*(pr - pa))) <= big_d
 
-        others = np.array([i for i in range(n) if i not in quad],
-                          dtype=np.int64)
+        others = np.ones(n, dtype=bool)
+        others[[a, b, x_l, x_r]] = False
         q = pts[others]
         in_da = np.hypot(q[:, 0] - pa[0], q[:, 1] - pa[1]) <= rho
         in_db = np.hypot(q[:, 0] - pb[0], q[:, 1] - pb[1]) <= rho
@@ -1321,9 +1323,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96
 class TrialResult:
     """Outcome of a single sampled-graph trial.
 
-    ``largest_two_diameters`` is (largest, second largest) component
-    diameter, the second being 0 when connected.  ``num_crossing_pairs`` is
-    0 for connected graphs without running the crossing search.
+    ``num_crossing_pairs`` is 0 for connected graphs without running the
+    crossing search.
     ``second_component_size`` is the size of the second-largest component
     (0 when connected).
     """
@@ -1334,7 +1335,6 @@ class TrialResult:
     seed: int
     connected: bool
     num_components: int
-    largest_two_diameters: Tuple[float, float]
     num_crossing_pairs: int
     second_component_size: int
 
@@ -1386,8 +1386,8 @@ def run_trial(n: float, c: float, seed: int, model: str = "mutual"
     radius = math.sqrt(c * math.log(n) / math.pi) if model == "gilbert" else None
     if len(ps) == 0:
         return TrialResult(n=n, k=k, c=c, seed=seed, connected=True,
-                           num_components=0, largest_two_diameters=(0.0, 0.0),
-                           num_crossing_pairs=0, second_component_size=0)
+                           num_components=0, num_crossing_pairs=0,
+                           second_component_size=0)
     g = build_graph(ps, k, model=model, radius=radius)
     comps = components(g)
     connected = comps.num_components <= 1
@@ -1399,7 +1399,6 @@ def run_trial(n: float, c: float, seed: int, model: str = "mutual"
     return TrialResult(
         n=n, k=k, c=c, seed=seed, connected=connected,
         num_components=comps.num_components,
-        largest_two_diameters=comps.largest_two_diameters(),
         num_crossing_pairs=crossings,
         second_component_size=sizes[1] if len(sizes) > 1 else 0)
 

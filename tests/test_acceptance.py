@@ -284,11 +284,9 @@ def test_acceptance_6_graph_construction_equivalence(capsys):
             instances += 1
             g = sim.build_graph(ps, k, model=model, radius=radius)
             ref = sim.brute_force_graph(ps, k, model=model, radius=radius)
-            same = np.array_equal(g.edges(), ref.edges())
-            same &= all(np.array_equal(a, b) for a, b in
-                        zip(g.out_neighbors, ref.out_neighbors))
-            same &= all(np.array_equal(a, b) for a, b in
-                        zip(g.out_dists, ref.out_dists))
+            same = all(np.array_equal(getattr(g, f), getattr(ref, f))
+                       for f in ("indptr", "indices", "dists"))
+            same &= np.array_equal(g.edges(), ref.edges())
             mismatches += 0 if same else 1
     elapsed = time.perf_counter() - t0
     checks = [

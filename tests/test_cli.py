@@ -47,6 +47,8 @@ def test_constants_writes_file_and_manifest(tmp_path, capsys):
     assert manifest["outputs"]["consts.json"] == _sha256(out)
     assert manifest["config"]["c"] == 1.0
     assert "config" not in manifest["config"]
+    assert "threads" not in manifest["config"]
+    assert main(["constants", "--c", "1.0", "--threads", "2"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +257,11 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_threads_environment_default(tmp_path, monkeypatch):
+def test_threads_environment_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KNNLAB_THREADS", "7")
-    out = tmp_path / "consts.json"
-    assert main(["constants", "--c", "1.0", "--out", str(out)]) == 0
-    manifest = json.loads((tmp_path / "run_manifest_constants.json").read_text())
+    assert main(["verify", "--step", "0.01", "--which", "lplus",
+                 "--out-dir", str(tmp_path)]) == 1
+    manifest = json.loads((tmp_path / "run_manifest_verify.json").read_text())
     assert manifest["config"]["threads"] == 7
 
 

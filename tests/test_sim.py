@@ -130,7 +130,7 @@ def test_distance_ties_break_by_lower_index():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]) + 5.0
     ps = PointSet(points=pts, seed=0, window=SampleWindow(100.0))
     g = build_graph(ps, k=1, model="directed")
-    assert g.out_neighbors[0].tolist() == [1]
+    assert g.indices[g.indptr[0]:g.indptr[1]].tolist() == [1]
 
 
 def test_neighbourhood_radius_is_kth_distance():
@@ -147,11 +147,9 @@ def _assert_matches_brute_force(ps, k, model, radius):
     g = build_graph(ps, k, model=model, radius=radius)
     ref = brute_force_graph(ps, k, model=model, radius=radius)
     assert np.array_equal(g.edges(), ref.edges())
-    assert len(g.out_neighbors) == len(ref.out_neighbors)
-    for a, b in zip(g.out_neighbors, ref.out_neighbors):
-        assert np.array_equal(a, b)
-    for a, b in zip(g.out_dists, ref.out_dists):
-        assert np.array_equal(a, b)
+    assert np.array_equal(g.indptr, ref.indptr)
+    assert np.array_equal(g.indices, ref.indices)
+    assert np.array_equal(g.dists, ref.dists)
 
 
 def test_build_graph_matches_brute_force():
@@ -208,6 +206,37 @@ def test_has_edge_and_degree_histogram():
     assert g.degree_histogram() == {1: 2, 2: 1}
 
 
+def test_without_edges_removes_both_arcs_and_keeps_the_graph():
+    g = build_graph(sample_poisson(600.0, seed=4), k=8, model="mutual")
+    n = g.n_points
+    before = [a.copy() for a in (g.indptr, g.indices, g.dists, g.edges())]
+    removed = {tuple(e) for e in g.edges()[::40].tolist()}
+    h = g.without_edges([(b, a) for a, b in sorted(removed)])
+    after = (g.indptr, g.indices, g.dists, g.edges())
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+    # Each row loses exactly the removed arcs and keeps its order.
+    for i in range(n):
+        row = slice(g.indptr[i], g.indptr[i + 1])
+        keep = [(int(j), d) for j, d in zip(g.indices[row], g.dists[row])
+                if tuple(sorted((i, int(j)))) not in removed]
+        new = slice(h.indptr[i], h.indptr[i + 1])
+        assert list(zip(h.indices[new].tolist(), h.dists[new])) == keep
+    kept = {tuple(e) for e in before[3].tolist()} - removed
+    assert {tuple(e) for e in h.edges().tolist()} == kept
+    # The vectorised and scalar edge tests agree with edges() on all pairs.
+    adj = np.zeros((n, n), dtype=bool)
+    adj[h.edges()[:, 0], h.edges()[:, 1]] = True
+    adj |= adj.T
+    rows, cols = np.indices((n, n)).reshape(2, -1)
+    assert np.array_equal(h.has_edges(rows, cols), adj.ravel())
+    for a, b in sorted(removed)[:10]:
+        assert g.has_edge(a, b) and not h.has_edge(a, b)
+    # Every half-disk violation of the edited graph is a removed edge.
+    violations = check_half_disk_lemma(h)
+    assert violations and check_half_disk_lemma(g) == []
+    assert all(tuple(sorted((x, z))) in removed for x, _, z in violations)
+
+
 # ---------------------------------------------------------------------------
 # components
 # ---------------------------------------------------------------------------
@@ -222,7 +251,7 @@ def test_components_labels_and_diameters():
     assert comps.diameters[2] == 0.0
     assert comps.diameters[3] == 1.0
     assert comps.num_components == 3
-    assert comps.largest_two_diameters() == (1.0, 1.0)
+    assert sorted(comps.diameters.values()) == [0.0, 1.0, 1.0]
     assert comps.members(3).tolist() == [3, 4]
 
 
@@ -251,6 +280,13 @@ def test_component_diameter_matches_brute_force_on_random_sets():
     diff = pts[:, None, :] - pts[None, :, :]
     expected = math.sqrt(((diff ** 2).sum(-1)).max())
     assert comps.diameters[0] == pytest.approx(expected, rel=1e-12)
+    # Many components of different diameters, each keyed by its own label.
+    comps = components(build_graph(ps, k=2, model="mutual"))
+    assert len(set(comps.diameters.values())) > 10
+    for label, diameter in comps.diameters.items():
+        m = comps.members(label)
+        expected = math.sqrt(((diff[np.ix_(m, m)] ** 2).sum(-1)).max())
+        assert diameter == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +331,17 @@ def test_connected_graph_has_no_crossings():
 
 def test_crossing_search_reports_planted_crossing():
     # Two crossing segments cannot both be mutual nearest-neighbour pairs,
-    # so plant the adjacency lists directly: a long horizontal edge and a
+    # so plant the adjacency directly: a long horizontal edge and a
     # shorter vertical edge through it, in different components.
     pts = np.array([
         [1.0, 1.0], [3.0, 1.0],     # horizontal edge, length 2
         [2.0, 0.5], [2.0, 1.5],     # vertical edge, length 1, crossing it
     ])
     ps = PointSet(points=pts, seed=0, window=SampleWindow(100.0))
-    g = build_graph(ps, k=1, model="mutual")
-    g.out_neighbors = [np.array([1]), np.array([0]),
-                       np.array([3]), np.array([2])]
-    g.out_dists = [np.array([2.0]), np.array([2.0]),
-                   np.array([1.0]), np.array([1.0])]
-    g._edges = None
-    g._edge_keys = None
+    g = sim.NearestNeighborGraph(pointset=ps, k=1, model="mutual",
+                                 indptr=np.arange(5),
+                                 indices=np.array([1, 0, 3, 2]),
+                                 dists=np.array([2.0, 2.0, 1.0, 1.0]))
     comps = components(g)
     assert comps.num_components == 2
     report = find_crossing_pairs(g, comps)
@@ -321,12 +354,11 @@ def test_crossing_search_reports_planted_crossing():
 def _planted_segments(pts):
     """Graph joining points ``2i`` and ``2i + 1``: one component per pair."""
     ps = PointSet(points=pts, seed=0, window=SampleWindow(400.0))
-    g = build_graph(ps, k=1, model="mutual")
-    g.out_neighbors = [np.array([i ^ 1]) for i in range(len(pts))]
-    g.out_dists = [np.array([1.0])] * len(pts)
-    g._edges = None
-    g._edge_keys = None
-    return g
+    m = len(pts)
+    return sim.NearestNeighborGraph(pointset=ps, k=1, model="mutual",
+                                    indptr=np.arange(m + 1),
+                                    indices=np.arange(m) ^ 1,
+                                    dists=np.ones(m))
 
 
 def test_crossing_search_matches_all_pairs_reference():
@@ -418,13 +450,7 @@ def test_half_disk_check_detects_removed_edge():
             break
     assert planted is not None, "no half-disk witness available to corrupt"
     x, y, z = planted
-    for a, b in ((x, z), (z, x)):
-        keep = g.out_neighbors[a] != b
-        g.out_neighbors[a] = g.out_neighbors[a][keep]
-        g.out_dists[a] = g.out_dists[a][keep]
-    g._edges = None
-    g._edge_keys = None
-    violations = check_half_disk_lemma(g)
+    violations = check_half_disk_lemma(g.without_edges([(x, z)]))
     assert (x, y, z) in violations
 
 
@@ -453,15 +479,10 @@ def test_half_disk_check_order_matches_per_edge_scan():
     # and some inside both.
     deg = np.bincount(g.edges().ravel(), minlength=len(pts))
     x = int(np.argmax(deg))
-    nbrs = [int(y) for y in g.out_neighbors[x] if g.has_edge(x, int(y))]
+    nbrs = [int(y) for y in g.indices[g.indptr[x]:g.indptr[x + 1]]
+            if g.has_edge(x, int(y))]
     nbrs.sort(key=lambda y: math.hypot(*(pts[y] - pts[x])))
-    for z in nbrs[:-2]:
-        for a, b in ((x, z), (z, x)):
-            keep = g.out_neighbors[a] != b
-            g.out_neighbors[a] = g.out_neighbors[a][keep]
-            g.out_dists[a] = g.out_dists[a][keep]
-    g._edges = None
-    g._edge_keys = None
+    g = g.without_edges([(x, z) for z in nbrs[:-2]])
     violations = check_half_disk_lemma(g)
     from_x = [(y, z) for v, y, z in violations if v == x]
     assert len(from_x) >= 4
@@ -497,20 +518,17 @@ def test_farapart_clean_on_mutual_graphs():
 def test_farapart_detects_planted_foreign_point():
     # A foreign point this close to an edge cannot occur in a real mutual
     # graph (that is the content of the check), so plant the adjacency
-    # lists: edge (0, 1) of length 1 with an isolated point 2 only 0.05
+    # adjacency: edge (0, 1) of length 1 with an isolated point 2 only 0.05
     # above its midpoint, well inside rho / (4 sqrt(6)) ~ 0.102.
     pts = np.array([
         [1.0, 1.0], [2.0, 1.0],
         [1.5, 1.05],
     ])
     ps = PointSet(points=pts, seed=0, window=SampleWindow(100.0))
-    g = build_graph(ps, k=1, model="mutual")
-    g.out_neighbors = [np.array([1]), np.array([0]),
-                       np.array([], dtype=np.int64)]
-    g.out_dists = [np.array([1.0]), np.array([1.0]),
-                   np.array([], dtype=float)]
-    g._edges = None
-    g._edge_keys = None
+    g = sim.NearestNeighborGraph(pointset=ps, k=1, model="mutual",
+                                 indptr=np.array([0, 1, 2, 2]),
+                                 indices=np.array([1, 0]),
+                                 dists=np.array([1.0, 1.0]))
     violations = check_farapart(g)
     assert len(violations) == 1
     cand, b1, b2, dist, rho = violations[0]
@@ -535,10 +553,15 @@ def test_goodness_flags_sparse_two_cluster_configuration():
     pts = np.vstack([cluster_a, cluster_b])
     ps = PointSet(points=pts, seed=0, window=SampleWindow(100.0))
     g = build_graph(ps, k=3, model="mutual")
-    report = check_goodness(g, model_constants(1.0, n=100.0))
+    consts = model_constants(1.0, n=100.0)
+    report = check_goodness(g, consts)
     # Non-edges exist inside the clusters at tiny separation (condition 2)
     # and both small components sit within 2 D of a corner (condition 5).
     assert report.bad[1]
+    near = math.sqrt(math.log(100.0)) / consts.d
+    first = next((int(i), int(j)) for i, j in cKDTree(pts).query_pairs(
+        near, output_type="ndarray") if not g.has_edge(int(i), int(j)))
+    assert report.witnesses[2][:2] == first
     assert report.bad[4]
     assert not report.bad[0]
     assert not report.bad[3]
@@ -558,6 +581,30 @@ def test_goodness_detects_empty_half_disk():
     idx, direction = report.witnesses[3]
     assert idx in (0, 1)
     assert 0.0 <= direction < 2.0 * math.pi
+
+
+@pytest.mark.parametrize("others", [
+    [[40.0, 50.0]],                   # one neighbour
+    [[40.0, 50.0], [45.0, 50.0]],     # two neighbours on one ray
+    [[40.0, 50.0], [40.0, 50.0]],     # a duplicated neighbour
+    [[50.0, 50.0], [50.0, 50.0]],     # the point itself, twice more
+])
+def test_empty_half_disk_when_neighbours_share_one_direction(others):
+    # Every neighbour of (50, 50) lies in one direction, so the rest of the
+    # circle is free and a half-disk of radius 31.9 fits in the side-100
+    # window.
+    pts = np.array([[50.0, 50.0]] + others)
+    radius, side = 31.9, 100.0
+    u = sim._empty_half_disk(pts, cKDTree(pts), 0, radius, side)
+    assert u is not None
+    # No neighbour lies strictly within pi/2 of u ...
+    assert np.all((pts[1:] - pts[0]) @ [math.cos(u), math.sin(u)] <= 0.0)
+    # ... and the half-disk, diameter ends included, lies in the window.
+    t = u + np.linspace(-math.pi / 2.0, math.pi / 2.0, 10001)
+    arc = pts[0] + radius * np.column_stack((np.cos(t), np.sin(t)))
+    assert np.all((arc >= 0.0) & (arc <= side))
+    ps = PointSet(points=pts, seed=0, window=SampleWindow(side * side))
+    assert _check_condition_three(ps, _small_d(side * side, radius))[0] == 0
 
 
 def _check_condition_three(ps, consts, k=3):
