@@ -20,12 +20,23 @@ the first square in (column, row) scan order, so results are exactly
 reproducible.
 
 The four families run through one scan, :func:`_scan`.  Each family is a
-spec: its candidate hull, the universe rows, the reach of every
-candidate, a static per-tile array and a per-tile ``keep`` test on it
-(``d2 <= lens**2`` for ``L+``; ``d2 <= bound`` with ``+inf`` on the
+spec (:class:`_Family`): its candidate hull, the universe rows, the reach
+of every candidate, a static per-tile array with a per-tile ``keep`` test
+on it (``d2 <= lens**2`` for ``L+``; ``d2 <= bound`` with ``+inf`` on the
 pi/6 wedges for ``L-``; ``d2 >= min(crescent bounds)`` with ``-inf`` on
-the kite for ``H+``; a bool mask for ``H-``), and whether the count is
-minimised or maximised.
+the kite for ``H+``; a bool mask for ``H-``), the same test written as
+signed terms, and whether the count is minimised or maximised.  A term is
+a static tile mask counted inside the candidate's disk, cut by the
+joining ellipse about ``b1`` or ``b2`` if it names one: ``L+`` is the
+lens tiles of each ``b`` inside that ``b``'s ellipse; ``L-`` adds the
+wedges; ``H+`` is the kite and crescent tiles minus the crescent tiles
+inside their crescent's exclusion ellipse (no tile lies in both
+crescents' exclusion sets).  The scan counts each term one row at a time,
+from per-row prefix sums over the row's disk and ellipse chords, so a
+candidate costs O(1/s) and a census O(s**-3).  A chord is used only when
+the float excess at its ends clears a stated rounding margin, and the row
+is otherwise counted tile by tile, so the counts are those of the
+per-tile ``keep`` test, bit for bit.
 
 The public wrappers that turn these censuses into certificates live in
 :mod:`knnlab.bounds`.
@@ -36,7 +47,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -243,11 +254,230 @@ def _h_points(xs, ys, eps1):
 #: Candidates per unit of work handed to the thread pool.
 _BLOCK = 64
 
+#: Margin on the float ellipse excess beyond which a chord end is trusted
+#: (see :func:`_scan`).
+_ROUND = 1e-12
 
-def _scan(s, hull, rows, reach_of, tiles, keep, minimise, progress, threads):
+#: Foci of the joining ellipses, indexed by a term's ``focus``.
+_FOCI = (_B1, _B2)
+
+
+class _Family(NamedTuple):
+    """The spec of one census family; see :func:`_scan`."""
+
+    hull: list
+    rows: Tuple[int, int]
+    reach_of: Callable
+    tiles: Callable
+    keep: Callable
+    minimise: bool
+
+
+def _lens_sum(s):
+    """Focal-distance sum of the worst-case joining ellipses."""
+    return 1.0 - 3.0 * ((_SQRT2 / 2.0) * s)
+
+
+def _ragged(n):
+    """Owner ``i`` and position ``0 <= p < n[i]`` of every item when each
+    ``i`` owns ``n[i]`` consecutive items."""
+    owner = np.repeat(np.arange(n.size), n)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+
+
+def _disk_chord(ci, x, dy2, r2, k, a, b, s, i0):
+    """Column range ``[lo, hi)`` of one row inside a candidate's disk.
+
+    The range holds the columns ``a <= i < b`` whose centre passes the
+    float test ``dx*dx + dy2 <= r2`` with ``dx = ci[i] - x``.  Column
+    ``k`` is the one of ``[a, b)`` nearest to the candidate's own column
+    (where ``ci == x``).  Moving away from the own column ``|dx|`` never
+    shrinks and every rounding step is monotone, so within ``[a, b)`` the
+    test holds on one interval about ``k``, or nowhere.  An analytic guess
+    is moved to that interval's ends by the test itself.
+    """
+    def inside(idx, q):
+        dx = ci[q] - x[idx]
+        return dx * dx + dy2[idx] <= r2[idx]
+
+    w = np.sqrt(np.maximum(r2 - dy2, 0.0))
+    off = i0 + 0.5
+    live = inside(slice(None), k)
+    lo = np.where(live, np.clip(np.ceil((x - w) / s - off), a, k), k)
+    hi = np.where(live, np.clip(np.floor((x + w) / s - off) + 1, k + 1, b), k)
+    lo = lo.astype(np.int64)
+    hi = hi.astype(np.int64)
+    idx = np.flatnonzero(live & (lo > a))
+    while idx.size:
+        idx = idx[inside(idx, lo[idx] - 1)]
+        lo[idx] -= 1
+        idx = idx[lo[idx] > a[idx]]
+    idx = np.flatnonzero(live)
+    while idx.size:
+        idx = idx[~inside(idx, lo[idx])]
+        lo[idx] += 1
+    idx = np.flatnonzero(live & (hi < b))
+    while idx.size:
+        idx = idx[inside(idx, hi[idx])]
+        hi[idx] += 1
+        idx = idx[hi[idx] < b[idx]]
+    idx = np.flatnonzero(live)
+    while idx.size:
+        idx = idx[~inside(idx, hi[idx] - 1)]
+        hi[idx] -= 1
+    return lo, hi
+
+
+def _ellipse_chord(cp, x, y, dy, bx, C, lo, hi, s, i0):
+    """Columns of one row inside a joining ellipse, and whether to trust
+    them.
+
+    The ellipse has foci the candidate centre ``(x, y - dy)`` and ``(bx,
+    0)`` and focal-distance sum ``C``; the row lies at height ``y``.
+    ``cp`` holds the column centres padded by two on each side.  Returns
+    ``[cA, cB)`` within the disk range ``[lo, hi)`` and ``ok``; see
+    :func:`_scan` for the check behind ``ok``.
+    """
+    off = i0 + 0.5
+    y2 = y * y
+    dy2 = dy * dy
+
+    def excess(q):
+        cx = cp[q + 2]
+        dx = cx - x
+        dxb = cx - bx
+        return np.sqrt(dx * dx + dy2) + np.sqrt(dxb * dxb + y2) - C
+
+    # With u the column centre minus bx and delta = x - bx, the chord
+    # ends solve (C^2 - delta^2) u^2 - delta g u + C^2 y^2 - g^2 / 4 = 0.
+    delta = x - bx
+    g = C * C + y2 - delta * delta - dy2
+    qa = C * C - delta * delta
+    disc = g * g - 4.0 * qa * y2
+    full = disc >= 0.0
+    root = C * np.sqrt(np.maximum(disc, 0.0))
+    u1 = (delta * g - root) / (2.0 * qa)
+    u2 = (delta * g + root) / (2.0 * qa)
+    q1 = np.maximum(np.ceil((bx + u1) / s - off), lo).astype(np.int64)
+    q2 = np.minimum(np.floor((bx + u2) / s - off), hi - 1).astype(np.int64)
+    full &= q1 <= q2
+    # With no chord column, take the two columns about the row's least
+    # excess, at the crossing of the path from a to b reflected into one
+    # half-plane.
+    idx = np.flatnonzero(~full)
+    ay = np.abs(dy[idx])
+    x0 = x[idx] + (bx - x[idx]) * (ay / (ay + np.abs(y[idx])))
+    q1[idx] = np.clip(np.floor(x0 / s - off), lo[idx] - 1, hi[idx] - 1)
+    q2[idx] = q1[idx] + 1
+
+    def trusted(q, step):
+        # q is a chord end column, or on an empty row an anchor column;
+        # q + step is the next column outwards.  Columns outside [lo, hi)
+        # need no check.
+        h, out = excess(q), excess(q + step)
+        has = (q >= lo) & (q < hi)
+        has_out = (q + step >= lo) & (q + step < hi)
+        return np.where(full,
+                        (h < -_ROUND) & (~has_out | (out > _ROUND)),
+                        ~has | ((h > _ROUND)
+                                & (~has_out | (out > h + _ROUND))))
+
+    ok = trusted(q1, -1) & trusted(q2, 1)
+    return np.where(full, q1, lo), np.where(full, q2 + 1, lo), ok
+
+
+def _counts(s, family, progress=None, threads=None):
+    """Candidate centres and the census count of every candidate.
+
+    Returns ``(xs, ys, counts)`` in (column, row) scan order; :func:`_scan`
+    reduces them to a :class:`CensusOutcome`.
+    """
+    xs, ys = _candidate_centers(s, family.hull)
+    i0 = math.floor(-0.35 / s)
+    ci = (np.arange(i0, math.ceil(1.35 / s)) + 0.5) * s
+    cj = (np.arange(*family.rows) + 0.5) * s
+    static, terms = family.tiles(ci[:, None], cj[None, :], s)
+    # Columns [first, last) of each row span every tile of every term.
+    held = np.logical_or.reduce([mask for mask, _, _ in terms]).T
+    first = np.argmax(held, axis=1)
+    last = np.where(held.any(axis=1),
+                    ci.size - np.argmax(held[:, ::-1], axis=1), 0)
+    width = ci.size + 1
+    cp = np.pad(ci, 2, mode="edge")
+    sums = [(np.pad(np.cumsum(mask.T, axis=1, dtype=np.int32),
+                    ((0, 0), (1, 0))).ravel(), sign, focus)
+            for mask, sign, focus in terms]
+    C = _lens_sum(s)
+    for focus in {focus for _, _, focus in terms} - {None}:
+        # The rounding bound of _scan needs C - |a - b| >= 0.07.
+        bx, by = _FOCI[focus]
+        assert C - np.hypot(xs - bx, ys - by).max() >= 0.07
+    reach = family.reach_of(xs, ys, s)
+    r2 = reach * reach
+    ia = np.searchsorted(ci, xs - reach, side="left")
+    ib = np.where(reach > 0.0, np.searchsorted(ci, xs + reach, side="right"),
+                  ia)
+    ja = np.searchsorted(cj, ys - reach, side="left")
+    jb = np.searchsorted(cj, ys + reach, side="right")
+    kx = np.searchsorted(ci, xs)
+    assert np.array_equal(ci[kx], xs)
+    total = xs.size
+    counts = np.zeros(total, dtype=np.int64)
+
+    def count_block(t0):
+        t1 = min(t0 + _BLOCK, total)
+        t, pos = _ragged(np.maximum(jb[t0:t1] - ja[t0:t1], 0))
+        t += t0
+        j = ja[t] + pos
+        a = np.maximum(ia[t], first[j])
+        b = np.minimum(ib[t], last[j])
+        sel = np.flatnonzero(a < b)
+        t, j, a, b = t[sel], j[sel], a[sel], b[sel]
+        x, y = xs[t], cj[j]
+        dy = y - ys[t]
+        dy2 = dy * dy
+        lo, hi = _disk_chord(ci, x, dy2, r2[t], np.clip(kx[t], a, b - 1),
+                             a, b, s, i0)
+        del a, b
+        base = j * width
+        row = np.zeros(t.size, dtype=np.int64)
+        ok = np.ones(t.size, dtype=bool)
+        for prefix, sign, focus in sums:
+            in_disk = prefix[base + hi] - prefix[base + lo]
+            if focus is None:
+                row += sign * in_disk
+                continue
+            # The chord is needed only on rows where the term has tiles.
+            idx = np.flatnonzero(in_disk)
+            ca, cb, trusted = _ellipse_chord(cp, x[idx], y[idx], dy[idx],
+                                             _FOCI[focus][0], C, lo[idx],
+                                             hi[idx], s, i0)
+            ok[idx] &= trusted
+            row[idx] += sign * (prefix[base[idx] + cb]
+                                - prefix[base[idx] + ca])
+        # Rows whose chords fail the rounding check are counted tile by tile.
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            r, pos = _ragged(hi[bad] - lo[bad])
+            q = lo[bad][r] + pos
+            dx = ci[q] - x[bad][r]
+            d2 = dx * dx + dy2[bad][r]
+            hits = family.keep(d2, static[q, j[bad][r]])
+            row[bad] = np.bincount(r[hits], minlength=bad.size)
+        counts[t0:t1] = np.bincount(t - t0, weights=row, minlength=t1 - t0)
+        return t1
+
+    with ThreadPoolExecutor(max(1, int(threads or 1))) as pool:
+        for done in pool.map(count_block, range(0, total, _BLOCK)):
+            if progress is not None:
+                progress(done, total)
+    return xs, ys, counts
+
+
+def _scan(s, family, progress, threads):
     """Run one census family and return its :class:`CensusOutcome`.
 
-    A family is given by its spec:
+    A family is given by its spec, a :class:`_Family`:
 
     ``hull``
         Convex polygon whose meeting tiles are the candidate squares.
@@ -259,72 +489,87 @@ def _scan(s, hull, rows, reach_of, tiles, keep, minimise, progress, threads):
         only if its centre lies within it.  A radius ``<= 0`` counts
         nothing.
     ``tiles(CX, CY, s)``
-        Static per-tile array over the universe, built once from column
+        Static per-tile data over the universe, built once from column
         centres ``CX`` (shape ``(ni, 1)``) and row centres ``CY`` (shape
-        ``(1, nj)``).
+        ``(1, nj)``): an array ``static`` for the ``keep`` test and the
+        family's terms, a list of ``(mask, sign, focus)`` with ``focus``
+        ``None``, or 0 or 1 for the joining ellipse about ``b1`` or ``b2``.
     ``keep(d2, static)``
-        Per-tile test on a candidate's window: ``d2`` holds squared
-        distances from the candidate centre to the window's tile centres
-        and ``static`` the matching slice of the ``tiles`` array.
+        Per-tile test: ``d2`` holds squared distances from a candidate
+        centre to tile centres and ``static`` the matching entries.
     ``minimise``
         Take the minimum (empty families) or maximum (occupied families)
         count over candidates.
 
-    Every candidate's window is found at once by binary search on the
-    tile centres; blocks of ``_BLOCK`` candidates run on a pool of
-    ``threads`` threads (one when ``None``) and write disjoint slices of
-    one ``counts`` array, so the counts do not depend on the thread count.
-    The witness is the first extremal candidate in (column, row) scan
-    order, the tie rule of ``argmin``/``argmax``.  ``progress(done,
-    total)`` is called in scan order after each block.
+    The count of a candidate is the number of tiles whose centre passes
+    ``dx*dx + dy*dy <= reach**2`` (``dx``, ``dy`` the centre's offsets from
+    the candidate centre) and whose ``keep`` test holds, within the window
+    of columns and rows that a binary search on the tile centres finds for
+    ``reach``.  It is taken row by row (:func:`_counts`).  On each row the
+    disk is one column interval (:func:`_disk_chord`), and the count is
+    the signed sum, over the terms, of the term's ``mask`` tiles in that
+    interval, cut by the row's chord of the term's joining ellipse if it
+    has one (foci the candidate centre and ``b1`` or ``b2``, focal sum
+    ``C = 1 - 3*(sqrt(2)/2)*s``).  Per-row prefix sums of each mask give
+    every piece in O(1), so a candidate costs O(rows), not O(rows *
+    columns).  The terms are chosen so that on every tile the signed sum
+    equals ``keep`` whenever each ellipse's float test on the tile agrees
+    with the row chord, and every tile ``keep`` can accept lies in a mask
+    (so columns outside all masks are skipped).
+
+    *Rounding.*  Let ``h(p) = |p - a| + |p - b| - C`` be the excess of a
+    tile centre ``p`` over an ellipse with foci ``a`` and ``b``; ``h`` is
+    convex along a row.  Its float value ``sqrt(dx*dx + dy*dy) +
+    sqrt(dxb*dxb + y*y) - C`` is within ``20u < 3e-15`` of it (``u =
+    2**-53``; every distance is below 2.5).  A term's float ellipse test
+    compares ``d2`` with the static ``(C - |p - b|)**2``: the two are
+    within ``16u`` of their exact values, whose difference is ``h * (|p -
+    a| + C - |p - b|)``, and the second factor is at least ``C - |a - b|
+    >= 0.07`` (triangle inequality; checked for every candidate when the
+    scan starts).  So the float test follows the sign of ``h`` once
+    ``|h| > 32u / 0.07 < 6e-14``.  A row's chord is trusted only when the
+    float excess is below ``-_ROUND`` (``1e-12``) at its end tiles and
+    above ``+_ROUND`` at the next tile outwards on each side (when that
+    tile is in the disk interval).  By convexity every tile between the
+    ends then has ``h < -_ROUND + 3e-15`` and every tile beyond them ``h >
+    _ROUND - 3e-15``, so the chord is exactly the float test's set.  A row
+    with no chord tile is trusted when the float excess at the two tiles
+    about the row's least excess is above ``+_ROUND`` and grows by more
+    than ``_ROUND`` to the next tile outwards on each side; by convexity
+    every tile is then outside.  Any other row (none at the steps tried,
+    0.02 to 0.001) is counted tile by tile with ``keep``.  Either way the
+    count equals the 2-D window count.
+
+    Blocks of ``_BLOCK`` candidates run on a pool of ``threads`` threads
+    (one when ``None``) and write disjoint slices of one ``counts`` array,
+    so the counts do not depend on the thread count.  The witness is the
+    first extremal candidate in (column, row) scan order, the tie rule of
+    ``argmin``/``argmax``.  ``progress(done, total)`` is called in scan
+    order after each block.
     """
-    xs, ys = _candidate_centers(s, hull)
-    ci = (np.arange(math.floor(-0.35 / s), math.ceil(1.35 / s)) + 0.5) * s
-    cj = (np.arange(*rows) + 0.5) * s
-    static = tiles(ci[:, None], cj[None, :], s)
-    reach = reach_of(xs, ys, s)
-    r2 = reach * reach
-    ia = np.searchsorted(ci, xs - reach, side="left")
-    ib = np.where(reach > 0.0, np.searchsorted(ci, xs + reach, side="right"),
-                  ia)
-    ja = np.searchsorted(cj, ys - reach, side="left")
-    jb = np.searchsorted(cj, ys + reach, side="right")
-    total = xs.size
-    counts = np.zeros(total, dtype=np.int64)
-
-    def count_block(t0):
-        t1 = min(t0 + _BLOCK, total)
-        for t in range(t0, t1):
-            cols = slice(ia[t], ib[t])
-            rws = slice(ja[t], jb[t])
-            dx = ci[cols, None] - xs[t]
-            dy = cj[None, rws] - ys[t]
-            d2 = dx * dx + dy * dy
-            counts[t] = np.count_nonzero((d2 <= r2[t])
-                                         & keep(d2, static[cols, rws]))
-        return t1
-
-    with ThreadPoolExecutor(max(1, int(threads or 1))) as pool:
-        for done in pool.map(count_block, range(0, total, _BLOCK)):
-            if progress is not None:
-                progress(done, total)
-    t = int(np.argmin(counts) if minimise else np.argmax(counts))
+    xs, ys, counts = _counts(s, family, progress, threads)
+    t = int(np.argmin(counts) if family.minimise else np.argmax(counts))
     cnt = int(counts[t])
     return CensusOutcome(cnt * s * s, (float(xs[t]), float(ys[t])), cnt,
-                         total, s)
+                         xs.size, s)
 
 
-def _lens2(CX, CY, s):
-    """Per-tile squared lens radius of the empty families: a tile is
-    certified inside the worst-case joining ellipse of every candidate
-    within ``C - |tile - b|`` of it, for a ``b`` point whose half-radius
-    disk holds the tile (``-1`` where neither disk does)."""
-    C = 1.0 - 3.0 * ((_SQRT2 / 2.0) * s)
+def _lens(CX, CY, s):
+    """Per-tile squared lens radius of the empty families and its terms.
+
+    A tile is certified inside the worst-case joining ellipse of every
+    candidate within ``C - |tile - b|`` of it, for a ``b`` point whose
+    half-radius disk holds the tile; the squared radius is ``-1`` where
+    neither disk does.  Returns it with the masks of the tiles that take
+    their radius from ``b1`` and from ``b2``.
+    """
+    C = _lens_sum(s)
     t1, t2 = (np.where(_maxcorner_dist2(CX, CY, bx, by, s) <= 0.25,
                        C - np.hypot(CX - bx, CY - by), -1.0)
               for bx, by in (_B1, _B2))
     tl = np.maximum(t1, t2)
-    return np.where(tl > 0.0, tl * tl, -1.0)
+    return (np.where(tl > 0.0, tl * tl, -1.0), (t1 >= t2) & (t1 > 0.0),
+            (t2 > t1) & (t2 > 0.0))
 
 
 def _max_reach(xs, ys, s):
@@ -337,6 +582,102 @@ def _max_reach(xs, ys, s):
 
 def _keep_mask(d2, mask):
     return mask
+
+
+# ---------------------------------------------------------------------------
+# the four families
+# ---------------------------------------------------------------------------
+
+
+def _L_plus(s):
+    def reach_of(xs, ys, s):
+        eps1 = (_SQRT2 / 2.0) * s
+        dh1, dh2 = _h_points(xs, ys, eps1)
+        dw = np.hypot(xs - _W_MINUS[0], ys - _W_MINUS[1])
+        sigma = np.maximum(np.maximum(dh1, dh2), dw) - eps1
+        return sigma - s * _SQRT2
+
+    def tiles(CX, CY, s):
+        lens2, on1, on2 = _lens(CX, CY, s)
+        return lens2, [(on1, 1, 0), (on2, 1, 1)]
+
+    return _Family(A1_QUAD, (0, math.ceil(0.95 / s)), reach_of, tiles,
+                   np.less_equal, True)
+
+
+def _L_minus(s):
+    def reach_of(xs, ys, s):
+        da1 = np.hypot(xs - _A1_LOWEST[0], ys - _A1_LOWEST[1])
+        dz = np.hypot(xs - _Z[0], ys - _Z[1])
+        return np.maximum(da1, dz) - (_SQRT2 / 2.0) * s - s * _SQRT2
+
+    def tiles(CX, CY, s):
+        wedge = (_tiles_inside(_TRI_B1, CX, CY, s)
+                 | _tiles_inside(_TRI_B2, CX, CY, s))
+        lens2, on1, on2 = _lens(CX, CY, s)
+        return (np.where(wedge, np.inf, lens2),
+                [(wedge, 1, None), (on1 & ~wedge, 1, 0),
+                 (on2 & ~wedge, 1, 1)])
+
+    return _Family(A2_TRI, (-math.ceil(1.1 / s), 0), reach_of, tiles,
+                   np.less_equal, True)
+
+
+def _H_plus(s, exclusion):
+    def tiles(CX, CY, s):
+        C = _lens_sum(s)
+        # A crescent tile counts when the candidate lies at least the
+        # exclusion radius away; the bound is +inf off the crescents and
+        # -inf on the kite, which always counts.
+        maxc1 = _maxcorner_dist2(CX, CY, *_B1, s)
+        maxc2 = _maxcorner_dist2(CX, CY, *_B2, s)
+        above = CY > 0.0
+        cres1 = (above & (_mincorner_dist2(CX, CY, *_B1, s) <= 1.0)
+                 & (maxc2 >= 1.0))
+        cres2 = (above & (_mincorner_dist2(CX, CY, *_B2, s) <= 1.0)
+                 & (maxc1 >= 1.0))
+        a1 = np.maximum(C - np.hypot(CX - _B1[0], CY - _B1[1]), 0.0)
+        a2 = np.maximum(C - np.hypot(CX - _B2[0], CY - _B2[1]), 0.0)
+        if exclusion == "either":
+            cres1 &= maxc1 >= 0.25
+            cres2 &= maxc2 >= 0.25
+        else:
+            a1 = np.where(maxc1 >= 0.25, 0.0, a1)
+            a2 = np.where(maxc2 >= 0.25, 0.0, a2)
+        bound = np.minimum(np.where(cres1, a1 * a1, np.inf),
+                           np.where(cres2, a2 * a2, np.inf))
+        bound = np.where(_tiles_overlapping(_KITE, CX, CY, s), -np.inf, bound)
+        # Every finite or -inf tile counts unless the candidate lies inside
+        # the exclusion ellipse of its crescent.  A tile with a positive
+        # radius about b1 has its centre within C of b1, so every corner
+        # within 1: it is not in crescent 2, and no tile has two ellipses.
+        ellipse = bound > 0.0
+        assert not (ellipse & cres1 & cres2).any()
+        return bound, [(bound < np.inf, 1, None), (ellipse & cres1, -1, 0),
+                       (ellipse & cres2, -1, 1)]
+
+    return _Family(A1_QUAD, (-math.ceil(0.95 / s), math.ceil(0.95 / s)),
+                   _max_reach, tiles, np.greater_equal, False)
+
+
+def _H_minus(s, semantics):
+    def tiles(CX, CY, s):
+        above = CY > 0.0
+        if semantics == "universal":
+            dist1 = _mincorner_dist2(CX, CY, *_B1, s)
+            dist2 = _mincorner_dist2(CX, CY, *_B2, s)
+            below = True
+        else:
+            dist1 = _maxcorner_dist2(CX, CY, *_B1, s)
+            dist2 = _maxcorner_dist2(CX, CY, *_B2, s)
+            below = CY < 0.0
+        h3 = below & (dist1 >= 1.0) & (dist2 >= 1.0)
+        h4 = above & (dist1 >= 0.25) & (dist2 >= 0.25)
+        mask = h3 | h4
+        return mask, [(mask, 1, None)]
+
+    return _Family(A2_TRI, (-math.ceil(1.15 / s), math.ceil(0.4 / s)),
+                   _max_reach, tiles, _keep_mask, False)
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +697,7 @@ def census_L_plus(s: float, progress: ProgressFn = None,
     that must be empty, uniformly over the square.
     """
     validate_step(s)
-
-    def reach_of(xs, ys, s):
-        eps1 = (_SQRT2 / 2.0) * s
-        dh1, dh2 = _h_points(xs, ys, eps1)
-        dw = np.hypot(xs - _W_MINUS[0], ys - _W_MINUS[1])
-        sigma = np.maximum(np.maximum(dh1, dh2), dw) - eps1
-        return sigma - s * _SQRT2
-
-    return _scan(s, A1_QUAD, (0, math.ceil(0.95 / s)), reach_of, _lens2,
-                 np.less_equal, True, progress, threads)
+    return _scan(s, _L_plus(s), progress, threads)
 
 
 def census_L_minus(s: float, progress: ProgressFn = None,
@@ -378,19 +710,7 @@ def census_L_minus(s: float, progress: ProgressFn = None,
     the lower triangle.
     """
     validate_step(s)
-
-    def reach_of(xs, ys, s):
-        da1 = np.hypot(xs - _A1_LOWEST[0], ys - _A1_LOWEST[1])
-        dz = np.hypot(xs - _Z[0], ys - _Z[1])
-        return np.maximum(da1, dz) - (_SQRT2 / 2.0) * s - s * _SQRT2
-
-    def tiles(CX, CY, s):
-        wedge = (_tiles_inside(_TRI_B1, CX, CY, s)
-                 | _tiles_inside(_TRI_B2, CX, CY, s))
-        return np.where(wedge, np.inf, _lens2(CX, CY, s))
-
-    return _scan(s, A2_TRI, (-math.ceil(1.1 / s), 0), reach_of, tiles,
-                 np.less_equal, True, progress, threads)
+    return _scan(s, _L_minus(s), progress, threads)
 
 
 def census_H_plus(s: float, exclusion: str = "either",
@@ -416,33 +736,7 @@ def census_H_plus(s: float, exclusion: str = "either",
     validate_step(s)
     if exclusion not in ("either", "intersection"):
         raise ValueError("exclusion must be 'either' or 'intersection'")
-
-    def tiles(CX, CY, s):
-        C = 1.0 - 3.0 * ((_SQRT2 / 2.0) * s)
-        # A crescent tile counts when the candidate lies at least the
-        # exclusion radius away; the bound is +inf off the crescents and
-        # -inf on the kite, which always counts.
-        minc1 = _mincorner_dist2(CX, CY, *_B1, s)
-        maxc1 = _maxcorner_dist2(CX, CY, *_B1, s)
-        minc2 = _mincorner_dist2(CX, CY, *_B2, s)
-        maxc2 = _maxcorner_dist2(CX, CY, *_B2, s)
-        above = CY > 0.0
-        cres1 = above & (minc1 <= 1.0) & (maxc2 >= 1.0)
-        cres2 = above & (minc2 <= 1.0) & (maxc1 >= 1.0)
-        a1 = np.maximum(C - np.hypot(CX - _B1[0], CY - _B1[1]), 0.0)
-        a2 = np.maximum(C - np.hypot(CX - _B2[0], CY - _B2[1]), 0.0)
-        if exclusion == "either":
-            cres1 &= maxc1 >= 0.25
-            cres2 &= maxc2 >= 0.25
-        else:
-            a1 = np.where(maxc1 >= 0.25, 0.0, a1)
-            a2 = np.where(maxc2 >= 0.25, 0.0, a2)
-        bound = np.minimum(np.where(cres1, a1 * a1, np.inf),
-                           np.where(cres2, a2 * a2, np.inf))
-        return np.where(_tiles_overlapping(_KITE, CX, CY, s), -np.inf, bound)
-
-    return _scan(s, A1_QUAD, (-math.ceil(0.95 / s), math.ceil(0.95 / s)),
-                 _max_reach, tiles, np.greater_equal, False, progress, threads)
+    return _scan(s, _H_plus(s, exclusion), progress, threads)
 
 
 def census_H_minus(s: float, semantics: str = "universal",
@@ -473,22 +767,4 @@ def census_H_minus(s: float, semantics: str = "universal",
     validate_step(s)
     if semantics not in ("universal", "cover"):
         raise ValueError("semantics must be 'universal' or 'cover'")
-
-    def tiles(CX, CY, s):
-        # A bool mask: the same test as a +-inf float bound ran about 1.6x
-        # slower.
-        above = CY > 0.0
-        if semantics == "universal":
-            dist1 = _mincorner_dist2(CX, CY, *_B1, s)
-            dist2 = _mincorner_dist2(CX, CY, *_B2, s)
-            below = True
-        else:
-            dist1 = _maxcorner_dist2(CX, CY, *_B1, s)
-            dist2 = _maxcorner_dist2(CX, CY, *_B2, s)
-            below = CY < 0.0
-        h3 = below & (dist1 >= 1.0) & (dist2 >= 1.0)
-        h4 = above & (dist1 >= 0.25) & (dist2 >= 0.25)
-        return h3 | h4
-
-    return _scan(s, A2_TRI, (-math.ceil(1.15 / s), math.ceil(0.4 / s)),
-                 _max_reach, tiles, _keep_mask, False, progress, threads)
+    return _scan(s, _H_minus(s, semantics), progress, threads)

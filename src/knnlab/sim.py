@@ -612,6 +612,40 @@ def _component_diameter(pts: np.ndarray) -> float:
         return _pairwise_max_dist(pts)
 
 
+def _diameter_sides(comps: ComponentDecomposition, big_d: float
+                    ) -> Dict[int, int]:
+    """Sign of ``diameter - big_d`` for every component, keyed by ascending
+    label, with the diameters of :attr:`ComponentDecomposition.diameters`.
+
+    A component's bounding box of width ``w`` and height ``h`` brackets
+    its diameter: the computed diameter is at least ``sqrt(max(w*w, h*h))``
+    (the pair at the extreme ``x`` or ``y``; every rounding step is
+    monotone) and at most ``sqrt(w*w + h*h)`` up to rounding, which the
+    ``1e-12`` relative slack covers.  Only a component whose bracket holds
+    ``big_d`` has its diameter computed.
+    """
+    ids, counts = np.unique(comps.labels, return_counts=True)
+    order = np.argsort(comps.labels, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    grouped = comps.points[order]
+    extent = (np.maximum.reduceat(grouped, starts)
+              - np.minimum.reduceat(grouped, starts))
+    w2, h2 = extent[:, 0] * extent[:, 0], extent[:, 1] * extent[:, 1]
+    lower = np.sqrt(np.maximum(w2, h2))
+    upper = np.sqrt(w2 + h2) * (1.0 + 1e-12)
+    sides: Dict[int, int] = {}
+    for i, label in enumerate(ids.tolist()):
+        if lower[i] > big_d:
+            sides[label] = 1
+        elif upper[i] < big_d:
+            sides[label] = -1
+        else:
+            members = order[starts[i]:starts[i] + counts[i]]
+            diam = _component_diameter(comps.points[members])
+            sides[label] = (diam > big_d) - (diam < big_d)
+    return sides
+
+
 def components(g: NearestNeighborGraph) -> ComponentDecomposition:
     """Decompose ``g`` into connected components.
 
@@ -952,27 +986,37 @@ def check_farapart(g: NearestNeighborGraph,
     pts = g.points
     labels = comps.labels
     tree = cKDTree(pts)
+    rho = np.hypot(*(pts[edges[:, 1]] - pts[edges[:, 0]]).T)
+    edges, rho = edges[rho > 0.0], rho[rho > 0.0]
     a = pts[edges[:, 0]]
     b = pts[edges[:, 1]]
     mid = (a + b) / 2.0
-    rho = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
     # Any point within FARAPART_RATIO * rho of the segment lies within
-    # rho * (1/2 + FARAPART_RATIO) of the midpoint; pad slightly.
+    # rho * (1/2 + FARAPART_RATIO) of the midpoint; pad slightly.  Unsorted
+    # batched rows list each ball in the order of a single query.
     search = rho * (0.5 + FARAPART_RATIO) * (1.0 + 1e-9)
-    for e in range(edges.shape[0]):
-        if rho[e] == 0.0:
-            continue
-        b1, b2 = int(edges[e, 0]), int(edges[e, 1])
-        lab = labels[b1]
+    balls = tree.query_ball_point(mid, search, return_sorted=False)
+    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=balls.size)
+    z = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
+                    count=int(sizes.sum()))
+    e = np.repeat(np.arange(balls.size), sizes)
+    foreign = labels[z] != labels[edges[e, 0]]
+    z, e = z[foreign], e[foreign]
+    # point_segment_distance, vectorised.  Only np.hypot may differ from
+    # math.hypot, in the last bit, far below the 1e-12 * rho slack, so the
+    # scalar decides just the candidates below the cutoff itself.
+    ax, ay = a[e, 0], a[e, 1]
+    dx, dy = b[e, 0] - ax, b[e, 1] - ay
+    t = np.clip(((pts[z, 0] - ax) * dx + (pts[z, 1] - ay) * dy)
+                / (dx * dx + dy * dy), 0.0, 1.0)
+    near = (np.hypot(pts[z, 0] - (ax + t * dx), pts[z, 1] - (ay + t * dy))
+            < rho[e] * FARAPART_RATIO)
+    for zi, ei in zip(z[near].tolist(), e[near].tolist()):
+        b1, b2 = int(edges[ei, 0]), int(edges[ei, 1])
         seg = Segment(Point(*pts[b1]), Point(*pts[b2]))
-        cutoff = rho[e] * FARAPART_RATIO
-        for cand in tree.query_ball_point(mid[e], search[e]):
-            if labels[cand] == lab:
-                continue
-            dist = point_segment_distance(Point(*pts[cand]), seg)
-            if dist < cutoff - 1e-12 * rho[e]:
-                violations.append((int(cand), b1, b2, float(dist),
-                                   float(rho[e])))
+        dist = point_segment_distance(Point(*pts[zi]), seg)
+        if dist < rho[ei] * FARAPART_RATIO - 1e-12 * rho[ei]:
+            violations.append((zi, b1, b2, float(dist), float(rho[ei])))
     return violations
 
 
@@ -1164,15 +1208,16 @@ def check_goodness(g: NearestNeighborGraph, consts: ModelConstants,
             break
 
     # Condition 4: two components of diameter >= D.
-    wide = [c for c, diam in comps.diameters.items() if diam >= big_d]
+    side_of_d = _diameter_sides(comps, big_d)
+    wide = [c for c, sign in side_of_d.items() if sign >= 0]
     if len(wide) >= 2:
         bad[3] = True
         witnesses[4] = sorted(wide)[:2]
 
     # Condition 5: small component within 2 D of a corner.
     corners = np.array(g.pointset.window.corners)
-    for c, diam in comps.diameters.items():
-        if diam > big_d:
+    for c, sign in side_of_d.items():
+        if sign > 0:
             continue
         members = comps.members(c)
         dmin = np.hypot(pts[members, None, 0] - corners[None, :, 0],

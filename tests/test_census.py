@@ -5,7 +5,9 @@ against an independent prototype implementation; they pin the census
 semantics (candidate SAT tests, reach radii, tie-breaking scan order) at
 the two coarse steps that run quickly.  The refinement test checks the
 defining conservativity property: lower censuses only grow and upper
-censuses only shrink as the grid is refined.
+censuses only shrink as the grid is refined.  The row kernel's count of
+every candidate is checked against a direct per-candidate 2-D window
+count of the same family spec.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
 import pytest
 
+from knnlab import _census
 from knnlab._census import (
     census_H_minus,
     census_H_plus,
@@ -157,3 +161,167 @@ def test_progress_callback_reports_completion():
     assert seen, "progress callback never invoked"
     done, total = seen[-1]
     assert done == total
+
+
+FAMILIES = {
+    "lplus": _census._L_plus,
+    "lminus": _census._L_minus,
+    "hplus": lambda s: _census._H_plus(s, "either"),
+    "hplus_intersection": lambda s: _census._H_plus(s, "intersection"),
+    "hminus": lambda s: _census._H_minus(s, "universal"),
+    "hminus_cover": lambda s: _census._H_minus(s, "cover"),
+}
+
+
+def _window_counts(s, family):
+    """Reference count of every candidate: mask the candidate's whole 2-D
+    window of tiles with the disk test and the family's ``keep`` test."""
+    xs, ys = _census._candidate_centers(s, family.hull)
+    ci = (np.arange(math.floor(-0.35 / s), math.ceil(1.35 / s)) + 0.5) * s
+    cj = (np.arange(*family.rows) + 0.5) * s
+    static, _ = family.tiles(ci[:, None], cj[None, :], s)
+    reach = family.reach_of(xs, ys, s)
+    r2 = reach * reach
+    ia = np.searchsorted(ci, xs - reach, side="left")
+    ib = np.where(reach > 0.0, np.searchsorted(ci, xs + reach, side="right"),
+                  ia)
+    ja = np.searchsorted(cj, ys - reach, side="left")
+    jb = np.searchsorted(cj, ys + reach, side="right")
+    counts = np.zeros(xs.size, dtype=np.int64)
+    for t in range(xs.size):
+        cols = slice(ia[t], ib[t])
+        rows = slice(ja[t], jb[t])
+        dx = ci[cols, None] - xs[t]
+        dy = cj[None, rows] - ys[t]
+        d2 = dx * dx + dy * dy
+        counts[t] = np.count_nonzero((d2 <= r2[t])
+                                     & family.keep(d2, static[cols, rows]))
+    return xs, ys, counts
+
+
+@pytest.mark.parametrize("step", [0.02, 0.01, 0.008, 0.005])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_row_kernel_counts_match_window_reference(name, step):
+    family = FAMILIES[name](step)
+    xs, ys, reference = _window_counts(step, family)
+    for threads in (1, 3):
+        got_xs, got_ys, counts = _census._counts(step, family, threads=threads)
+        assert np.array_equal(got_xs, xs) and np.array_equal(got_ys, ys)
+        assert np.array_equal(counts, reference)
+
+
+@pytest.mark.parametrize("name", ["hplus", "hplus_intersection", "lminus",
+                                  "lplus"])
+def test_untrusted_rows_are_counted_tile_by_tile(name, monkeypatch):
+    # Flag every chord untrusted (and empty it), so each row with ellipse
+    # tiles is counted by the per-tile recount alone.
+    chord = _census._ellipse_chord
+
+    def untrusted(*args):
+        ca, _, ok = chord(*args)
+        return ca, ca, np.zeros_like(ok)
+
+    monkeypatch.setattr(_census, "_ellipse_chord", untrusted)
+    family = FAMILIES[name](0.01)
+    _, _, counts = _census._counts(0.01, family, threads=2)
+    assert np.array_equal(counts, _window_counts(0.01, family)[2])
+
+
+def _grid(s):
+    i0 = math.floor(-0.35 / s)
+    return i0, (np.arange(i0, math.ceil(1.35 / s)) + 0.5) * s
+
+
+def test_disk_chord_is_the_exact_float_interval():
+    # Rows of random candidates on the grid, half of them with the radius
+    # planted exactly on a tile centre, where an analytic end can round
+    # either way.
+    s = 0.01
+    i0, ci = _grid(s)
+    rng = np.random.default_rng(4)
+    m = 4000
+    k = rng.integers(20, ci.size - 20, m)
+    x = ci[k]
+    dy = rng.uniform(-0.6, 0.6, m)
+    dy2 = dy * dy
+    q = np.clip(k + rng.integers(-40, 41, m), 0, ci.size - 1)
+    dxq = ci[q] - x
+    r2 = np.where(np.arange(m) % 2 == 0, dxq * dxq + dy2,
+                  rng.uniform(0.0, 0.5, m))
+    # The column range need not hold the candidate's own column k; the
+    # kernel anchors on the range's column nearest to it.
+    a = np.clip(k + rng.integers(-60, 10, m), 0, ci.size - 1)
+    b = np.clip(a + rng.integers(1, 80, m), None, ci.size)
+    lo, hi = _census._disk_chord(ci, x, dy2, r2, np.clip(k, a, b - 1), a, b,
+                                 s, i0)
+    for t in range(m):
+        dx = ci[a[t]:b[t]] - x[t]
+        inside = a[t] + np.flatnonzero(dx * dx + dy2[t] <= r2[t])
+        if inside.size:
+            assert (lo[t], hi[t]) == (inside[0], inside[-1] + 1)
+        else:
+            assert lo[t] == hi[t]
+
+
+def _ellipse_rows(s, m, rng):
+    """Random candidate rows: a candidate centre in the ``a1`` hull region,
+    a row, a focus and a disk interval."""
+    i0, ci = _grid(s)
+    x = ci[rng.integers(np.searchsorted(ci, 0.42), np.searchsorted(ci, 0.58),
+                        m)]
+    ya = rng.uniform(0.0, 0.3, m)
+    y = (rng.integers(-60, 60, m) + 0.5) * s
+    bx = np.where(rng.random(m) < 0.5, 0.0, 1.0)
+    lo = rng.integers(0, ci.size // 2, m)
+    hi = lo + rng.integers(1, ci.size // 2, m)
+    return i0, ci, x, y, y - ya, bx, lo, hi
+
+
+def _float_ellipse(ci, x, y, dy, bx, C):
+    """Tiles of a row that pass the families' float ellipse test."""
+    t = C - np.hypot(ci - bx, y)
+    dx = ci - x
+    return (t > 0.0) & (dx * dx + dy * dy <= t * t)
+
+
+def test_ellipse_chord_is_the_float_test_or_flagged():
+    s = 0.01
+    rng = np.random.default_rng(6)
+    m = 3000
+    i0, ci, x, y, dy, bx, lo, hi = _ellipse_rows(s, m, rng)
+    cp = np.pad(ci, 2, mode="edge")
+    C = _census._lens_sum(s)
+    trusted = 0
+    for e in (0.0, 1.0):
+        sel = np.flatnonzero(bx == e)
+        ca, cb, ok = _census._ellipse_chord(cp, x[sel], y[sel], dy[sel], e, C,
+                                            lo[sel], hi[sel], s, i0)
+        for r, t in enumerate(sel):
+            if not ok[r]:
+                continue
+            trusted += 1
+            inside = np.zeros(ci.size, dtype=bool)
+            inside[ca[r]:cb[r]] = True
+            test = _float_ellipse(ci, x[t], y[t], dy[t], e, C)
+            assert np.array_equal(inside[lo[t]:hi[t]], test[lo[t]:hi[t]])
+    assert trusted > 0.99 * m
+
+
+def test_ellipse_chord_flags_a_tile_on_the_boundary():
+    # Choose the focal sum so that one tile centre of the row lies on the
+    # ellipse up to rounding: no margin can certify that row.
+    s = 0.01
+    rng = np.random.default_rng(7)
+    m = 2000
+    i0, ci, x, y, dy, bx, lo, hi = _ellipse_rows(s, m, rng)
+    cp = np.pad(ci, 2, mode="edge")
+    q = rng.integers(lo, hi)
+    dx = ci[q] - x
+    C = np.sqrt(dx * dx + dy * dy) + np.hypot(ci[q] - bx, y)
+    sel = np.flatnonzero((C > 0.9) & (C < 1.0))
+    assert sel.size > 100
+    for e in (0.0, 1.0):
+        part = sel[bx[sel] == e]
+        _, _, ok = _census._ellipse_chord(cp, x[part], y[part], dy[part], e,
+                                          C[part], lo[part], hi[part], s, i0)
+        assert not ok.any()

@@ -12,7 +12,8 @@ from scipy.spatial import cKDTree
 
 from knnlab import sim
 from knnlab.bounds import ModelConstants, model_constants
-from knnlab.geom import Point, Segment, segments_intersect
+from knnlab.geom import (Point, Segment, point_segment_distance,
+                         segments_intersect)
 from knnlab.sim import (
     PointSet,
     SampleWindow,
@@ -535,6 +536,132 @@ def test_farapart_detects_planted_foreign_point():
     assert cand == 2 and {b1, b2} == {0, 1}
     assert dist == pytest.approx(0.05)
     assert rho == 1.0
+
+
+def _chains(pts, groups, side=100.0):
+    """Planted mutual graph joining each group of point indices in a path."""
+    m = len(pts)
+    nbrs = [[] for _ in range(m)]
+    for group in groups:
+        for i, j in zip(group, group[1:]):
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    pts = np.asarray(pts, dtype=float)
+    indices = np.array([j for row in nbrs for j in sorted(row)],
+                       dtype=np.int64)
+    owners = np.repeat(np.arange(m), [len(row) for row in nbrs])
+    ps = PointSet(points=pts, seed=0, window=SampleWindow(side * side))
+    return sim.NearestNeighborGraph(
+        pointset=ps, k=1, model="mutual",
+        indptr=np.concatenate(([0], np.cumsum([len(row) for row in nbrs]))),
+        indices=indices,
+        dists=np.hypot(*(pts[indices] - pts[owners]).T))
+
+
+def _farapart_per_edge(g, comps):
+    """The per-edge scan that check_farapart must reproduce, order too."""
+    pts = g.points
+    tree = cKDTree(pts)
+    violations = []
+    for b1, b2 in g.edges().tolist():
+        rho = float(np.hypot(*(pts[b2] - pts[b1])))
+        if rho == 0.0:
+            continue
+        seg = Segment(Point(*pts[b1]), Point(*pts[b2]))
+        cutoff = rho * sim.FARAPART_RATIO
+        search = rho * (0.5 + sim.FARAPART_RATIO) * (1.0 + 1e-9)
+        for cand in tree.query_ball_point((pts[b1] + pts[b2]) / 2.0, search):
+            if comps.labels[cand] == comps.labels[b1]:
+                continue
+            dist = point_segment_distance(Point(*pts[cand]), seg)
+            if dist < cutoff - 1e-12 * rho:
+                violations.append((cand, b1, b2, dist, rho))
+    return violations
+
+
+def test_farapart_matches_per_edge_scan_on_planted_violations():
+    rng = np.random.default_rng(12)
+    for rep in range(8):
+        pts = rng.uniform(5.0, 95.0, size=(90, 2))
+        groups = [list(range(i, i + 3)) for i in range(0, 90, 3)]
+        # Foreign points near the first edge of every other chain, some on
+        # the cutoff itself, and a zero-length edge.
+        for i in range(0, 90, 6):
+            a, b = pts[i], pts[i + 1]
+            u = (b - a) / np.hypot(*(b - a))
+            offset = (np.hypot(*(b - a)) * sim.FARAPART_RATIO
+                      * rng.choice([0.2, 0.9, 1.0, 1.1]))
+            pts[i + 3] = (a + b) / 2.0 + offset * np.array([-u[1], u[0]])
+        pts[89] = pts[88]
+        g = _chains(pts, groups)
+        comps = components(g)
+        expected = _farapart_per_edge(g, comps)
+        assert len(expected) > 5
+        assert check_farapart(g, comps) == expected
+    for seed in (0, 1):
+        g = build_graph(sample_poisson(400.0, seed), k=1, model="mutual")
+        comps = components(g)
+        assert check_farapart(g, comps) == _farapart_per_edge(g, comps)
+
+
+def _exact_d(root, target):
+    """A model ``d`` with ``d * root == target`` exactly in floats."""
+    d = target / root
+    while d * root < target:
+        d = math.nextafter(d, math.inf)
+    while d * root > target:
+        d = math.nextafter(d, -math.inf)
+    assert d * root == target
+    return d
+
+
+def test_goodness_diameter_sides_match_exact_diameters():
+    # D = 3 exactly.  Components: a lattice pair exactly D apart near a
+    # corner; a wide and a narrow triangle whose bounding boxes straddle
+    # D; the same narrow triangle next to a corner; a long chain; small
+    # pairs; a 3-4-5 pair whose diameter is its bounding-box diagonal.
+    pts = [[1.0, 5.0], [4.0, 5.0],
+           [50.0, 50.0], [52.0, 52.5], [51.0, 50.2],
+           [60.0, 60.0], [62.2, 60.1], [60.1, 62.2],
+           [1.0, 1.0], [3.2, 1.1], [1.1, 3.2],
+           [70.0, 30.0], [73.0, 31.0], [76.0, 30.0], [79.0, 31.0],
+           [90.0, 90.0], [90.5, 90.5], [97.0, 2.0], [98.0, 3.0],
+           [10.0, 80.0], [13.0, 84.0]]
+    groups = [[0, 1], [2, 3, 4], [5, 6, 7], [8, 9, 10], [11, 12, 13, 14],
+              [15, 16], [17, 18], [19, 20]]
+    g = _chains(pts, groups)
+    comps = components(g)
+    n = g.pointset.window.n
+    root = math.sqrt(math.log(n))
+    corners = np.array(g.pointset.window.corners)
+    straddled = set()
+    for big_d in (3.0, 2.97, 3.2, 1.5, 5.0, 9.0, 12.0):
+        consts = ModelConstants(c=1.0, c_minus=0.5, c_plus=23.9,
+                                d=_exact_d(root, big_d))
+        report = check_goodness(g, consts, components(g))
+        diameters = comps.diameters
+        wide = sorted(c for c, diam in diameters.items() if diam >= big_d)
+        assert report.bad[3] == (len(wide) >= 2)
+        assert report.witnesses.get(4) == (wide[:2] if len(wide) >= 2
+                                           else None)
+        corner = None
+        for c, diam in diameters.items():
+            if diam > big_d:
+                continue
+            members = comps.members(c)
+            dmin = np.hypot(*(g.points[members, None, :]
+                              - corners[None, :, :]).transpose(2, 0, 1)).min()
+            if dmin <= 2.0 * big_d:
+                corner = (c, float(dmin))
+                break
+        assert report.bad[4] == (corner is not None)
+        assert report.witnesses.get(5) == corner
+        for c in diameters:
+            extent = np.ptp(comps.points[comps.members(c)], axis=0)
+            if extent.max() <= big_d <= np.hypot(*extent):
+                straddled.add(c)
+    assert diameters[0] == 3.0 and diameters[19] == 5.0
+    assert {0, 2, 5, 8, 19} <= straddled
 
 
 def test_goodness_all_conditions_pass_on_dense_graph():
