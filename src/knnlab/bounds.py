@@ -4,8 +4,6 @@ This module is the verification engine of the package.  It provides
 
 * closed-form model constants (edge-length coefficients, blow-up roots,
   exponent coefficients) evaluated at full double precision;
-* probability-bound building blocks (``full_empty_bound`` and friends)
-  used by the exponent chains;
 * one-dimensional exponent maximisations over area parameters;
 * the root solve for the neighbour-capture ratio ``mu``;
 * conservative grid certificates for the four crossing-frame area
@@ -24,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -51,8 +49,6 @@ __all__ = [
     "ConditionNotMet",
     "ModelConstants",
     "model_constants",
-    "full_empty_bound",
-    "full_empty2_bound",
     "iso_blowup_lower",
     "solve_y_cap",
     "easy_connectivity_constant",
@@ -215,43 +211,6 @@ def model_constants(c: float, n: Optional[float] = None,
 # ---------------------------------------------------------------------------
 
 
-def full_empty_bound(area_x: float, area_y: float, k: float) -> float:
-    """Probability bound that a region of area ``area_x`` holds ``k``
-    points while an adjacent region of area ``area_y`` holds none:
-    ``(area_x / (area_x + area_y)) ** k``.
-    """
-    if area_x < 0.0 or area_y < 0.0 or k < 0.0:
-        raise ValueError("areas and k must be non-negative")
-    total = area_x + area_y
-    if total == 0.0:
-        return 1.0
-    return (area_x / total) ** k
-
-
-def full_empty2_bound(area_x: float, area_y: float, area_z: float,
-                      m: float, k: float) -> float:
-    """Two-region occupancy bound ``(2X/S)**(m*k) * (2Y/S)**k`` with
-    ``S = X + Y + Z``.
-
-    Requires ``X <= Y + Z`` and ``Y <= X + Z`` (each region no larger
-    than the rest combined); raises :class:`ConditionNotMet` otherwise —
-    callers branch on exactly this condition.
-    """
-    if min(area_x, area_y, area_z) < 0.0 or m < 0.0 or k < 0.0:
-        raise ValueError("areas, m and k must be non-negative")
-    if area_x > area_y + area_z:
-        raise ConditionNotMet(
-            "first area exceeds the sum of the other two")
-    if area_y > area_x + area_z:
-        raise ConditionNotMet(
-            "second area exceeds the sum of the other two")
-    total = area_x + area_y + area_z
-    if total == 0.0:
-        return 1.0
-    return ((2.0 * area_x / total) ** (m * k)
-            * (2.0 * area_y / total) ** k)
-
-
 def iso_blowup_lower(area_y, r: float, boundary: bool = False):
     """Isoperimetric lower bound on the area of the ``r``-blow-up ring of
     a set of area ``area_y``: ``pi r^2 + 2 r sqrt(pi area_y)`` in the
@@ -322,7 +281,6 @@ class ExponentProblem:
     objective: Callable[[np.ndarray], np.ndarray]
     lo: float
     hi: float
-    params: dict = field(default_factory=dict)
 
 
 def maximize_exponent(problem: ExponentProblem) -> Tuple[float, float]:
@@ -377,8 +335,7 @@ def tile_density_problem(c: float = CONNECTIVITY_LOWER_C,
 
     side = "edge" if boundary else "interior"
     return ExponentProblem(name=f"tile-density-{side}", objective=objective,
-                           lo=0.0, hi=TILE_AREA_CAP,
-                           params={"c": c, "boundary": boundary})
+                           lo=0.0, hi=TILE_AREA_CAP)
 
 
 def component_size_problem(c: float = CONNECTIVITY_LOWER_C,
@@ -402,8 +359,7 @@ def component_size_problem(c: float = CONNECTIVITY_LOWER_C,
 
     side = "edge" if boundary else "interior"
     return ExponentProblem(name=f"component-size-{side}", objective=objective,
-                           lo=0.0, hi=cap,
-                           params={"c": c, "boundary": boundary})
+                           lo=0.0, hi=cap)
 
 
 def cap_overflow_exponent(c: float = CONNECTIVITY_LOWER_C,

@@ -42,7 +42,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from scipy.spatial import cKDTree
+import numpy as np
 
 from . import __version__, bounds, sim
 from ._census import validate_step
@@ -420,25 +420,20 @@ def _inject_half_disk_bug(g: sim.NearestNeighborGraph
                                      Optional[tuple]]:
     """Remove one mutual edge that the containment property forces to exist.
 
-    Finds an edge ``x y`` and a third point ``z`` strictly inside the open
-    half-disk at ``x`` (radius ``|xy| / 2``); the property guarantees
-    ``x z`` is an edge, so deleting it plants a genuine violation.  Returns
+    Takes the first edge ``x y`` and third point ``z`` strictly inside the
+    open half-disk at ``x`` (radius ``|xy| / 2``), in the scan order of
+    :func:`sim.check_half_disk_lemma`; the property guarantees ``x z`` is
+    an edge, so deleting it plants a genuine violation.  Returns
     the graph without that edge and the planted triple, or ``g`` and
     ``None`` when no half-disk holds a third point.
     """
     pts = g.points
-    tree = cKDTree(pts)
-    for lo, hi in g.edges():
-        x, y = int(lo), int(hi)
-        length = math.hypot(*(pts[y] - pts[x]))
-        for cx, other in ((x, y), (y, x)):
-            for z in tree.query_ball_point(pts[cx], length / 2.0):
-                z = int(z)
-                if z in (x, y):
-                    continue
-                if (math.hypot(*(pts[z] - pts[cx])) < length / 2.0
-                        and g.has_edge(cx, z)):
-                    return g.without_edges([(cx, z)]), (cx, other, z)
+    x, y, z, half = sim._half_disk_candidates(g)
+    for t in np.flatnonzero(g.has_edges(x, z)).tolist():
+        xi, zi = int(x[t]), int(z[t])
+        dz = math.hypot(pts[zi, 0] - pts[xi, 0], pts[zi, 1] - pts[xi, 1])
+        if dz < half[t]:
+            return g.without_edges([(xi, zi)]), (xi, int(y[t]), zi)
     return g, None
 
 

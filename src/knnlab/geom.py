@@ -2,25 +2,19 @@
 
 This module provides the geometric substrate for the rest of the package:
 points and segments, a small closed algebra of planar regions (disks,
-half-disks, ellipses, half-planes, angular sectors and convex polygons,
-combined by union, intersection and difference), conservative
-inflate/deflate offsets, and certified area bounds obtained by counting
-grid squares.
+ellipses, half-planes, angular sectors and convex polygons, combined by
+union, intersection and difference), and certified area bounds obtained by
+counting grid squares.
 
 Design notes
 ------------
 All shapes denote *closed* point sets.  Membership tests are exact up to
 floating-point rounding of the defining arithmetic; no tolerances are
 hidden inside the predicates.  Conservativeness is provided explicitly:
-
-* ``inflate(r, delta)`` returns a region containing every point within
-  distance ``delta`` of ``r`` (a superset of the Minkowski sum of ``r``
-  with a closed disk of radius ``delta``);
-* ``deflate(r, delta)`` returns a region whose every point keeps a closed
-  disk of radius ``delta`` inside ``r`` (a subset of the erosion);
-* ``grid_area_bounds`` brackets the true area between a certified lower
-  bound (squares proven inside) and a certified upper bound (squares that
-  could meet the region).
+``grid_area_bounds`` brackets the true area between a certified lower
+bound (squares proven inside) and a certified upper bound (squares that
+could meet the region), through private inflate/deflate offsets of the
+region tree.
 
 Areas of disk intersections are also available in closed form
 (``disk_lens_area``) and by an exact arc-decomposition
@@ -40,7 +34,6 @@ __all__ = [
     "Point",
     "Segment",
     "Disk",
-    "HalfDisk",
     "Ellipse",
     "HalfPlane",
     "AngularSector",
@@ -64,8 +57,6 @@ __all__ = [
     "contains_xy",
     "is_bounded",
     "bounding_box",
-    "inflate",
-    "deflate",
     "grid_area_bounds",
     "disk_lens_area",
     "disks_intersection_area",
@@ -232,46 +223,6 @@ class Disk:
             raise ValueError("disk radius must be positive and finite")
 
 
-_HALF_SIDES = ("left", "right", "upper", "lower")
-
-
-@dataclass(frozen=True)
-class HalfDisk:
-    """Closed half-disk: a disk cut by an axis-parallel line through its center.
-
-    ``side`` selects the retained half: ``"left"`` keeps ``x <= center.x``,
-    ``"right"`` keeps ``x >= center.x``, ``"upper"`` keeps ``y >= center.y``
-    and ``"lower"`` keeps ``y <= center.y``.
-    """
-
-    center: Point
-    radius: float
-    side: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", as_point(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError("half-disk radius must be positive and finite")
-        if self.side not in _HALF_SIDES:
-            raise ValueError(f"half-disk side must be one of {_HALF_SIDES}")
-
-    def as_intersection(self) -> "Intersection":
-        """Equivalent representation as disk-and-half-plane intersection."""
-        return Intersection((Primitive(Disk(self.center, self.radius)),
-                             Primitive(_half_plane_of_side(self.center, self.side))))
-
-
-def _half_plane_of_side(center: Point, side: str) -> "HalfPlane":
-    if side == "left":
-        return HalfPlane(center, Point(1.0, 0.0))
-    if side == "right":
-        return HalfPlane(center, Point(-1.0, 0.0))
-    if side == "upper":
-        return HalfPlane(center, Point(0.0, -1.0))
-    return HalfPlane(center, Point(0.0, 1.0))
-
-
 @dataclass(frozen=True)
 class Ellipse:
     """Closed ellipse given by two foci and the focal-distance sum.
@@ -349,7 +300,7 @@ class AngularSector:
 
 
 PrimitiveShape = _TUnion[
-    Disk, HalfDisk, Ellipse, HalfPlane, AngularSector, "ConvexPolygon"
+    Disk, Ellipse, HalfPlane, AngularSector, "ConvexPolygon"
 ]
 
 
@@ -399,17 +350,8 @@ def _signed_area(verts: Sequence[Point]) -> float:
 class Region:
     """Base class for the region algebra (see the node classes below)."""
 
-    def contains(self, p: PointLike) -> bool:
-        return membership(self, p)
 
-    def inflate(self, delta: float) -> "Region":
-        return inflate(self, delta)
-
-    def deflate(self, delta: float) -> "Region":
-        return deflate(self, delta)
-
-
-RegionLike = _TUnion[Region, Disk, HalfDisk, Ellipse, HalfPlane, AngularSector,
+RegionLike = _TUnion[Region, Disk, Ellipse, HalfPlane, AngularSector,
                      ConvexPolygon]
 
 
@@ -417,8 +359,7 @@ def as_region(r: RegionLike) -> Region:
     """Coerce a primitive shape to a ``Primitive`` node; pass regions through."""
     if isinstance(r, Region):
         return r
-    if isinstance(r, (Disk, HalfDisk, Ellipse, HalfPlane, AngularSector,
-                      ConvexPolygon)):
+    if isinstance(r, (Disk, Ellipse, HalfPlane, AngularSector, ConvexPolygon)):
         return Primitive(r)
     raise TypeError(f"cannot interpret {type(r).__name__} as a region")
 
@@ -494,16 +435,6 @@ def _shape_contains(shape: PrimitiveShape, xs: np.ndarray, ys: np.ndarray):
     if isinstance(shape, Disk):
         c, r = shape.center, shape.radius
         return (xs - c.x) ** 2 + (ys - c.y) ** 2 <= r * r
-    if isinstance(shape, HalfDisk):
-        c, r = shape.center, shape.radius
-        inside = (xs - c.x) ** 2 + (ys - c.y) ** 2 <= r * r
-        if shape.side == "left":
-            return inside & (xs <= c.x)
-        if shape.side == "right":
-            return inside & (xs >= c.x)
-        if shape.side == "upper":
-            return inside & (ys >= c.y)
-        return inside & (ys <= c.y)
     if isinstance(shape, Ellipse):
         f1, f2 = shape.focus1, shape.focus2
         d = np.hypot(xs - f1.x, ys - f1.y) + np.hypot(xs - f2.x, ys - f2.y)
@@ -590,7 +521,7 @@ def is_bounded(r: RegionLike) -> bool:
     """
     r = as_region(r)
     if isinstance(r, Primitive):
-        return isinstance(r.shape, (Disk, HalfDisk, Ellipse, ConvexPolygon))
+        return isinstance(r.shape, (Disk, Ellipse, ConvexPolygon))
     if isinstance(r, Union):
         return all(is_bounded(c) for c in r.children)
     if isinstance(r, Intersection):
@@ -610,18 +541,6 @@ def _shape_bbox(shape: PrimitiveShape):
     if isinstance(shape, Disk):
         c, r = shape.center, shape.radius
         return (c.x - r, c.y - r, c.x + r, c.y + r)
-    if isinstance(shape, HalfDisk):
-        c, r = shape.center, shape.radius
-        box = [c.x - r, c.y - r, c.x + r, c.y + r]
-        if shape.side == "left":
-            box[2] = c.x
-        elif shape.side == "right":
-            box[0] = c.x
-        elif shape.side == "upper":
-            box[1] = c.y
-        else:
-            box[3] = c.y
-        return tuple(box)
     if isinstance(shape, Ellipse):
         f1, f2 = shape.focus1, shape.focus2
         cx, cy = 0.5 * (f1.x + f2.x), 0.5 * (f1.y + f2.y)
@@ -727,66 +646,9 @@ def _offset_polygon(poly: ConvexPolygon, delta: float):
     return new_verts
 
 
-def _check_delta(delta: float) -> float:
-    delta = float(delta)
-    if not (delta >= 0.0 and math.isfinite(delta)):
-        raise ValueError("offset distance must be a finite non-negative number")
-    return delta
-
-
-def inflate(r: RegionLike, delta: float) -> Region:
-    """A region containing every point within ``delta`` of ``r``.
-
-    The result is a conservative superset of the true Minkowski sum of
-    ``r`` with the closed disk of radius ``delta``; for disks, ellipses,
-    half-planes and non-reflex sectors it is exact, while differences and
-    polygon miters may over-cover slightly.
-
-    Raises
-    ------
-    ValueError
-        If ``delta`` is negative, or the tree contains a reflex angular
-        sector (swept angle above pi), whose offset is not representable
-        in this algebra.
-    """
-    delta = _check_delta(delta)
-    r = as_region(r)
-    if delta == 0.0:
-        return r
-    return _inflate(r, delta)
-
-
-def deflate(r: RegionLike, delta: float) -> Region:
-    """A region whose ``delta``-neighbourhood stays inside ``r``.
-
-    The result is a conservative subset of the true erosion of ``r`` by a
-    closed disk of radius ``delta``.
-
-    Raises
-    ------
-    ValueError
-        If ``delta`` is negative; if a disk or ellipse in the tree would
-        be eliminated entirely (for example deflating a disk by at least
-        its radius); or if the tree contains a reflex angular sector.
-    """
-    delta = _check_delta(delta)
-    r = as_region(r)
-    if delta == 0.0:
-        return r
-    return _deflate(r, delta, strict=True)
-
-
 def _inflate_shape(shape: PrimitiveShape, delta: float) -> Region:
     if isinstance(shape, Disk):
         return Primitive(Disk(shape.center, shape.radius + delta))
-    if isinstance(shape, HalfDisk):
-        c = shape.center
-        disk = Disk(c, shape.radius + delta)
-        hp = _half_plane_of_side(c, shape.side)
-        n = hp.normal
-        ln = math.hypot(n.x, n.y)
-        moved = HalfPlane(Point(c.x + delta * n.x / ln, c.y + delta * n.y / ln), n)
-        return Intersection((Primitive(disk), Primitive(moved)))
     if isinstance(shape, Ellipse):
         return Primitive(
             Ellipse(shape.focus1, shape.focus2, shape.distance_sum + 2.0 * delta)
@@ -824,36 +686,15 @@ def _inflate_shape(shape: PrimitiveShape, delta: float) -> Region:
     raise TypeError(f"unknown primitive shape {type(shape).__name__}")
 
 
-def _deflate_shape(shape: PrimitiveShape, delta: float, strict: bool) -> Region:
-    def vanish(msg: str) -> Region:
-        if strict:
-            raise ValueError(msg)
-        return EMPTY
-
+def _deflate_shape(shape: PrimitiveShape, delta: float) -> Region:
     if isinstance(shape, Disk):
         if delta >= shape.radius:
-            return vanish(
-                f"deflating a disk of radius {shape.radius} by {delta} "
-                "eliminates it"
-            )
+            return EMPTY
         return Primitive(Disk(shape.center, shape.radius - delta))
-    if isinstance(shape, HalfDisk):
-        if delta >= shape.radius:
-            return vanish(
-                f"deflating a half-disk of radius {shape.radius} by {delta} "
-                "eliminates it"
-            )
-        c = shape.center
-        disk = Disk(c, shape.radius - delta)
-        hp = _half_plane_of_side(c, shape.side)
-        n = hp.normal
-        ln = math.hypot(n.x, n.y)
-        moved = HalfPlane(Point(c.x - delta * n.x / ln, c.y - delta * n.y / ln), n)
-        return Intersection((Primitive(disk), Primitive(moved)))
     if isinstance(shape, Ellipse):
         new_sum = shape.distance_sum - 2.0 * delta
         if new_sum <= distance(shape.focus1, shape.focus2):
-            return vanish(f"deflating an ellipse by {delta} eliminates it")
+            return EMPTY
         return Primitive(Ellipse(shape.focus1, shape.focus2, new_sum))
     if isinstance(shape, HalfPlane):
         a, n = shape.anchor, shape.normal
@@ -880,12 +721,14 @@ def _deflate_shape(shape: PrimitiveShape, delta: float, strict: bool) -> Region:
     if isinstance(shape, ConvexPolygon):
         verts = _offset_polygon(shape, -delta)
         if verts is None:
-            return vanish(f"deflating a polygon by {delta} eliminates it")
+            return EMPTY
         return Primitive(ConvexPolygon(verts))
     raise TypeError(f"unknown primitive shape {type(shape).__name__}")
 
 
 def _inflate(r: Region, delta: float) -> Region:
+    """A superset of the Minkowski sum of ``r`` and the closed disk of
+    radius ``delta > 0`` (differences and polygon miters over-cover)."""
     if isinstance(r, Primitive):
         return _inflate_shape(r.shape, delta)
     if isinstance(r, Union):
@@ -895,24 +738,25 @@ def _inflate(r: Region, delta: float) -> Region:
         return Intersection(tuple(_inflate(c, delta) for c in r.children))
     if isinstance(r, Difference):
         # Points near L \ R are near L and outside the erosion of R.
-        return Difference(_inflate(r.left, delta), _deflate(r.right, delta,
-                                                            strict=False))
+        return Difference(_inflate(r.left, delta), _deflate(r.right, delta))
     if isinstance(r, _Empty):
         return EMPTY
     raise TypeError(f"unknown region node {type(r).__name__}")
 
 
-def _deflate(r: Region, delta: float, strict: bool) -> Region:
+def _deflate(r: Region, delta: float) -> Region:
+    """A subset of the erosion of ``r`` by the closed disk of radius
+    ``delta > 0``; a shape that the erosion eliminates becomes ``EMPTY``."""
     if isinstance(r, Primitive):
-        return _deflate_shape(r.shape, delta, strict)
+        return _deflate_shape(r.shape, delta)
     if isinstance(r, Union):
-        return Union(tuple(_deflate(c, delta, strict) for c in r.children))
+        return Union(tuple(_deflate(c, delta) for c in r.children))
     if isinstance(r, Intersection):
-        return Intersection(tuple(_deflate(c, delta, strict) for c in r.children))
+        return Intersection(tuple(_deflate(c, delta) for c in r.children))
     if isinstance(r, Difference):
         # Keeping a delta-disk inside L \ R needs the disk inside L and
         # outside R entirely, so the subtrahend grows.
-        return Difference(_deflate(r.left, delta, strict), _inflate(r.right, delta))
+        return Difference(_deflate(r.left, delta), _inflate(r.right, delta))
     if isinstance(r, _Empty):
         return EMPTY
     raise TypeError(f"unknown region node {type(r).__name__}")
@@ -1056,7 +900,7 @@ def grid_area_bounds(r: RegionLike, g: GridSpec,
         raise ValueError("grid too fine for the extent of the region")
 
     inflated = _inflate(r, delta)
-    deflated = _deflate(r, delta, strict=False)
+    deflated = _deflate(r, delta)
     cx = g.origin.x + (np.arange(i0, i1 + 1) + 0.5) * s
     lower_count = 0
     upper_count = 0

@@ -175,10 +175,6 @@ class CrossingFrame:
         """Distance from ``a2`` to the nearer of ``b1`` and ``b2``."""
         return min(distance(self.a2, _B1), distance(self.a2, _B2))
 
-    def with_radii(self, rho1: float, rho2: float) -> "CrossingFrame":
-        """A copy of the frame with explicit neighbourhood radii."""
-        return CrossingFrame(self.a1, self.a2, rho1, rho2)
-
 
 @dataclass(frozen=True)
 class NormalizationMap:

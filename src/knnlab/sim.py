@@ -57,7 +57,6 @@ __all__ = [
 import functools
 import itertools
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -88,10 +87,6 @@ MODELS = ("mutual", "either", "directed", "gilbert")
 #: ``FARAPART_RATIO * |b1 b2|`` from any edge ``b1 b2`` (mutual model).
 FARAPART_RATIO = 1.0 / (4.0 * math.sqrt(6.0))
 
-_PS_MAGIC = b"KNNPTS01"
-_PS_HEADER = struct.Struct("<dqQ")
-
-
 # ---------------------------------------------------------------------------
 # Point sets
 # ---------------------------------------------------------------------------
@@ -119,17 +114,11 @@ class SampleWindow:
         """Side length ``sqrt(n)`` of the window."""
         return math.sqrt(self.n)
 
-    @property
-    def area(self) -> float:
-        return self.n
-
-    def contains(self, points: np.ndarray, slack: float = 1e-9) -> bool:
-        """Whether every row of ``points`` lies inside the window."""
+    def contains(self, points: np.ndarray) -> bool:
+        """Whether every row of ``points`` lies inside the window (+-1e-9)."""
         pts = np.asarray(points, dtype=float)
-        if pts.size == 0:
-            return True
         s = self.side
-        return bool(np.all(pts >= -slack) and np.all(pts <= s + slack))
+        return bool(np.all(pts >= -1e-9) and np.all(pts <= s + 1e-9))
 
     @property
     def corners(self) -> Tuple[Tuple[float, float], ...]:
@@ -167,54 +156,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
-
-    # -- serialization ------------------------------------------------------
-
-    def to_binary(self) -> bytes:
-        """Serialize to a flat little-endian binary blob (lossless)."""
-        header = _PS_MAGIC + _PS_HEADER.pack(self.window.n, int(self.seed),
-                                             len(self))
-        body = np.ascontiguousarray(self.points, dtype="<f8").tobytes()
-        return header + body
-
-    @classmethod
-    def from_binary(cls, data: bytes) -> "PointSet":
-        """Inverse of :meth:`to_binary`."""
-        if data[: len(_PS_MAGIC)] != _PS_MAGIC:
-            raise ValueError("not a point-set blob (bad magic)")
-        off = len(_PS_MAGIC)
-        n, seed, count = _PS_HEADER.unpack_from(data, off)
-        off += _PS_HEADER.size
-        expected = off + 16 * count
-        if len(data) != expected:
-            raise ValueError("truncated point-set blob")
-        pts = np.frombuffer(data, dtype="<f8", count=2 * count, offset=off)
-        pts = pts.astype(np.float64).reshape(count, 2)
-        return cls(points=pts, seed=seed, window=SampleWindow(n))
-
-    def to_csv(self) -> str:
-        """Render the coordinates as CSV text with an ``x,y`` header.
-
-        Floats are written with 17 significant digits so the text round-trips
-        exactly; window and seed metadata are not part of the CSV.
-        """
-        lines = ["x,y"]
-        for x, y in self.points:
-            lines.append("%.17g,%.17g" % (x, y))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str, seed: int, window: SampleWindow) -> "PointSet":
-        """Parse :meth:`to_csv` output; metadata must be supplied."""
-        rows = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not rows or rows[0].strip().lower() != "x,y":
-            raise ValueError("expected an 'x,y' header row")
-        if len(rows) == 1:
-            pts = np.empty((0, 2), dtype=np.float64)
-        else:
-            pts = np.array([[float(v) for v in ln.split(",")] for ln in rows[1:]],
-                           dtype=np.float64)
-        return cls(points=pts, seed=seed, window=window)
 
 
 def sample_poisson(n: float, seed: int) -> PointSet:
@@ -352,12 +293,6 @@ class NearestNeighborGraph:
         indptr = np.searchsorted(src[keep], np.arange(n + 1))
         return replace(self, indptr=indptr, indices=self.indices[keep],
                        dists=self.dists[keep])
-
-    def degree_histogram(self) -> Dict[int, int]:
-        """Counts of undirected degrees."""
-        deg = np.bincount(self.edges().ravel(), minlength=self.n_points)
-        vals, cnts = np.unique(deg, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, cnts)}
 
 
 def _validate_model(model: str) -> None:
@@ -570,17 +505,28 @@ class ComponentDecomposition:
     def component_ids(self) -> List[int]:
         return sorted(self.sizes)
 
+    @functools.cached_property
+    def _groups(self) -> Tuple[np.ndarray, ...]:
+        """``(ids, order, starts, counts)``: the ascending labels, and a
+        stable argsort of ``labels`` whose slice ``starts[i]:starts[i] +
+        counts[i]`` lists the members of ``ids[i]`` in ascending order."""
+        ids, counts = np.unique(self.labels, return_counts=True)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        return ids, np.argsort(self.labels, kind="stable"), starts, counts
+
     def members(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == label)
+        """Ascending indices of the points in component ``label``."""
+        ids, order, starts, counts = self._groups
+        i = int(np.searchsorted(ids, label))
+        if i == ids.size or ids[i] != label:
+            return order[:0]
+        return order[starts[i]:starts[i] + counts[i]]
 
     @functools.cached_property
     def diameters(self) -> Dict[int, float]:
         """Exact diameter of every component, keyed by ascending label."""
-        ids, counts = np.unique(self.labels, return_counts=True)
-        groups = np.split(np.argsort(self.labels, kind="stable"),
-                          np.cumsum(counts)[:-1])
-        return {label: _component_diameter(self.points[members])
-                for label, members in zip(ids.tolist(), groups)}
+        return {label: _component_diameter(self.points[self.members(label)])
+                for label in self._groups[0].tolist()}
 
     def sizes_sorted(self) -> List[int]:
         return sorted(self.sizes.values(), reverse=True)
@@ -624,9 +570,7 @@ def _diameter_sides(comps: ComponentDecomposition, big_d: float
     ``1e-12`` relative slack covers.  Only a component whose bracket holds
     ``big_d`` has its diameter computed.
     """
-    ids, counts = np.unique(comps.labels, return_counts=True)
-    order = np.argsort(comps.labels, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    ids, order, starts, counts = comps._groups
     grouped = comps.points[order]
     extent = (np.maximum.reduceat(grouped, starts)
               - np.minimum.reduceat(grouped, starts))
@@ -640,8 +584,7 @@ def _diameter_sides(comps: ComponentDecomposition, big_d: float
         elif upper[i] < big_d:
             sides[label] = -1
         else:
-            members = order[starts[i]:starts[i] + counts[i]]
-            diam = _component_diameter(comps.points[members])
+            diam = _component_diameter(comps.points[comps.members(label)])
             sides[label] = (diam > big_d) - (diam < big_d)
     return sides
 
@@ -794,6 +737,37 @@ def find_crossing_pairs(g: NearestNeighborGraph,
 # ---------------------------------------------------------------------------
 
 
+def _half_disk_candidates(g: NearestNeighborGraph) -> Tuple[np.ndarray, ...]:
+    """Third points in the half-disks of every edge, in scan order.
+
+    For each edge ``x y`` of length ``L``, in the order of
+    :meth:`NearestNeighborGraph.edges`, first about ``x`` and then about
+    ``y``, lists every ``z`` other than ``x`` and ``y`` that a cKDTree ball
+    query of radius ``L / 2`` proposes, in the order of a single query.
+    Returns the arrays ``(x, y, z, half)``, ``half`` holding each row's
+    ``L / 2``; whether ``z`` is strictly inside the half-disk is left to the
+    caller.
+    """
+    edges = g.edges()
+    pts = g.points
+    lengths = np.hypot(*(pts[edges[:, 1]] - pts[edges[:, 0]]).T)
+    # Query row 2e is the half-disk of edges[e, 0], row 2e + 1 that of
+    # edges[e, 1].  Unsorted batched rows list each ball in the order of a
+    # single query.
+    centre = edges.reshape(-1)
+    other = edges[:, ::-1].reshape(-1)
+    halves = np.repeat(lengths / 2.0, 2)
+    balls = cKDTree(pts).query_ball_point(pts[centre], halves,
+                                          return_sorted=False)
+    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=balls.size)
+    z = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
+                    count=int(sizes.sum()))
+    row = np.repeat(np.arange(balls.size), sizes)
+    x, y = centre[row], other[row]
+    third = (z != x) & (z != y)
+    return x[third], y[third], z[third], halves[row[third]]
+
+
 def check_half_disk_lemma(g: NearestNeighborGraph
                           ) -> List[Tuple[int, int, int]]:
     """Check half-neighbourhood containment on every edge of a mutual graph.
@@ -801,8 +775,9 @@ def check_half_disk_lemma(g: NearestNeighborGraph
     For each edge ``x y`` of length ``L``, every point strictly inside the
     open disk of radius ``L / 2`` around ``x`` must be joined to ``x`` (and
     symmetrically for ``y``).  Returns violating triples ``(x, y, z)`` where
-    ``z`` lies inside the half-disk of ``x`` but ``x z`` is not an edge; an
-    empty list means the property holds.
+    ``z`` lies inside the half-disk of ``x`` but ``x z`` is not an edge, in
+    the scan order of :func:`_half_disk_candidates`; an empty list means the
+    property holds.
 
     Examples
     --------
@@ -814,32 +789,14 @@ def check_half_disk_lemma(g: NearestNeighborGraph
     if g.model != "mutual":
         raise ValueError("half-neighbourhood containment holds for the "
                          "mutual model; got %r" % g.model)
-    edges = g.edges()
-    violations: List[Tuple[int, int, int]] = []
-    if edges.size == 0:
-        return violations
     pts = g.points
-    tree = cKDTree(pts)
-    a = pts[edges[:, 0]]
-    b = pts[edges[:, 1]]
-    lengths = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
-    # Query row 2e is the half-disk of edges[e, 0], row 2e + 1 that of
-    # edges[e, 1].  Unsorted batched rows list each ball in the order of a
-    # single query, which fixes the order of the violations.
-    centre = edges.reshape(-1)
-    other = edges[:, ::-1].reshape(-1)
-    halves = np.repeat(lengths / 2.0, 2)
-    balls = tree.query_ball_point(pts[centre], halves, return_sorted=False)
-    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=balls.size)
-    z = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
-                    count=int(sizes.sum()))
-    row = np.repeat(np.arange(balls.size), sizes)
-    x, y = centre[row], other[row]
-    test = (z != x) & (z != y) & ~g.has_edges(x, z)
-    for r, xi, yi, zi in zip(row[test].tolist(), x[test].tolist(),
-                             y[test].tolist(), z[test].tolist()):
+    x, y, z, half = _half_disk_candidates(g)
+    test = ~g.has_edges(x, z)
+    violations: List[Tuple[int, int, int]] = []
+    for xi, yi, zi, r in zip(x[test].tolist(), y[test].tolist(),
+                             z[test].tolist(), half[test].tolist()):
         dz = math.hypot(pts[zi, 0] - pts[xi, 0], pts[zi, 1] - pts[xi, 1])
-        if dz < halves[r]:
+        if dz < r:
             violations.append((xi, yi, zi))
     return violations
 

@@ -1,0 +1,59 @@
+"""Guards on the names that code outside the library relies on.
+
+Every ``__all__`` entry of the package and its modules must resolve, every
+layer that the benchmark tracer (``perfbench/spans.py``) wraps must exist,
+and every demo script must import.  A deletion that breaks any of them fails
+here rather than in a benchmark run or a demo.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import knnlab
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = ["knnlab"] + sorted(
+    "knnlab." + m.name for m in pkgutil.iter_modules(knnlab.__path__)
+    if m.name != "__main__")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _load(path: Path):
+    """Execute the module body of ``path`` (``__name__`` is not main)."""
+    spec = importlib.util.spec_from_file_location("_api_" + path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_traced_layers_resolve():
+    spans = _load(ROOT / "perfbench" / "spans.py")
+    assert spans.LAYERS
+    for module_name, path, _, _ in spans.LAYERS:
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            assert hasattr(owner, part), "%s.%s" % (module_name, path)
+            owner = getattr(owner, part)
+
+
+def test_demos_are_present():
+    assert len(DEMOS) >= 4
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_imports(path):
+    assert callable(_load(path).main)

@@ -29,7 +29,6 @@ from knnlab.bounds import (
     edge_exponent_coefficient,
     far_point_exclusion_area,
     far_region_areas,
-    full_empty_bound,
     iso_blowup_lower,
     make_certificate,
     maximize_exponent,
@@ -98,14 +97,6 @@ def test_easy_connectivity_constant():
 def test_corner_and_edge_exponent_coefficients():
     assert corner_exponent_coefficient() == approx12(0.3439517146983626)
     assert edge_exponent_coefficient() == approx12(0.5993973623888099)
-
-
-def test_full_empty_bound_probability():
-    # (|X| / (|X| + |Y|))^k: equal areas with k = 2 give 1/4.
-    assert full_empty_bound(1.0, 1.0, 2.0) == approx12(0.25)
-    assert full_empty_bound(0.0, 1.0, 3.0) == 0.0
-    with pytest.raises(ValueError):
-        full_empty_bound(-1.0, 1.0, 1.0)
 
 
 def test_iso_blowup_lower_disk_case():

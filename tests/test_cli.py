@@ -6,10 +6,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import pytest
+from scipy.spatial import cKDTree
 
-from knnlab.cli import main
+from knnlab import sim
+from knnlab.cli import _inject_half_disk_bug, main
 
 
 def _sha256(path):
@@ -213,6 +216,35 @@ def test_check_injected_bug_is_caught(capsys):
     assert report["first_violation"]["kind"] == "half_disk"
     assert report["first_violation"]["trial"] == 0
     assert report["first_violation"]["witness"][0] in (x, y)
+
+
+def _first_forced_edge(g):
+    """Reference scan: one ball query per half-disk, edge by edge."""
+    pts = g.points
+    tree = cKDTree(pts)
+    for lo, hi in g.edges():
+        x, y = int(lo), int(hi)
+        length = math.hypot(*(pts[y] - pts[x]))
+        for cx, other in ((x, y), (y, x)):
+            for z in tree.query_ball_point(pts[cx], length / 2.0):
+                z = int(z)
+                if z in (x, y):
+                    continue
+                if (math.hypot(*(pts[z] - pts[cx])) < length / 2.0
+                        and g.has_edge(cx, z)):
+                    return (cx, other, z)
+    return None
+
+
+@pytest.mark.parametrize("n, k", [(1000.0, 7), (300.0, 4)])
+def test_injected_bug_matches_reference_scan(n, k):
+    for seed in range(5):
+        g = sim.build_graph(sim.sample_poisson(n, seed), k, model="mutual")
+        h, planted = _inject_half_disk_bug(g)
+        assert planted == _first_forced_edge(g)
+        x, _, z = planted
+        assert g.has_edge(x, z) and not h.has_edge(x, z)
+        assert sim.check_half_disk_lemma(h)[0] == planted
 
 
 def test_check_out_file_and_manifest(tmp_path, capsys):

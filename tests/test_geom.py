@@ -10,7 +10,6 @@ import pytest
 from knnlab.geom import (
     Disk,
     GridSpec,
-    HalfDisk,
     Point,
     Segment,
     circle_intersections,
@@ -18,7 +17,6 @@ from knnlab.geom import (
     disks_intersection_area,
     distance,
     grid_area_bounds,
-    membership,
     point_segment_distance,
     segments_intersect,
 )
@@ -82,13 +80,6 @@ def test_segments_intersect_tiny_offset_exact():
 def test_disk_requires_positive_radius():
     with pytest.raises(ValueError):
         Disk(Point(0.0, 0.0), 0.0)
-
-
-def test_half_disk_membership():
-    hd = HalfDisk(Point(0.0, 0.0), 1.0, "left")
-    assert membership(hd, Point(-0.5, 0.2))
-    assert not membership(hd, Point(0.5, 0.2))
-    assert not membership(hd, Point(-2.0, 0.0))
 
 
 def test_circle_intersections_symmetric():
