@@ -69,7 +69,6 @@ from .sim import (
     components,
     estimate_connectivity,
     figure_one_pointset,
-    find_component_setup,
     find_crossing_pairs,
     sample_poisson,
     wilson_interval,
@@ -125,7 +124,6 @@ __all__ = [
     "components",
     "estimate_connectivity",
     "figure_one_pointset",
-    "find_component_setup",
     "find_crossing_pairs",
     "sample_poisson",
     "wilson_interval",

@@ -932,7 +932,15 @@ def disk_lens_area(d: float, r1: float, r2: float) -> float:
     -------
     float
         ``0`` for separated disks; the area of the smaller disk when one
-        contains the other; otherwise the classical lens formula.
+        contains the other; otherwise the classical lens formula, clamped
+        at ``0``.
+
+    Examples
+    --------
+    >>> disk_lens_area(3.0, 1.0, 1.0)
+    0.0
+    >>> round(disk_lens_area(1.0, 1.0, 1.0), 10)  # 2 pi / 3 - sqrt(3) / 2
+    1.2283696986
     """
     if d < 0.0 or r1 <= 0.0 or r2 <= 0.0:
         raise ValueError("need d >= 0 and positive radii")
@@ -946,11 +954,12 @@ def disk_lens_area(d: float, r1: float, r2: float) -> float:
     x1 = min(1.0, max(-1.0, x1))
     x2 = min(1.0, max(-1.0, x2))
     term = (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
-    return (
+    # Near tangency ``acos`` cancels and the sum can dip below zero.
+    return max(0.0, (
         r1 * r1 * math.acos(x1)
         + r2 * r2 * math.acos(x2)
         - 0.5 * math.sqrt(max(term, 0.0))
-    )
+    ))
 
 
 def circle_intersections(c1: Disk, c2: Disk) -> tuple:
@@ -959,8 +968,14 @@ def circle_intersections(c1: Disk, c2: Disk) -> tuple:
     Returns a tuple of 0 or 2 ``Point`` objects (tangency is reported as
     a coincident pair).  Concentric circles yield an empty tuple.
     """
-    x1, y1, r1 = c1.center.x, c1.center.y, c1.radius
-    x2, y2, r2 = c2.center.x, c2.center.y, c2.radius
+    return tuple(Point(px, py) for px, py in _circle_cuts(
+        c1.center.x, c1.center.y, c1.radius,
+        c2.center.x, c2.center.y, c2.radius))
+
+
+def _circle_cuts(x1: float, y1: float, r1: float,
+                 x2: float, y2: float, r2: float) -> tuple:
+    """:func:`circle_intersections` on plain floats: 0 or 2 ``(x, y)`` pairs."""
     dx, dy = x2 - x1, y2 - y1
     d2 = dx * dx + dy * dy
     d = math.sqrt(d2)
@@ -971,7 +986,7 @@ def circle_intersections(c1: Disk, c2: Disk) -> tuple:
     h = math.sqrt(max(h2, 0.0))
     mx, my = x1 + a * dx / d, y1 + a * dy / d
     ox, oy = -dy / d, dx / d
-    return (Point(mx + h * ox, my + h * oy), Point(mx - h * ox, my - h * oy))
+    return ((mx + h * ox, my + h * oy), (mx - h * ox, my - h * oy))
 
 
 def disks_intersection_area(disks: Sequence) -> float:
@@ -989,7 +1004,19 @@ def disks_intersection_area(disks: Sequence) -> float:
     Returns
     -------
     float
-        Area of the intersection (``0.0`` when it is empty or degenerate).
+        Area of the intersection, never negative (``0.0`` when it is empty
+        or degenerate, in particular when two of the disks are disjoint or
+        externally tangent).
+
+    Examples
+    --------
+    >>> h = math.sqrt(3.0) / 2.0
+    >>> round(disks_intersection_area(  # (pi - sqrt(3)) / 2
+    ...     [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.5, h, 1.0)]), 10)
+    0.704770923
+    >>> disks_intersection_area([(0.0, 0.0, 1.0), (2.0, 0.0, 1.0),
+    ...                          (1.0, 0.0, 0.5)])
+    0.0
     """
     norm = []
     for d in disks:
@@ -1004,6 +1031,13 @@ def disks_intersection_area(disks: Sequence) -> float:
     if len(norm) == 1:
         r = norm[0][2]
         return math.pi * r * r
+    # Two disjoint or tangent disks meet in at most a point.  Left to the
+    # arc loop, the 1e-9 slack of ``inside_all`` can count arcs of such a
+    # pair and give a negative area.
+    for i, (cx, cy, cr) in enumerate(norm):
+        for ox, oy, orr in norm[i + 1:]:
+            if math.hypot(cx - ox, cy - oy) >= cr + orr:
+                return 0.0
 
     eps = 1e-12
 
@@ -1019,12 +1053,11 @@ def disks_intersection_area(disks: Sequence) -> float:
     boundary_found = False
     for i, (cx, cy, cr) in enumerate(norm):
         cuts = []
-        disk_i = Disk(Point(cx, cy), cr)
         for j, (ox, oy, orr) in enumerate(norm):
             if j == i:
                 continue
-            for p in circle_intersections(disk_i, Disk(Point(ox, oy), orr)):
-                cuts.append(math.atan2(p.y - cy, p.x - cx) % (2.0 * math.pi))
+            for px, py in _circle_cuts(cx, cy, cr, ox, oy, orr):
+                cuts.append(math.atan2(py - cy, px - cx) % (2.0 * math.pi))
         if not cuts:
             # Circle i is either entirely inside every other disk (it
             # bounds the intersection alone) or entirely outside some disk.
@@ -1068,4 +1101,4 @@ def disks_intersection_area(disks: Sequence) -> float:
         ):
             return math.pi * cr * cr
         return 0.0
-    return total
+    return max(total, 0.0)

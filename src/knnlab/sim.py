@@ -44,8 +44,6 @@ __all__ = [
     "check_farapart",
     "GoodnessReport",
     "check_goodness",
-    "ComponentSetup",
-    "find_component_setup",
     "TrialResult",
     "ConnectivityEstimate",
     "wilson_interval",
@@ -814,15 +812,22 @@ def _area_subset_union(a: Tuple[float, float, float],
 
     Decided exactly (up to ``rel_tol``) through areas by inclusion-exclusion:
     ``|A| - |A∩C| - |A∩D| + |A∩C∩D| = |A \\ (C ∪ D)|`` must vanish.
+
+    The residual is evaluated left to right as ``bound + |A∩C∩D|`` with
+    ``bound = |A| - |A∩C| - |A∩D|``.  The triple area is never negative, and
+    rounding is monotone, so the float sum is never below ``bound``: when
+    ``bound`` already exceeds the tolerance the answer is ``False`` and the
+    triple area is not computed.
     """
     area_a = math.pi * a[2] * a[2]
     if area_a == 0.0:
         return True
     ac = disk_lens_area(math.hypot(a[0] - c[0], a[1] - c[1]), a[2], c[2])
     ad = disk_lens_area(math.hypot(a[0] - d[0], a[1] - d[1]), a[2], d[2])
-    acd = disks_intersection_area([a, c, d])
-    residual = area_a - ac - ad + acd
-    return residual <= rel_tol * area_a
+    bound = area_a - ac - ad
+    if bound > rel_tol * area_a:
+        return False
+    return bound + disks_intersection_area([a, c, d]) <= rel_tol * area_a
 
 
 def _lens_subset_disk(a: Tuple[float, float, float],
@@ -835,6 +840,29 @@ def _lens_subset_disk(a: Tuple[float, float, float],
         return True
     triple = disks_intersection_area([a, b, c])
     return lens - triple <= rel_tol * max(lens, 1e-300)
+
+
+def _intersect_union_pairs(quadruple: Tuple[int, int, int, int], disks
+                           ) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """The pairs of which the four-disk implication needs one edge.
+
+    ``disks[v]`` is the ``(x, y, radius)`` ``k``-th-neighbour disk of point
+    ``v``.  Returns ``None`` when the hypotheses do not hold, ``()`` when
+    ``{w, x} == {y, z}`` makes the claim trivially true, and otherwise those
+    of ``w y``, ``w z``, ``x y``, ``x z`` with distinct ends (at least one).
+    """
+    w, x, y, z = quadruple
+    if {w, x} == {y, z}:
+        return ()
+    dw, dx, dy, dz = (disks[v] for v in quadruple)
+    if min(dw[2], dx[2], dy[2], dz[2]) <= 0.0:
+        return None
+    if not (_area_subset_union(dw, dy, dz) and _area_subset_union(dx, dy, dz)):
+        return None
+    if not (_lens_subset_disk(dw, dx, dy) and _lens_subset_disk(dw, dx, dz)):
+        return None
+    return tuple((p, q) for p, q in ((w, y), (w, z), (x, y), (x, z))
+                 if p != q)
 
 
 def check_intersect_union_lemma(g: NearestNeighborGraph,
@@ -859,18 +887,12 @@ def check_intersect_union_lemma(g: NearestNeighborGraph,
     if g.model != "mutual":
         raise ValueError("the containment implication applies to the mutual "
                          "model; got %r" % g.model)
-    w, x, y, z = (int(v) for v in quadruple)
-    if {w, x} == {y, z}:
-        return True
-    dw, dx, dy, dz = (_disk_triples(g, v) for v in (w, x, y, z))
-    if min(dw[2], dx[2], dy[2], dz[2]) <= 0.0:
+    quadruple = tuple(int(v) for v in quadruple)
+    pairs = _intersect_union_pairs(
+        quadruple, {v: _disk_triples(g, v) for v in quadruple})
+    if pairs is None:
         return None
-    if not (_area_subset_union(dw, dy, dz) and _area_subset_union(dx, dy, dz)):
-        return None
-    if not (_lens_subset_disk(dw, dx, dy) and _lens_subset_disk(dw, dx, dz)):
-        return None
-    pairs = ((w, y), (w, z), (x, y), (x, z))
-    return any(g.has_edge(p, q) for p, q in pairs if p != q)
+    return not pairs or any(g.has_edge(p, q) for p, q in pairs)
 
 
 def sample_intersect_union_quadruples(g: NearestNeighborGraph, samples: int,
@@ -881,7 +903,9 @@ def sample_intersect_union_quadruples(g: NearestNeighborGraph, samples: int,
     Quadruples mix three recipes — an edge ``(y, z)`` with ``w, x`` drawn
     from the two endpoints' neighbour lists (most likely to satisfy the
     containment hypotheses), two random edges, and four random points — and
-    only those meeting the hypotheses are returned.
+    only those meeting the hypotheses are returned.  The verdicts are those
+    of :func:`check_intersect_union_lemma`; the edge tests of all qualifying
+    quadruples are made in one batch at the end.
 
     Returns
     -------
@@ -889,34 +913,52 @@ def sample_intersect_union_quadruples(g: NearestNeighborGraph, samples: int,
         ``results`` pairs each qualifying quadruple with the lemma verdict;
         ``tested`` counts all sampled quadruples.
     """
+    if g.model != "mutual":
+        raise ValueError("the containment implication applies to the mutual "
+                         "model; got %r" % g.model)
     rng = np.random.default_rng(seed)
     n = g.n_points
-    edges = g.edges()
-    results: List[Tuple[Tuple[int, int, int, int], bool]] = []
     if n < 2:
-        return results, 0
-    tested = 0
+        return [], 0
+    edge_list = g.edges().tolist()
+    num_edges = len(edge_list)
+    ptr = g.indptr.tolist()
+    nbrs = g.indices.tolist()
+    # Each point's disk as :func:`_disk_triples` gives it: the radius is the
+    # last distance of its row, 0 for an empty row.
+    ends = g.indptr[1:]
+    filled = ends > g.indptr[:-1]
+    radii = np.zeros(n)
+    radii[filled] = g.dists[ends[filled] - 1]
+    disks = list(zip(g.points[:, 0].tolist(), g.points[:, 1].tolist(),
+                     radii.tolist()))
+    qualified: List[Tuple[Tuple[int, int, int, int], int]] = []
+    pairs_flat: List[Tuple[int, int]] = []
     for _ in range(samples):
-        mode = int(rng.integers(3)) if edges.shape[0] else 2
+        mode = int(rng.integers(3)) if num_edges else 2
         if mode == 0:
-            e = edges[int(rng.integers(edges.shape[0]))]
-            y, z = int(e[0]), int(e[1])
-            pool = np.unique(np.concatenate((
-                g.indices[g.indptr[y]:g.indptr[y + 1]],
-                g.indices[g.indptr[z]:g.indptr[z + 1]],
-                np.array([y, z], dtype=np.int64))))
-            w, x = (int(v) for v in rng.choice(pool, size=2, replace=True))
+            y, z = edge_list[int(rng.integers(num_edges))]
+            pool = sorted({*nbrs[ptr[y]:ptr[y + 1]], *nbrs[ptr[z]:ptr[z + 1]],
+                           y, z})
+            w, x = (pool[i] for i in rng.choice(len(pool), size=2,
+                                                replace=True).tolist())
         elif mode == 1:
-            e1 = edges[int(rng.integers(edges.shape[0]))]
-            e2 = edges[int(rng.integers(edges.shape[0]))]
-            w, x, y, z = int(e1[0]), int(e1[1]), int(e2[0]), int(e2[1])
+            w, x = edge_list[int(rng.integers(num_edges))]
+            y, z = edge_list[int(rng.integers(num_edges))]
         else:
-            w, x, y, z = (int(v) for v in rng.integers(n, size=4))
-        tested += 1
-        verdict = check_intersect_union_lemma(g, (w, x, y, z))
-        if verdict is not None:
-            results.append(((w, x, y, z), bool(verdict)))
-    return results, tested
+            w, x, y, z = rng.integers(n, size=4).tolist()
+        pairs = _intersect_union_pairs((w, x, y, z), disks)
+        if pairs is not None:
+            qualified.append(((w, x, y, z), len(pairs)))
+            pairs_flat.extend(pairs)
+    hit = g.has_edges(*np.array(pairs_flat, dtype=np.int64)
+                      .reshape(-1, 2).T).tolist()
+    results: List[Tuple[Tuple[int, int, int, int], bool]] = []
+    start = 0
+    for quad, count in qualified:
+        results.append((quad, count == 0 or any(hit[start:start + count])))
+        start += count
+    return results, max(samples, 0)
 
 
 def check_farapart(g: NearestNeighborGraph,
@@ -1191,116 +1233,6 @@ def check_goodness(g: NearestNeighborGraph, consts: ModelConstants,
         witnesses[6] = report.quadruples[0]
 
     return GoodnessReport(bad=tuple(bad), witnesses=witnesses)
-
-
-# ---------------------------------------------------------------------------
-# Component set-up
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComponentSetup:
-    """Canonical quadruple attached to one small component.
-
-    ``a`` is the member of the component closest to its complement, ``b``
-    that closest outside point, ``x_l``/``x_r`` the leftmost/rightmost
-    members (ties to the lower index), and ``rho = |a b|``.  ``count_a``,
-    ``count_b`` and ``count_c`` count the remaining points (quadruple
-    excluded) in the disk around ``a`` minus the ``b`` disk and moat, the
-    disk around ``b`` minus the ``a`` disk and moat, and the moat itself —
-    the union of the left half-disk at ``x_l`` and the right half-disk at
-    ``x_r``, both of radius ``rho``, intersected with the window.
-
-    The set-up holds (``is_setup``) when the quadruple is within
-    ``d sqrt(log n)`` of ``a``, the moat is empty, and one of the two side
-    regions holds at least ``k`` points.
-    """
-
-    component: int
-    a: int
-    b: int
-    x_l: int
-    x_r: int
-    rho: float
-    count_a: int
-    count_b: int
-    count_c: int
-    close: bool
-    moat_empty: bool
-    dense: bool
-
-    @property
-    def is_setup(self) -> bool:
-        return self.close and self.moat_empty and self.dense
-
-
-def find_component_setup(g: NearestNeighborGraph,
-                         comps: Optional[ComponentDecomposition] = None,
-                         consts: Optional[ModelConstants] = None
-                         ) -> List[ComponentSetup]:
-    """Extract the canonical quadruple of every small component.
-
-    A component qualifies when its diameter is at most ``d sqrt(log n)`` and
-    it is not the whole vertex set.  Returns one :class:`ComponentSetup` per
-    qualifying component (sorted by component label); connected graphs yield
-    an empty list.
-    """
-    if comps is None:
-        comps = components(g)
-    if consts is None:
-        raise ValueError("model constants (for the diameter cutoff d) are "
-                         "required")
-    n_int = g.pointset.window.n
-    if n_int <= 1.0:
-        raise ValueError("component set-up needs window intensity n > 1")
-    big_d = consts.d * math.sqrt(math.log(n_int))
-    pts = g.points
-    n = g.n_points
-    results: List[ComponentSetup] = []
-    for label in comps.component_ids:
-        if comps.diameters[label] > big_d or comps.sizes[label] >= n:
-            continue
-        members = comps.members(label)
-        outside_mask = np.ones(n, dtype=bool)
-        outside_mask[members] = False
-        outside = np.flatnonzero(outside_mask)
-        tree = cKDTree(pts[outside])
-        dists, nearest = tree.query(pts[members])
-        best = int(np.argmin(dists))
-        a = int(members[best])
-        b = int(outside[nearest[best]])
-        rho = float(dists[best])
-        xs = pts[members, 0]
-        x_l = int(members[np.lexsort((members, xs))[0]])
-        x_r = int(members[np.lexsort((members, -xs))[0]])
-
-        pa = pts[a]
-        pb = pts[b]
-        pl = pts[x_l]
-        pr = pts[x_r]
-        close = max(math.hypot(*(pb - pa)), math.hypot(*(pl - pa)),
-                    math.hypot(*(pr - pa))) <= big_d
-
-        others = np.ones(n, dtype=bool)
-        others[[a, b, x_l, x_r]] = False
-        q = pts[others]
-        in_da = np.hypot(q[:, 0] - pa[0], q[:, 1] - pa[1]) <= rho
-        in_db = np.hypot(q[:, 0] - pb[0], q[:, 1] - pb[1]) <= rho
-        in_left = (np.hypot(q[:, 0] - pl[0], q[:, 1] - pl[1]) <= rho) \
-            & (q[:, 0] <= pl[0])
-        in_right = (np.hypot(q[:, 0] - pr[0], q[:, 1] - pr[1]) <= rho) \
-            & (q[:, 0] >= pr[0])
-        in_moat = in_left | in_right
-        count_c = int(np.count_nonzero(in_moat))
-        count_a = int(np.count_nonzero(in_da & ~in_db & ~in_moat))
-        count_b = int(np.count_nonzero(in_db & ~in_da & ~in_moat))
-        kk = min(g.k, n - 1)
-        results.append(ComponentSetup(
-            component=int(label), a=a, b=b, x_l=x_l, x_r=x_r, rho=rho,
-            count_a=count_a, count_b=count_b, count_c=count_c,
-            close=bool(close), moat_empty=(count_c == 0),
-            dense=(count_a >= kk or count_b >= kk)))
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,32 @@ def test_triple_intersection_empty():
     assert disks_intersection_area(disks) == 0.0
 
 
+def test_intersection_areas_near_tangency_are_never_negative():
+    # The first two disks miss each other by about 1e-11: the area is 0.
+    example = [(16.30132890114051, 85.54415445556461, 1.2327970118789355),
+               (21.357901749785693, 86.54888390897044, 3.922628309863649),
+               (17.54740451156534, 85.79173052152056, 1.0339553495887688)]
+    assert disks_intersection_area(example) == 0.0
+    rng = np.random.default_rng(23)
+    for _ in range(4000):
+        x0, y0 = rng.uniform(0.0, 100.0, 2)
+        r0, r1, r2 = rng.uniform(0.5, 5.0, 3)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        gap = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, -6)
+        d = r0 + r1 + gap
+        x1, y1 = x0 + d * math.cos(theta), y0 + d * math.sin(theta)
+        tx, ty = x0 + r0 * math.cos(theta), y0 + r0 * math.sin(theta)
+        x2, y2 = tx + rng.uniform(-r2, r2), ty + rng.uniform(-r2, r2)
+        dist = math.hypot(x1 - x0, y1 - y0)
+        lens = disk_lens_area(dist, r0, r1)
+        triple = disks_intersection_area([(x0, y0, r0), (x1, y1, r1),
+                                          (x2, y2, r2)])
+        inner = disk_lens_area(abs(r0 - r1) + abs(gap), r0, r1)
+        assert lens >= 0.0 and triple >= 0.0 and inner >= 0.0
+        if dist >= r0 + r1:
+            assert lens == 0.0 and triple == 0.0
+
+
 def test_grid_area_bounds_bracket_disk_area():
     bound = grid_area_bounds(Disk(Point(0.0, 0.0), 1.0), GridSpec(0.02))
     assert bound.lower <= math.pi <= bound.upper

@@ -12,7 +12,8 @@ from scipy.spatial import cKDTree
 
 from knnlab import sim
 from knnlab.bounds import ModelConstants, model_constants
-from knnlab.geom import (Point, Segment, point_segment_distance,
+from knnlab.geom import (Point, Segment, disk_lens_area,
+                         disks_intersection_area, point_segment_distance,
                          segments_intersect)
 from knnlab.sim import (
     PointSet,
@@ -26,7 +27,6 @@ from knnlab.sim import (
     components,
     estimate_connectivity,
     figure_one_pointset,
-    find_component_setup,
     find_crossing_pairs,
     sample_intersect_union_quadruples,
     sample_poisson,
@@ -497,6 +497,141 @@ def test_intersect_union_sampling_finds_no_counterexamples():
     assert qualified_total > 0
 
 
+def _reference_quadruple_sample(g, samples, seed):
+    """The per-quadruple sampling loop: the same draws as the sampler, each
+    decided on its own by :func:`check_intersect_union_lemma`."""
+    rng = np.random.default_rng(seed)
+    n = g.n_points
+    edges = g.edges()
+    results = []
+    if n < 2:
+        return results, 0
+    tested = 0
+    for _ in range(samples):
+        mode = int(rng.integers(3)) if edges.shape[0] else 2
+        if mode == 0:
+            e = edges[int(rng.integers(edges.shape[0]))]
+            y, z = int(e[0]), int(e[1])
+            pool = np.unique(np.concatenate((
+                g.indices[g.indptr[y]:g.indptr[y + 1]],
+                g.indices[g.indptr[z]:g.indptr[z + 1]],
+                np.array([y, z], dtype=np.int64))))
+            w, x = (int(v) for v in rng.choice(pool, size=2, replace=True))
+        elif mode == 1:
+            e1 = edges[int(rng.integers(edges.shape[0]))]
+            e2 = edges[int(rng.integers(edges.shape[0]))]
+            w, x, y, z = int(e1[0]), int(e1[1]), int(e2[0]), int(e2[1])
+        else:
+            w, x, y, z = (int(v) for v in rng.integers(n, size=4))
+        tested += 1
+        verdict = check_intersect_union_lemma(g, (w, x, y, z))
+        if verdict is not None:
+            results.append(((w, x, y, z), bool(verdict)))
+    return results, tested
+
+
+def _with_duplicates(n, seed):
+    """A Poisson sample with every second point doubled.  A doubled point
+    and its twin share one k-th-neighbour disk, so quadruples such as
+    ``(w, x, w, x')`` meet the containment hypotheses without being
+    trivially true; plain samples almost never give such quadruples."""
+    ps = sample_poisson(n, seed)
+    return PointSet(points=np.vstack([ps.points, ps.points[::2]]),
+                    seed=seed, window=ps.window)
+
+
+@pytest.mark.parametrize("n", [300.0, 1000.0, 2000.0])
+@pytest.mark.parametrize("k", [3, 5, 12])
+@pytest.mark.parametrize("sample", [sample_poisson, _with_duplicates],
+                         ids=["plain", "doubled"])
+def test_intersect_union_sampler_matches_per_quadruple_loop(n, k, sample):
+    for seed in (0, 1, 2):
+        g = build_graph(sample(n, seed), k=k, model="mutual")
+        expected = _reference_quadruple_sample(g, 150, seed + 7)
+        assert sample_intersect_union_quadruples(g, 150, seed + 7) == expected
+
+
+def test_intersect_union_sampler_matches_loop_on_missing_edges(monkeypatch):
+    # Hide the edges that every second non-trivial qualifying quadruple relies
+    # on: the same draws then qualify, those quadruples become violations,
+    # and the verdicts of one batch of edge tests come out mixed.
+    g = build_graph(_with_duplicates(300.0, 0), k=3, model="mutual")
+    results, _ = sample_intersect_union_quadruples(g, 300, 4)
+    nontrivial = [(w, x, y, z) for (w, x, y, z), _ in results
+                  if {w, x} != {y, z}]
+    hidden = {(min(p, q), max(p, q)) for w, x, y, z in nontrivial[::2]
+              for p, q in ((w, y), (w, z), (x, y), (x, z))}
+    has_edges = g.has_edges
+
+    def fewer_edges(a, b):
+        hit = has_edges(a, b)
+        for t, pair in enumerate(zip(np.minimum(a, b), np.maximum(a, b))):
+            hit[t] &= pair not in hidden
+        return hit
+
+    monkeypatch.setattr(g, "has_edges", fewer_edges)
+    planted, tested = sample_intersect_union_quadruples(g, 300, 4)
+    assert (planted, tested) == _reference_quadruple_sample(g, 300, 4)
+    assert [quad for quad, _ in planted] == [quad for quad, _ in results]
+    verdict = dict(planted)
+    assert len(nontrivial) >= 4
+    assert not any(verdict[quad] for quad in nontrivial[::2])
+    assert any(verdict[quad] for quad in nontrivial[1::2])
+
+
+def test_intersect_union_sampler_rejects_non_mutual_graphs():
+    g = build_graph(sample_poisson(200.0, 3), k=4, model="either")
+    with pytest.raises(ValueError):
+        sample_intersect_union_quadruples(g, 10, 3)
+
+
+def _near_tangent_triples(rng, count):
+    """Random disks in a side-100 window, and disk pairs within 1e-15 to
+    1e-8 of external tangency with a third disk across the touching point."""
+    for _ in range(count):
+        x0, y0 = rng.uniform(0.0, 100.0, 2)
+        r0, r1, r2 = rng.uniform(0.5, 5.0, 3)
+        if rng.random() < 0.5:
+            yield ((x0, y0, r0),
+                   tuple(rng.uniform(-3.0, 3.0, 2) + (x0, y0)) + (r1,),
+                   tuple(rng.uniform(-3.0, 3.0, 2) + (x0, y0)) + (r2,))
+            continue
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        d = r0 + r1 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, -8)
+        tx, ty = x0 + r0 * math.cos(theta), y0 + r0 * math.sin(theta)
+        disks = [(x0, y0, r0),
+                 (x0 + d * math.cos(theta), y0 + d * math.sin(theta), r1),
+                 (tx + rng.uniform(-r2, r2), ty + rng.uniform(-r2, r2), r2)]
+        rng.shuffle(disks)
+        yield tuple(disks)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 0.0])
+def test_area_subset_union_prefilter_keeps_the_verdict(rel_tol):
+    # The full inclusion-exclusion residual, with the triple area always
+    # computed, must give the same verdict as the pre-filtered one.
+    def full(a, c, d):
+        area_a = math.pi * a[2] * a[2]
+        ac = disk_lens_area(math.hypot(a[0] - c[0], a[1] - c[1]), a[2], c[2])
+        ad = disk_lens_area(math.hypot(a[0] - d[0], a[1] - d[1]), a[2], d[2])
+        acd = disks_intersection_area([a, c, d])
+        return area_a - ac - ad + acd <= rel_tol * area_a
+
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for a, c, d in _near_tangent_triples(rng, 3000):
+        for order in ((a, c, d), (c, a, d), (d, a, c)):
+            verdict = sim._area_subset_union(*order, rel_tol=rel_tol)
+            assert verdict == full(*order), order
+            verdicts.append(verdict)
+    # A disk inside one disk and apart from the other is covered with a
+    # residual of exactly zero, on the pre-filter's boundary at rel_tol 0.
+    inside = ((1.0, 1.0, 0.5), (1.2, 1.0, 2.0), (9.0, 9.0, 1.0))
+    assert sim._area_subset_union(*inside, rel_tol=rel_tol) is True
+    assert full(*inside)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_farapart_clean_on_mutual_graphs():
     for seed in (0, 1):
         g = build_graph(sample_poisson(900.0, seed), k=3, model="mutual")
@@ -809,41 +944,6 @@ def test_condition_three_matches_full_scan_on_planted_sets(make):
     ps = PointSet(points=pts, seed=0, window=SampleWindow(n))
     expected = _check_condition_three(ps, consts)
     assert expected is not None and expected[0] == index
-
-
-def test_component_setup_on_split_graph():
-    rng = np.random.default_rng(5)
-    cluster_a = rng.uniform(0.0, 0.1, size=(12, 2)) + [2.0, 2.0]
-    cluster_b = rng.uniform(0.0, 0.1, size=(12, 2)) + [8.0, 8.0]
-    pts = np.vstack([cluster_a, cluster_b])
-    ps = PointSet(points=pts, seed=0, window=SampleWindow(100.0))
-    g = build_graph(ps, k=3, model="mutual")
-    comps = components(g)
-    setups = find_component_setup(g, comps, model_constants(1.0, n=100.0))
-    assert len(setups) >= 2
-    assert {s.component for s in setups} == set(comps.component_ids)
-    for setup in setups:
-        members = comps.members(setup.component)
-        assert setup.a in members
-        assert setup.b not in members
-        assert setup.x_l in members and setup.x_r in members
-        assert ps.points[setup.x_l, 0] == ps.points[members, 0].min()
-        assert ps.points[setup.x_r, 0] == ps.points[members, 0].max()
-        assert setup.rho == pytest.approx(
-            min(math.hypot(*(ps.points[i] - ps.points[j]))
-                for i in members for j in range(len(ps)) if j not in members),
-            rel=1e-12)
-        assert setup.close
-        assert setup.is_setup == (setup.close and setup.moat_empty
-                                  and setup.dense)
-
-
-def test_component_setup_empty_for_connected_graph():
-    g = build_graph(sample_poisson(500.0, 1), k=12, model="mutual")
-    comps = components(g)
-    if comps.num_components == 1:
-        assert find_component_setup(g, comps,
-                                    model_constants(1.0, n=500.0)) == []
 
 
 # ---------------------------------------------------------------------------
