@@ -7,10 +7,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy.spatial import cKDTree
 
+import knnlab
 from knnlab import sim
 from knnlab.cli import _inject_half_disk_bug, main
 
@@ -300,3 +305,113 @@ def test_threads_environment_default(tmp_path, monkeypatch, capsys):
 def test_unknown_subcommand_exits_with_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# option validation and the recorded configuration
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--step", "0.01", "--threads", "0"], "--threads"),
+    (["simulate", "--c", "1.0", "--trials", "0"], "--trials"),
+    (["check", "--samples", "-1"], "--samples"),
+])
+def test_counts_are_validated_when_parsed(argv, option, capsys):
+    assert main(argv) == 2
+    assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("simulate", "trials = 0", "trials"),
+    ("check", "samples = -1", "samples"),
+    ("verify", "threads = 0", "threads"),
+    ("simulate", "model = bogus", "model"),
+    ("verify", "which = bogus", "which"),
+    ("check", "inject_bug = maybe", "inject_bug"),
+])
+def test_config_values_are_checked_like_flags(command, line, key, tmp_path,
+                                              capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s\n" % line)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert line.split("=")[1].strip() in err
+
+
+def _typed(mapping):
+    """``mapping`` with each value paired with its type, so that ``1 == 1.0``
+    and ``0 == False`` do not pass for each other."""
+    return {key: (value, type(value)) for key, value in mapping.items()}
+
+
+# Each command's flags (every file output in the test's directory ``{d}``)
+# and the ``config`` its run manifest must record; ``check`` takes the
+# smallest sample count allowed.
+_MANIFEST_CASES = {
+    "constants": (
+        ["--c", "1.0", "--out", "{d}/consts.json"],
+        {"c": 1.0, "n": None, "c_prime": 0.0, "out": "{d}/consts.json",
+         "seed": None}),
+    "verify": (
+        ["--step", "0.01", "--which", "lplus", "--out-dir", "{d}"],
+        {"step": 0.01, "which": "lplus", "out_dir": "{d}", "seed": None,
+         "threads": 1, "progress": False}),
+    "simulate": (
+        ["--n", "250", "--trials", "2", "--c", "1.0", "--seed", "3",
+         "--out", "{d}/sweep.csv"],
+        {"n": 250.0, "c": 1.0, "c_min": 1.0, "c_max": 1.0, "c_step": 0.1,
+         "trials": 2, "seed": 3, "model": "mutual", "out": "{d}/sweep.csv",
+         "threads": 1}),
+    "check": (
+        ["--n", "150", "--c", "1.0", "--trials", "1", "--samples", "0",
+         "--seed", "1", "--out", "{d}/report.json"],
+        {"n": 150.0, "c": 1.0, "trials": 1, "seed": 1, "samples": 0,
+         "out": "{d}/report.json", "inject_bug": False, "threads": 1}),
+}
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("command", sorted(_MANIFEST_CASES))
+def test_manifest_records_the_resolved_configuration(command, source,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.delenv("KNNLAB_THREADS", raising=False)
+    flags, expected = _MANIFEST_CASES[command]
+    flags = [flag.format(d=tmp_path) for flag in flags]
+    expected = {key: value.format(d=tmp_path) if isinstance(value, str)
+                else value for key, value in expected.items()}
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(
+            "%s = %s\n" % (name[2:].replace("-", "_"), value)
+            for name, value in zip(flags[::2], flags[1::2])))
+        flags = ["--config", str(cfg)]
+    assert main([command] + flags) in (0, 1)
+    manifest = json.loads(
+        (tmp_path / ("run_manifest_%s.json" % command)).read_text())
+    assert manifest["command"] == command
+    assert _typed(manifest["config"]) == _typed(expected)
+    assert _typed(manifest)["seed"] == _typed(expected)["seed"]
+
+
+# ---------------------------------------------------------------------------
+# module entry point
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", [[], ["constants"], ["verify"],
+                                     ["simulate"], ["check"]],
+                         ids=["knnlab", "constants", "verify", "simulate",
+                              "check"])
+def test_module_entry_point_prints_help(command):
+    src = str(Path(knnlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "knnlab"] + command
+                          + ["--help"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: knnlab")

@@ -487,14 +487,20 @@ def test_intersect_union_degenerate_pairs_are_true():
 
 
 def test_intersect_union_sampling_finds_no_counterexamples():
-    qualified_total = 0
-    for seed in (0, 1, 2, 3):
-        g = build_graph(sample_poisson(800.0, seed), k=9, model="mutual")
-        results, tested = sample_intersect_union_quadruples(g, 300, seed)
-        assert tested == 300
-        qualified_total += len(results)
-        assert all(verdict for _, verdict in results)
+    # Plain samples qualify only in the trivial case {w, x} == {y, z}; with
+    # every second point doubled, quadruples reach the edge test too.
+    qualified_total = nontrivial_total = 0
+    for sample in (sample_poisson, _with_duplicates):
+        for seed in (0, 1, 2, 3):
+            g = build_graph(sample(800.0, seed), k=9, model="mutual")
+            results, tested = sample_intersect_union_quadruples(g, 300, seed)
+            assert tested == 300
+            qualified_total += len(results)
+            nontrivial_total += sum({w, x} != {y, z}
+                                    for (w, x, y, z), _ in results)
+            assert all(verdict for _, verdict in results)
     assert qualified_total > 0
+    assert nontrivial_total > 0
 
 
 def _reference_quadruple_sample(g, samples, seed):
