@@ -51,6 +51,9 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .regions import (A1_LOWEST, U_MINUS, V_MINUS, W_MINUS, Z_MINUS,
+                      s1_polygon, s2_triangle)
+
 __all__ = [
     "CensusOutcome",
     "census_L_plus",
@@ -63,21 +66,16 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT3 = math.sqrt(3.0)
 
 _B1 = (0.0, 0.0)
 _B2 = (1.0, 0.0)
-_W_MINUS = (0.5, -0.5 / _SQRT3)
-_Z = (0.5, -_SQRT3 / 2.0)
-_U_MINUS = (0.25, -_SQRT3 / 4.0)
-_V_MINUS = (0.75, -_SQRT3 / 4.0)
-_A1_LOWEST = (0.5, 1.0 / (4.0 * math.sqrt(6.0)))
+_W_MINUS, _Z, _U_MINUS, _V_MINUS, _A1_LOWEST = (
+    tuple(p) for p in (W_MINUS, Z_MINUS, U_MINUS, V_MINUS, A1_LOWEST))
 
 #: Convex hull of the admissible ``a1`` positions.
-A1_QUAD = [(0.5, 0.0), (_SQRT3 / 4.0, 0.25), (0.5, 0.5 / _SQRT3),
-           (1.0 - _SQRT3 / 4.0, 0.25)]
+A1_QUAD = [tuple(p) for p in s1_polygon().vertices]
 #: Convex hull of the admissible ``a2`` positions.
-A2_TRI = [_V_MINUS, _U_MINUS, _W_MINUS]
+A2_TRI = [tuple(p) for p in s2_triangle().vertices]
 #: Below-axis region with both base angles at least pi/6.
 _KITE = [_W_MINUS, _V_MINUS, _Z, _U_MINUS]
 #: Wedge of angle pi/6 at b1 (resp. b2) within the lower triangle.

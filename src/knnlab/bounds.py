@@ -554,8 +554,15 @@ def _passes(computed: float, target: float, comparator: str,
     raise ValueError(f"unknown comparator: {comparator!r}")
 
 
-def _config_hash(config: Mapping) -> str:
-    blob = json.dumps(dict(config), sort_keys=True).encode("utf-8")
+def _certificate_hash(name: str, step: float, target: float,
+                      comparator: str,
+                      config: Optional[Mapping] = None) -> str:
+    """The ``config_hash`` of a certificate built from these arguments."""
+    cfg = {"name": name, "step": step, "target": target,
+           "comparator": comparator}
+    if config:
+        cfg.update(config)
+    blob = json.dumps(cfg, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -563,16 +570,13 @@ def make_certificate(name: str, step: float, computed: float, target: float,
                      comparator: str, witness=None,
                      config: Optional[Mapping] = None) -> Certificate:
     """Build a certificate, deriving the verdict and the config hash."""
-    cfg = {"name": name, "step": step, "target": target,
-           "comparator": comparator}
-    if config:
-        cfg.update(config)
     return Certificate(name=name, step=step, computed=float(computed),
                        target=float(target), comparator=comparator,
                        witness=witness,
                        passed=_passes(float(computed), float(target),
                                       comparator, step),
-                       config_hash=_config_hash(cfg))
+                       config_hash=_certificate_hash(name, step, target,
+                                                     comparator, config))
 
 
 # ---------------------------------------------------------------------------
@@ -580,16 +584,20 @@ def make_certificate(name: str, step: float, computed: float, target: float,
 # ---------------------------------------------------------------------------
 
 
+def _census_config(extra_config: Optional[Mapping] = None) -> dict:
+    """The config a census certificate records beyond its name, step and
+    target: the engine and the family's reading (``exclusion`` or
+    ``semantics``)."""
+    return {"engine": "grid-census", **(extra_config or {})}
+
+
 def _census_certificate(name: str, outcome: _census.CensusOutcome,
                         extra_config: Optional[Mapping] = None) -> Certificate:
     target, comparator = CENSUS_TARGETS[name]
-    cfg = {"engine": "grid-census"}
-    if extra_config:
-        cfg.update(extra_config)
     return make_certificate(name=name, step=outcome.step,
                             computed=outcome.area, target=target,
                             comparator=comparator, witness=outcome.witness,
-                            config=cfg)
+                            config=_census_config(extra_config))
 
 
 def verify_L_plus(s: float, *, threads: Optional[int] = None,
@@ -641,7 +649,9 @@ def crossing_ratio(s: float, *,
     The certificate's ``witness`` carries the derived coefficient
     threshold ``-1 / log(ratio)`` (0 when the ratio degenerates to 0).
     Pass ``components`` to reuse previously computed census certificates
-    at the same step instead of recomputing all four.
+    at the same step instead of recomputing all four; the ``hplus`` one
+    must have been computed with the same ``exclusion``, which the ratio
+    certificate records.
     """
     if components is None:
         components = {
@@ -658,6 +668,12 @@ def crossing_ratio(s: float, *,
             raise ValueError(
                 f"component certificate {key} was computed at step "
                 f"{components[key].step}, not {s}")
+    hplus_hash = _certificate_hash("hplus", s, *CENSUS_TARGETS["hplus"],
+                                   _census_config({"exclusion": exclusion}))
+    if components["hplus"].config_hash != hplus_hash:
+        raise ValueError(
+            "component certificate hplus was not computed with "
+            f"exclusion={exclusion!r}")
     h = components["hplus"].computed + components["hminus"].computed
     total = h + components["lplus"].computed + components["lminus"].computed
     ratio = 0.0 if total == 0.0 else h / total

@@ -21,9 +21,11 @@ Every option, its type and its default are declared once, in
 exactly like the flag of the same name, unknown keys are rejected, and
 explicit flags override file values.  Counts are validated when parsed:
 ``--threads`` and ``--trials`` must be positive, ``--samples``
-non-negative.  Every command accepts ``--seed``, and writes a run manifest
-next to any file outputs recording the resolved configuration and SHA-256
-digests of what was produced.  ``verify`` takes its census worker count
+non-negative.  ``verify``, ``simulate`` and ``check`` accept ``--seed``
+(``constants`` has nothing random to seed).  Every command writes a run
+manifest next to any file outputs recording the resolved configuration,
+the seed (``null`` when the command takes none) and SHA-256 digests of
+what was produced.  ``verify`` takes its census worker count
 from ``--threads`` or the ``KNNLAB_THREADS`` environment variable;
 ``simulate`` and ``check`` accept and record the same setting.
 
@@ -64,7 +66,7 @@ def _write_manifest(args: argparse.Namespace, t0: float,
     """Write ``run_manifest_<command>.json`` into ``directory``.
 
     The manifest records the parsed options (config file merged in), the
-    seed, the package version, start/finish timestamps, the milliseconds
+    seed (``None`` for a command without ``--seed``), the package version, start/finish timestamps, the milliseconds
     since ``t0`` (``time.perf_counter`` when the command began) and the
     SHA-256 digest of every file in ``outputs``.
     """
@@ -76,7 +78,7 @@ def _write_manifest(args: argparse.Namespace, t0: float,
         "command": args.command,
         "config": {key: value for key, value in vars(args).items()
                    if key not in ("command", "func", "config")},
-        "seed": args.seed,
+        "seed": vars(args).get("seed"),
         "version": __version__,
         "started": (finished - timedelta(seconds=elapsed)).isoformat(),
         "finished": finished.isoformat(),
@@ -443,7 +445,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
     p.add_argument("--c-prime", dest="c_prime", type=float, default=0.0)
     p.add_argument("--out")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("verify",

@@ -8,13 +8,16 @@ counting grid squares.
 
 Design notes
 ------------
-All shapes denote *closed* point sets.  Membership tests are exact up to
+All regions denote *closed* point sets.  Membership tests are exact up to
 floating-point rounding of the defining arithmetic; no tolerances are
-hidden inside the predicates.  Conservativeness is provided explicitly:
-``grid_area_bounds`` brackets the true area between a certified lower
-bound (squares proven inside) and a certified upper bound (squares that
-could meet the region), through private inflate/deflate offsets of the
-region tree.
+hidden inside the predicates.  Every shape and every node of the algebra
+is a :class:`Region` subclass that answers membership, a bounding box, a
+signed offset (outward for a positive distance, inward for a negative
+one) and a certified-inside test for grid squares.  Conservativeness is
+explicit: ``grid_area_bounds`` brackets the true area between a certified
+lower bound (squares proven inside) and a certified upper bound (squares
+that could meet the region), through the outward and inward offsets of
+the region by half a square's diagonal.
 
 Areas of disk intersections are also available in closed form
 (``disk_lens_area``) and by an exact arc-decomposition
@@ -24,8 +27,10 @@ Areas of disk intersections are also available in closed form
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator, Sequence, Union as _TUnion
 
 import numpy as np
@@ -38,25 +43,18 @@ __all__ = [
     "HalfPlane",
     "AngularSector",
     "ConvexPolygon",
-    "PrimitiveShape",
     "Region",
-    "Primitive",
     "Union",
     "Intersection",
     "Difference",
     "EMPTY",
-    "GridSpec",
     "AreaBound",
     "as_point",
-    "as_region",
     "distance",
     "point_segment_distance",
     "segments_intersect",
     "circle_intersections",
     "membership",
-    "contains_xy",
-    "is_bounded",
-    "bounding_box",
     "grid_area_bounds",
     "disk_lens_area",
     "disks_intersection_area",
@@ -205,12 +203,54 @@ def segments_intersect(s1: Segment, s2: Segment) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# primitive shapes
+# the region algebra
 # ---------------------------------------------------------------------------
+
+_INF = math.inf
+
+
+class Region:
+    """A closed planar point set: a shape, or a node combining regions.
+
+    Every kind of region implements four private operations, on float
+    arrays of query points or square centres:
+
+    ``_contains(xs, ys)``
+        Elementwise membership.
+    ``_bbox()``
+        A box ``(xmin, ymin, xmax, ymax)`` containing the region, with
+        ``+-inf`` in directions the box cannot bound; an empty region
+        gives an inverted box.
+    ``_offset(delta)``
+        For ``delta > 0`` a superset of the Minkowski sum with the closed
+        disk of radius ``delta``; for ``delta < 0`` a subset of the erosion
+        by the disk of radius ``-delta``, with ``EMPTY`` for a shape that
+        the erosion eliminates.
+    ``_certified_inside(cx, cy, half, delta)``
+        ``True`` only where the square of half-side ``half`` centred at
+        ``(cx, cy)`` lies inside the region; ``delta`` is its
+        half-diagonal.
+
+    The ``_certified_inside`` given here suits a convex region, which
+    holds a square when it holds the square's four corners.
+    """
+
+    def _certified_inside(self, cx, cy, half, delta):
+        out = self._contains(cx, cy)
+        for sx in (-half, half):
+            for sy in (-half, half):
+                out &= self._contains(cx + sx, cy + sy)
+        return out
+
+
+def _check_region(r) -> Region:
+    if not isinstance(r, Region):
+        raise TypeError(f"cannot interpret {type(r).__name__} as a region")
+    return r
 
 
 @dataclass(frozen=True)
-class Disk:
+class Disk(Region):
     """Closed disk with the given ``center`` and positive ``radius``."""
 
     center: Point
@@ -222,9 +262,21 @@ class Disk:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError("disk radius must be positive and finite")
 
+    def _contains(self, xs, ys):
+        c, r = self.center, self.radius
+        return (xs - c.x) ** 2 + (ys - c.y) ** 2 <= r * r
+
+    def _bbox(self):
+        c, r = self.center, self.radius
+        return (c.x - r, c.y - r, c.x + r, c.y + r)
+
+    def _offset(self, delta: float) -> Region:
+        radius = self.radius + delta
+        return Disk(self.center, radius) if radius > 0.0 else EMPTY
+
 
 @dataclass(frozen=True)
-class Ellipse:
+class Ellipse(Region):
     """Closed ellipse given by two foci and the focal-distance sum.
 
     The region is ``{p : |p - focus1| + |p - focus2| <= distance_sum}``.
@@ -246,9 +298,35 @@ class Ellipse:
                 "ellipse distance sum must exceed the distance between the foci"
             )
 
+    def _contains(self, xs, ys):
+        f1, f2 = self.focus1, self.focus2
+        d = np.hypot(xs - f1.x, ys - f1.y) + np.hypot(xs - f2.x, ys - f2.y)
+        return d <= self.distance_sum
+
+    def _bbox(self):
+        f1, f2 = self.focus1, self.focus2
+        cx, cy = 0.5 * (f1.x + f2.x), 0.5 * (f1.y + f2.y)
+        fd = distance(f1, f2)
+        a = 0.5 * self.distance_sum
+        b2 = a * a - 0.25 * fd * fd
+        b = math.sqrt(max(b2, 0.0))
+        if fd == 0.0:
+            ux, uy = 1.0, 0.0
+        else:
+            ux, uy = (f2.x - f1.x) / fd, (f2.y - f1.y) / fd
+        ex = math.hypot(a * ux, b * uy)
+        ey = math.hypot(a * uy, b * ux)
+        return (cx - ex, cy - ey, cx + ex, cy + ey)
+
+    def _offset(self, delta: float) -> Region:
+        total = self.distance_sum + 2.0 * delta
+        if total <= distance(self.focus1, self.focus2):
+            return EMPTY
+        return Ellipse(self.focus1, self.focus2, total)
+
 
 @dataclass(frozen=True)
-class HalfPlane:
+class HalfPlane(Region):
     """Closed half-plane ``{p : (p - anchor) . normal <= 0}``.
 
     ``normal`` is the outward normal (pointing away from the region) and
@@ -264,16 +342,40 @@ class HalfPlane:
         if self.normal.x == 0.0 and self.normal.y == 0.0:
             raise ValueError("half-plane normal must be nonzero")
 
+    def _contains(self, xs, ys):
+        a, n = self.anchor, self.normal
+        return (xs - a.x) * n.x + (ys - a.y) * n.y <= 0.0
+
+    def _bbox(self):
+        a, n = self.anchor, self.normal
+        if n.y == 0.0:
+            if n.x > 0.0:
+                return (-_INF, -_INF, a.x, _INF)
+            return (a.x, -_INF, _INF, _INF)
+        if n.x == 0.0:
+            if n.y > 0.0:
+                return (-_INF, -_INF, _INF, a.y)
+            return (-_INF, a.y, _INF, _INF)
+        return (-_INF, -_INF, _INF, _INF)
+
+    def _offset(self, delta: float) -> Region:
+        a, n = self.anchor, self.normal
+        ln = math.hypot(n.x, n.y)
+        return HalfPlane(Point(a.x + delta * n.x / ln, a.y + delta * n.y / ln), n)
+
 
 @dataclass(frozen=True)
-class AngularSector:
+class AngularSector(Region):
     """Closed angular sector swept counter-clockwise from ``ray1`` to ``ray2``.
 
     The region is the set of points ``p`` such that the direction of
     ``p - apex`` lies in the counter-clockwise angular interval from
     ``ray1`` to ``ray2`` (the apex itself is included).  The directions
     need not be normalised but must be distinct and nonzero; the swept
-    angle is therefore in ``(0, 2*pi)``.
+    angle is therefore in ``(0, 2*pi)``.  A reflex sector (swept angle
+    above ``pi``) is not convex and cannot be offset, so
+    :func:`grid_area_bounds` rejects every region that contains one before
+    it tests any square against the sector's corners.
     """
 
     apex: Point
@@ -298,14 +400,43 @@ class AngularSector:
         span = (a2 - a1) % (2.0 * math.pi)
         return span
 
+    def _contains(self, xs, ys):
+        vx = xs - self.apex.x
+        vy = ys - self.apex.y
+        r1 = self.ray1
+        cross = r1.x * vy - r1.y * vx
+        dot = r1.x * vx + r1.y * vy
+        theta = np.mod(np.arctan2(cross, dot), 2.0 * math.pi)
+        at_apex = (vx == 0.0) & (vy == 0.0)
+        return at_apex | (theta <= self.span)
 
-PrimitiveShape = _TUnion[
-    Disk, Ellipse, HalfPlane, AngularSector, "ConvexPolygon"
-]
+    def _bbox(self):
+        return (-_INF, -_INF, _INF, _INF)
+
+    def _offset(self, delta: float) -> Region:
+        span = self.span
+        if span > math.pi:
+            raise ValueError("cannot offset a reflex angular sector")
+        # Moving the apex back along the interior bisector by
+        # delta / sin(span / 2) covers the Minkowski sum of the sector;
+        # moving it forward (delta < 0) keeps the sector inside the erosion.
+        r1, r2 = self.ray1, self.ray2
+        l1 = math.hypot(r1.x, r1.y)
+        l2 = math.hypot(r2.x, r2.y)
+        bx = r1.x / l1 + r2.x / l2
+        by = r1.y / l1 + r2.y / l2
+        lb = math.hypot(bx, by)
+        if lb == 0.0:
+            # Sector is exactly a half-plane; move perpendicular to the rays.
+            bx, by = -r1.y / l1, r1.x / l1
+            lb = 1.0
+        shift = delta / math.sin(0.5 * span)
+        apex = Point(self.apex.x - shift * bx / lb, self.apex.y - shift * by / lb)
+        return AngularSector(apex, r1, r2)
 
 
 @dataclass(frozen=True)
-class ConvexPolygon:
+class ConvexPolygon(Region):
     """Closed strictly convex polygon.
 
     Vertices may be given in either orientation; they are normalised to
@@ -332,6 +463,28 @@ class ConvexPolygon:
     def area(self) -> float:
         return _signed_area(self.vertices)
 
+    def _contains(self, xs, ys):
+        verts = self.vertices
+        out = np.ones_like(xs, dtype=bool)
+        n = len(verts)
+        for i in range(n):
+            a, b = verts[i], verts[(i + 1) % n]
+            out &= (b.x - a.x) * (ys - a.y) - (b.y - a.y) * (xs - a.x) >= 0.0
+        return out
+
+    def _bbox(self):
+        xs = [v.x for v in self.vertices]
+        ys = [v.y for v in self.vertices]
+        return (min(xs), min(ys), max(xs), max(ys))
+
+    def _offset(self, delta: float) -> Region:
+        verts = _miter_offset(self.vertices, delta)
+        if verts is not None:
+            return ConvexPolygon(verts)
+        if delta > 0.0:  # an outward miter cannot collapse; defensive only
+            raise ValueError("polygon offset failed")
+        return EMPTY
+
 
 def _signed_area(verts: Sequence[Point]) -> float:
     total = 0.0
@@ -342,284 +495,12 @@ def _signed_area(verts: Sequence[Point]) -> float:
     return 0.5 * total
 
 
-# ---------------------------------------------------------------------------
-# region algebra
-# ---------------------------------------------------------------------------
+def _miter_offset(verts: Sequence[Point], delta: float):
+    """Miter offset of strictly convex CCW vertices (positive = outward).
 
-
-class Region:
-    """Base class for the region algebra (see the node classes below)."""
-
-
-RegionLike = _TUnion[Region, Disk, Ellipse, HalfPlane, AngularSector,
-                     ConvexPolygon]
-
-
-def as_region(r: RegionLike) -> Region:
-    """Coerce a primitive shape to a ``Primitive`` node; pass regions through."""
-    if isinstance(r, Region):
-        return r
-    if isinstance(r, (Disk, Ellipse, HalfPlane, AngularSector, ConvexPolygon)):
-        return Primitive(r)
-    raise TypeError(f"cannot interpret {type(r).__name__} as a region")
-
-
-@dataclass(frozen=True)
-class Primitive(Region):
-    """Leaf node wrapping a single primitive shape."""
-
-    shape: PrimitiveShape
-
-
-@dataclass(frozen=True)
-class Union(Region):
-    """Union of one or more child regions."""
-
-    children: tuple
-
-    def __init__(self, children: Iterable[RegionLike]):
-        kids = tuple(as_region(c) for c in children)
-        if not kids:
-            raise ValueError("union needs at least one child region")
-        object.__setattr__(self, "children", kids)
-
-
-@dataclass(frozen=True)
-class Intersection(Region):
-    """Intersection of one or more child regions."""
-
-    children: tuple
-
-    def __init__(self, children: Iterable[RegionLike]):
-        kids = tuple(as_region(c) for c in children)
-        if not kids:
-            raise ValueError("intersection needs at least one child region")
-        object.__setattr__(self, "children", kids)
-
-
-@dataclass(frozen=True)
-class Difference(Region):
-    """Set difference ``left`` minus ``right``."""
-
-    left: Region
-    right: Region
-
-    def __init__(self, left: RegionLike, right: RegionLike):
-        object.__setattr__(self, "left", as_region(left))
-        object.__setattr__(self, "right", as_region(right))
-
-
-class _Empty(Region):
-    """The canonical empty region (exact under inflate and deflate)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EMPTY"
-
-
-EMPTY = _Empty()
-
-
-# ---------------------------------------------------------------------------
-# membership
-# ---------------------------------------------------------------------------
-
-
-def _shape_contains(shape: PrimitiveShape, xs: np.ndarray, ys: np.ndarray):
-    if isinstance(shape, Disk):
-        c, r = shape.center, shape.radius
-        return (xs - c.x) ** 2 + (ys - c.y) ** 2 <= r * r
-    if isinstance(shape, Ellipse):
-        f1, f2 = shape.focus1, shape.focus2
-        d = np.hypot(xs - f1.x, ys - f1.y) + np.hypot(xs - f2.x, ys - f2.y)
-        return d <= shape.distance_sum
-    if isinstance(shape, HalfPlane):
-        a, n = shape.anchor, shape.normal
-        return (xs - a.x) * n.x + (ys - a.y) * n.y <= 0.0
-    if isinstance(shape, AngularSector):
-        vx = xs - shape.apex.x
-        vy = ys - shape.apex.y
-        r1 = shape.ray1
-        cross = r1.x * vy - r1.y * vx
-        dot = r1.x * vx + r1.y * vy
-        theta = np.mod(np.arctan2(cross, dot), 2.0 * math.pi)
-        at_apex = (vx == 0.0) & (vy == 0.0)
-        return at_apex | (theta <= shape.span)
-    if isinstance(shape, ConvexPolygon):
-        verts = shape.vertices
-        out = np.ones_like(xs, dtype=bool)
-        n = len(verts)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            out &= (b.x - a.x) * (ys - a.y) - (b.y - a.y) * (xs - a.x) >= 0.0
-        return out
-    raise TypeError(f"unknown primitive shape {type(shape).__name__}")
-
-
-def contains_xy(r: RegionLike, xs, ys) -> np.ndarray:
-    """Vectorised membership test.
-
-    Parameters
-    ----------
-    r : Region or primitive shape
-    xs, ys : array_like
-        Coordinates of query points (broadcast together).
-
-    Returns
-    -------
-    numpy.ndarray of bool
-        Elementwise membership of ``(xs, ys)`` in ``r``.
+    Returns the offset vertex list, or ``None`` if the offset collapses
+    the polygon.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    return _contains(as_region(r), xs, ys)
-
-
-def _contains(r: Region, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    if isinstance(r, Primitive):
-        return _shape_contains(r.shape, xs, ys)
-    if isinstance(r, Union):
-        out = _contains(r.children[0], xs, ys)
-        for c in r.children[1:]:
-            out = out | _contains(c, xs, ys)
-        return out
-    if isinstance(r, Intersection):
-        out = _contains(r.children[0], xs, ys)
-        for c in r.children[1:]:
-            out = out & _contains(c, xs, ys)
-        return out
-    if isinstance(r, Difference):
-        return _contains(r.left, xs, ys) & ~_contains(r.right, xs, ys)
-    if isinstance(r, _Empty):
-        return np.zeros(np.broadcast(xs, ys).shape, dtype=bool)
-    raise TypeError(f"unknown region node {type(r).__name__}")
-
-
-def membership(r: RegionLike, p: PointLike) -> bool:
-    """Whether point ``p`` belongs to region ``r`` (closed-set semantics)."""
-    p = as_point(p)
-    return bool(contains_xy(r, np.array([p.x]), np.array([p.y]))[0])
-
-
-# ---------------------------------------------------------------------------
-# boundedness and bounding boxes
-# ---------------------------------------------------------------------------
-
-
-def is_bounded(r: RegionLike) -> bool:
-    """Conservative boundedness check.
-
-    ``True`` guarantees the region is bounded.  ``False`` means the check
-    could not certify boundedness (an intersection with only unbounded
-    children reports ``False`` even if it happens to be bounded).
-    """
-    r = as_region(r)
-    if isinstance(r, Primitive):
-        return isinstance(r.shape, (Disk, Ellipse, ConvexPolygon))
-    if isinstance(r, Union):
-        return all(is_bounded(c) for c in r.children)
-    if isinstance(r, Intersection):
-        return any(is_bounded(c) for c in r.children)
-    if isinstance(r, Difference):
-        return is_bounded(r.left)
-    if isinstance(r, _Empty):
-        return True
-    raise TypeError(f"unknown region node {type(r).__name__}")
-
-
-_INF = math.inf
-_EMPTY_BOX = (_INF, _INF, -_INF, -_INF)
-
-
-def _shape_bbox(shape: PrimitiveShape):
-    if isinstance(shape, Disk):
-        c, r = shape.center, shape.radius
-        return (c.x - r, c.y - r, c.x + r, c.y + r)
-    if isinstance(shape, Ellipse):
-        f1, f2 = shape.focus1, shape.focus2
-        cx, cy = 0.5 * (f1.x + f2.x), 0.5 * (f1.y + f2.y)
-        fd = distance(f1, f2)
-        a = 0.5 * shape.distance_sum
-        b2 = a * a - 0.25 * fd * fd
-        b = math.sqrt(max(b2, 0.0))
-        if fd == 0.0:
-            ux, uy = 1.0, 0.0
-        else:
-            ux, uy = (f2.x - f1.x) / fd, (f2.y - f1.y) / fd
-        ex = math.hypot(a * ux, b * uy)
-        ey = math.hypot(a * uy, b * ux)
-        return (cx - ex, cy - ey, cx + ex, cy + ey)
-    if isinstance(shape, HalfPlane):
-        a, n = shape.anchor, shape.normal
-        if n.y == 0.0:
-            if n.x > 0.0:
-                return (-_INF, -_INF, a.x, _INF)
-            return (a.x, -_INF, _INF, _INF)
-        if n.x == 0.0:
-            if n.y > 0.0:
-                return (-_INF, -_INF, _INF, a.y)
-            return (-_INF, a.y, _INF, _INF)
-        return (-_INF, -_INF, _INF, _INF)
-    if isinstance(shape, AngularSector):
-        return (-_INF, -_INF, _INF, _INF)
-    if isinstance(shape, ConvexPolygon):
-        xs = [v.x for v in shape.vertices]
-        ys = [v.y for v in shape.vertices]
-        return (min(xs), min(ys), max(xs), max(ys))
-    raise TypeError(f"unknown primitive shape {type(shape).__name__}")
-
-
-def bounding_box(r: RegionLike):
-    """Conservative axis-aligned bounding box ``(xmin, ymin, xmax, ymax)``.
-
-    The box contains the region; it need not be tight.  Unbounded
-    directions are reported as ``+-inf``; the empty region yields an
-    inverted box ``(inf, inf, -inf, -inf)``.
-    """
-    r = as_region(r)
-    if isinstance(r, Primitive):
-        return _shape_bbox(r.shape)
-    if isinstance(r, Union):
-        boxes = [bounding_box(c) for c in r.children]
-        return (
-            min(b[0] for b in boxes),
-            min(b[1] for b in boxes),
-            max(b[2] for b in boxes),
-            max(b[3] for b in boxes),
-        )
-    if isinstance(r, Intersection):
-        boxes = [bounding_box(c) for c in r.children]
-        return (
-            max(b[0] for b in boxes),
-            max(b[1] for b in boxes),
-            min(b[2] for b in boxes),
-            min(b[3] for b in boxes),
-        )
-    if isinstance(r, Difference):
-        return bounding_box(r.left)
-    if isinstance(r, _Empty):
-        return _EMPTY_BOX
-    raise TypeError(f"unknown region node {type(r).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# inflate / deflate
-# ---------------------------------------------------------------------------
-
-
-def _offset_polygon(poly: ConvexPolygon, delta: float):
-    """Miter offset of a strictly convex CCW polygon (positive = outward).
-
-    Returns the offset vertex list, or ``None`` if the inward offset
-    collapses the polygon.
-    """
-    verts = poly.vertices
     n = len(verts)
     lines = []
     for i in range(n):
@@ -646,143 +527,117 @@ def _offset_polygon(poly: ConvexPolygon, delta: float):
     return new_verts
 
 
-def _inflate_shape(shape: PrimitiveShape, delta: float) -> Region:
-    if isinstance(shape, Disk):
-        return Primitive(Disk(shape.center, shape.radius + delta))
-    if isinstance(shape, Ellipse):
-        return Primitive(
-            Ellipse(shape.focus1, shape.focus2, shape.distance_sum + 2.0 * delta)
-        )
-    if isinstance(shape, HalfPlane):
-        a, n = shape.anchor, shape.normal
-        ln = math.hypot(n.x, n.y)
-        return Primitive(
-            HalfPlane(Point(a.x + delta * n.x / ln, a.y + delta * n.y / ln), n)
-        )
-    if isinstance(shape, AngularSector):
-        span = shape.span
-        if span > math.pi:
-            raise ValueError("cannot offset a reflex angular sector")
-        # Retreating the apex along the interior bisector by
-        # delta / sin(span / 2) covers the Minkowski sum of the sector.
-        r1, r2 = shape.ray1, shape.ray2
-        l1 = math.hypot(r1.x, r1.y)
-        l2 = math.hypot(r2.x, r2.y)
-        bx = r1.x / l1 + r2.x / l2
-        by = r1.y / l1 + r2.y / l2
-        lb = math.hypot(bx, by)
-        if lb == 0.0:
-            # Sector is exactly a half-plane; retreat perpendicular to rays.
-            bx, by = -r1.y / l1, r1.x / l1
-            lb = 1.0
-        shift = delta / math.sin(0.5 * span)
-        apex = Point(shape.apex.x - shift * bx / lb, shape.apex.y - shift * by / lb)
-        return Primitive(AngularSector(apex, r1, r2))
-    if isinstance(shape, ConvexPolygon):
-        verts = _offset_polygon(shape, delta)
-        if verts is None:  # outward miter cannot collapse; defensive only
-            raise ValueError("polygon offset failed")
-        return Primitive(ConvexPolygon(verts))
-    raise TypeError(f"unknown primitive shape {type(shape).__name__}")
+@dataclass(frozen=True, init=False)
+class _Combination(Region):
+    """Shared body of ``Union`` and ``Intersection``: ``children`` are
+    joined elementwise by the subclass's ``_join``."""
+
+    children: tuple
+
+    def __init__(self, children: Iterable[Region]):
+        kids = tuple(_check_region(c) for c in children)
+        if not kids:
+            raise ValueError(
+                f"{type(self).__name__.lower()} needs at least one child region")
+        object.__setattr__(self, "children", kids)
+
+    def _contains(self, xs, ys):
+        return reduce(self._join, [c._contains(xs, ys) for c in self.children])
+
+    def _offset(self, delta: float) -> Region:
+        # A point near a union (an intersection) is near some (every)
+        # child, and the children's erosions lie inside the erosion of
+        # their union (are the erosion of their intersection).
+        return type(self)(c._offset(delta) for c in self.children)
+
+    def _certified_inside(self, cx, cy, half, delta):
+        return reduce(self._join, [c._certified_inside(cx, cy, half, delta)
+                                   for c in self.children])
 
 
-def _deflate_shape(shape: PrimitiveShape, delta: float) -> Region:
-    if isinstance(shape, Disk):
-        if delta >= shape.radius:
-            return EMPTY
-        return Primitive(Disk(shape.center, shape.radius - delta))
-    if isinstance(shape, Ellipse):
-        new_sum = shape.distance_sum - 2.0 * delta
-        if new_sum <= distance(shape.focus1, shape.focus2):
-            return EMPTY
-        return Primitive(Ellipse(shape.focus1, shape.focus2, new_sum))
-    if isinstance(shape, HalfPlane):
-        a, n = shape.anchor, shape.normal
-        ln = math.hypot(n.x, n.y)
-        return Primitive(
-            HalfPlane(Point(a.x - delta * n.x / ln, a.y - delta * n.y / ln), n)
-        )
-    if isinstance(shape, AngularSector):
-        span = shape.span
-        if span > math.pi:
-            raise ValueError("cannot offset a reflex angular sector")
-        r1, r2 = shape.ray1, shape.ray2
-        l1 = math.hypot(r1.x, r1.y)
-        l2 = math.hypot(r2.x, r2.y)
-        bx = r1.x / l1 + r2.x / l2
-        by = r1.y / l1 + r2.y / l2
-        lb = math.hypot(bx, by)
-        if lb == 0.0:
-            bx, by = -r1.y / l1, r1.x / l1
-            lb = 1.0
-        shift = delta / math.sin(0.5 * span)
-        apex = Point(shape.apex.x + shift * bx / lb, shape.apex.y + shift * by / lb)
-        return Primitive(AngularSector(apex, r1, r2))
-    if isinstance(shape, ConvexPolygon):
-        verts = _offset_polygon(shape, -delta)
-        if verts is None:
-            return EMPTY
-        return Primitive(ConvexPolygon(verts))
-    raise TypeError(f"unknown primitive shape {type(shape).__name__}")
+class Union(_Combination):
+    """Union of one or more child regions."""
+
+    _join = operator.or_
+
+    def _bbox(self):
+        x0, y0, x1, y1 = zip(*(c._bbox() for c in self.children))
+        return (min(x0), min(y0), max(x1), max(y1))
 
 
-def _inflate(r: Region, delta: float) -> Region:
-    """A superset of the Minkowski sum of ``r`` and the closed disk of
-    radius ``delta > 0`` (differences and polygon miters over-cover)."""
-    if isinstance(r, Primitive):
-        return _inflate_shape(r.shape, delta)
-    if isinstance(r, Union):
-        return Union(tuple(_inflate(c, delta) for c in r.children))
-    if isinstance(r, Intersection):
-        # Points near the intersection are near every child.
-        return Intersection(tuple(_inflate(c, delta) for c in r.children))
-    if isinstance(r, Difference):
-        # Points near L \ R are near L and outside the erosion of R.
-        return Difference(_inflate(r.left, delta), _deflate(r.right, delta))
-    if isinstance(r, _Empty):
-        return EMPTY
-    raise TypeError(f"unknown region node {type(r).__name__}")
+class Intersection(_Combination):
+    """Intersection of one or more child regions."""
+
+    _join = operator.and_
+
+    def _bbox(self):
+        x0, y0, x1, y1 = zip(*(c._bbox() for c in self.children))
+        return (max(x0), max(y0), min(x1), min(y1))
 
 
-def _deflate(r: Region, delta: float) -> Region:
-    """A subset of the erosion of ``r`` by the closed disk of radius
-    ``delta > 0``; a shape that the erosion eliminates becomes ``EMPTY``."""
-    if isinstance(r, Primitive):
-        return _deflate_shape(r.shape, delta)
-    if isinstance(r, Union):
-        return Union(tuple(_deflate(c, delta) for c in r.children))
-    if isinstance(r, Intersection):
-        return Intersection(tuple(_deflate(c, delta) for c in r.children))
-    if isinstance(r, Difference):
-        # Keeping a delta-disk inside L \ R needs the disk inside L and
-        # outside R entirely, so the subtrahend grows.
-        return Difference(_deflate(r.left, delta), _inflate(r.right, delta))
-    if isinstance(r, _Empty):
-        return EMPTY
-    raise TypeError(f"unknown region node {type(r).__name__}")
+@dataclass(frozen=True)
+class Difference(Region):
+    """Set difference ``left`` minus ``right``."""
+
+    left: Region
+    right: Region
+
+    def __post_init__(self) -> None:
+        _check_region(self.left)
+        _check_region(self.right)
+
+    def _contains(self, xs, ys):
+        return self.left._contains(xs, ys) & ~self.right._contains(xs, ys)
+
+    def _bbox(self):
+        return self.left._bbox()
+
+    def _offset(self, delta: float) -> Region:
+        # Points near L \ R are near L and outside the erosion of R;
+        # keeping a disk inside L \ R needs it outside R entirely, so the
+        # subtrahend grows.  Either way R moves the opposite way to L.
+        return Difference(self.left._offset(delta), self.right._offset(-delta))
+
+    def _certified_inside(self, cx, cy, half, delta):
+        inside_left = self.left._certified_inside(cx, cy, half, delta)
+        return inside_left & ~self.right._offset(delta)._contains(cx, cy)
+
+
+class _Empty(Region):
+    """The canonical empty region (every offset of it is itself)."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "EMPTY"
+
+    def _contains(self, xs, ys):
+        return np.zeros(np.broadcast(xs, ys).shape, dtype=bool)
+
+    def _bbox(self):
+        return (_INF, _INF, -_INF, -_INF)
+
+    def _offset(self, delta: float) -> Region:
+        return self
+
+
+EMPTY = _Empty()
+
+
+def membership(r: Region, p: PointLike) -> bool:
+    """Whether point ``p`` belongs to region ``r`` (closed-set semantics)."""
+    p = as_point(p)
+    return bool(r._contains(np.array([p.x]), np.array([p.y]))[0])
 
 
 # ---------------------------------------------------------------------------
 # certified grid area bounds
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Axis-aligned square grid with side ``step`` anchored at ``origin``.
-
-    Grid square ``(i, j)`` is ``[origin.x + i*step, origin.x + (i+1)*step]
-    x [origin.y + j*step, origin.y + (j+1)*step]``.
-    """
-
-    step: float
-    origin: Point = Point(0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "step", float(self.step))
-        object.__setattr__(self, "origin", as_point(self.origin))
-        if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise ValueError("grid step must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -803,112 +658,62 @@ class AreaBound:
         return self.upper - self.lower
 
 
-def _certified_inside(r: Region, cx: np.ndarray, cy: np.ndarray, half: float,
-                      delta: float) -> np.ndarray:
-    """Certify that the squares centred at ``(cx, cy)`` lie inside ``r``.
+def grid_area_bounds(region: Region, step: float) -> AreaBound:
+    """Certified lower and upper bounds on the area of ``region``.
 
-    A square passes when either all four corners and the centre lie in a
-    convex primitive (exact for convex shapes, composed structurally for
-    unions, intersections and differences), or its centre lies in the
-    conservative deflation of ``r`` by ``delta``; only ``True`` answers
-    carry a guarantee.
-    """
-    if isinstance(r, Primitive):
-        shape = r.shape
-        if isinstance(shape, AngularSector) and shape.span > math.pi:
-            return np.zeros_like(cx, dtype=bool)
-        out = _shape_contains(shape, cx, cy)
-        for sx in (-half, half):
-            for sy in (-half, half):
-                out &= _shape_contains(shape, cx + sx, cy + sy)
-        return out
-    if isinstance(r, Union):
-        out = _certified_inside(r.children[0], cx, cy, half, delta)
-        for c in r.children[1:]:
-            out = out | _certified_inside(c, cx, cy, half, delta)
-        return out
-    if isinstance(r, Intersection):
-        out = _certified_inside(r.children[0], cx, cy, half, delta)
-        for c in r.children[1:]:
-            out = out & _certified_inside(c, cx, cy, half, delta)
-        return out
-    if isinstance(r, Difference):
-        inside_left = _certified_inside(r.left, cx, cy, half, delta)
-        outside_right = ~_contains(_inflate(r.right, delta), cx, cy)
-        return inside_left & outside_right
-    if isinstance(r, _Empty):
-        return np.zeros_like(cx, dtype=bool)
-    raise TypeError(f"unknown region node {type(r).__name__}")
-
-
-def grid_area_bounds(r: RegionLike, g: GridSpec,
-                     window: RegionLike | None = None) -> AreaBound:
-    """Certified lower and upper bounds on the area of ``r``.
-
-    The plane is tiled by the squares of ``g``.  A square counts towards
-    the *lower* bound only when it is proven to lie entirely inside ``r``
-    (via corner-and-centre certificates for convex primitives composed
-    through the algebra, or via the conservative deflation of ``r``).  A
-    square counts towards the *upper* bound whenever its centre lies in
-    the inflation of ``r`` by half the square diagonal, which covers
-    every square meeting ``r``.  Counts are accumulated as integers and
+    The plane is tiled by squares of side ``step`` with corners on the
+    multiples of ``step``.  A square counts towards the *lower* bound only
+    when it is proven to lie entirely inside ``region`` (via
+    corner-and-centre certificates for convex shapes composed through the
+    algebra, or via the conservative erosion of ``region``).  A square
+    counts towards the *upper* bound whenever its centre lies in the
+    offset of ``region`` by half the square diagonal, which covers every
+    square meeting ``region``.  Counts are accumulated as integers and
     scaled once, so results are exactly reproducible.
-
-    Parameters
-    ----------
-    r : Region or primitive shape
-        The region to measure.  Must be (certifiably) bounded, unless a
-        bounded ``window`` is supplied.
-    g : GridSpec
-        Grid step and anchor.
-    window : Region, optional
-        If given, the bounds are computed for ``r`` intersected with
-        ``window``.
 
     Returns
     -------
     AreaBound
-        ``lower <= area <= upper``.
+        ``lower <= area <= upper``; ``(0, 0)`` when the bounding box of
+        ``region`` is empty.
 
     Raises
     ------
     ValueError
-        If neither ``r`` nor ``window`` can be certified bounded.
+        If ``step`` is not positive and finite, or the bounding box of
+        ``region`` is not finite.
     """
-    r = as_region(r)
-    if window is not None:
-        r = Intersection((r, as_region(window)))
-    if not is_bounded(r):
-        raise ValueError(
-            "grid_area_bounds requires a bounded region (or a bounded window)"
-        )
-    s = g.step
+    s = float(step)
+    if not (s > 0.0 and math.isfinite(s)):
+        raise ValueError("grid step must be positive and finite")
     half = 0.5 * s
     delta = half * _SQRT2
 
-    xmin, ymin, xmax, ymax = bounding_box(r)
+    xmin, ymin, xmax, ymax = region._bbox()
     if not (xmin <= xmax and ymin <= ymax):
         return AreaBound(0.0, 0.0)
+    if not all(map(math.isfinite, (xmin, ymin, xmax, ymax))):
+        raise ValueError("grid_area_bounds requires a bounded region")
     # Squares beyond the inflated bounding box can never be counted.
-    i0 = math.floor((xmin - delta - g.origin.x) / s) - 1
-    i1 = math.floor((xmax + delta - g.origin.x) / s) + 1
-    j0 = math.floor((ymin - delta - g.origin.y) / s) - 1
-    j1 = math.floor((ymax + delta - g.origin.y) / s) + 1
+    i0 = math.floor((xmin - delta) / s) - 1
+    i1 = math.floor((xmax + delta) / s) + 1
+    j0 = math.floor((ymin - delta) / s) - 1
+    j1 = math.floor((ymax + delta) / s) + 1
     ni = i1 - i0 + 1
     nj = j1 - j0 + 1
     if ni * nj > 500_000_000:
         raise ValueError("grid too fine for the extent of the region")
 
-    inflated = _inflate(r, delta)
-    deflated = _deflate(r, delta)
-    cx = g.origin.x + (np.arange(i0, i1 + 1) + 0.5) * s
+    inflated = region._offset(delta)
+    deflated = region._offset(-delta)
+    cx = (np.arange(i0, i1 + 1) + 0.5) * s
     lower_count = 0
     upper_count = 0
     for j in range(j0, j1 + 1):
-        cy = np.full_like(cx, g.origin.y + (j + 0.5) * s)
-        upper_count += int(np.count_nonzero(_contains(inflated, cx, cy)))
-        low = _certified_inside(r, cx, cy, half, delta)
-        low |= _contains(deflated, cx, cy)
+        cy = np.full_like(cx, (j + 0.5) * s)
+        upper_count += int(np.count_nonzero(inflated._contains(cx, cy)))
+        low = region._certified_inside(cx, cy, half, delta)
+        low |= deflated._contains(cx, cy)
         lower_count += int(np.count_nonzero(low))
     return AreaBound(lower_count * s * s, upper_count * s * s)
 

@@ -37,7 +37,6 @@ from .geom import (
     Intersection,
     Point,
     PointLike,
-    Primitive,
     Region,
     Segment,
     Union,
@@ -329,9 +328,9 @@ class NamedRegionSet:
         """The part of region ``name`` on or above (``"+"``) / below (``"-"``)
         the axis through ``b1`` and ``b2``."""
         if sign == "+":
-            return Intersection((self.regions[name], Primitive(_UPPER)))
+            return Intersection((self.regions[name], _UPPER))
         if sign == "-":
-            return Intersection((self.regions[name], Primitive(_LOWER)))
+            return Intersection((self.regions[name], _LOWER))
         raise ValueError("sign must be '+' or '-'")
 
 
@@ -377,29 +376,27 @@ def build_named_regions(f: CrossingFrame,
                     "ellipses degenerate and the region system is undefined"
                 )
 
-    A1 = Primitive(Disk(a1, r1))
-    A2 = Primitive(Disk(a2, r2))
-    B1 = Primitive(Disk(_B1, 1.0))
-    B2 = Primitive(Disk(_B2, 1.0))
-    Dk1 = Primitive(Disk(a1, f.rho1))
-    Dk2 = Primitive(Disk(a2, f.rho2))
-    Dh1 = Primitive(Disk(_B1, 0.5))
-    Dh2 = Primitive(Disk(_B2, 0.5))
-    E1 = Primitive(Ellipse(a1, _B1, 1.0))
-    E2 = Primitive(Ellipse(a1, _B2, 1.0))
-    F1 = Primitive(Ellipse(a2, _B1, 1.0))
-    F2 = Primitive(Ellipse(a2, _B2, 1.0))
-    upper = Primitive(_UPPER)
-    lower = Primitive(_LOWER)
-    wedge1 = Primitive(_wedge_at_b1())
-    wedge2 = Primitive(_wedge_at_b2())
+    A1 = Disk(a1, r1)
+    A2 = Disk(a2, r2)
+    B1 = Disk(_B1, 1.0)
+    B2 = Disk(_B2, 1.0)
+    Dk1 = Disk(a1, f.rho1)
+    Dk2 = Disk(a2, f.rho2)
+    Dh1 = Disk(_B1, 0.5)
+    Dh2 = Disk(_B2, 0.5)
+    E1 = Ellipse(a1, _B1, 1.0)
+    E2 = Ellipse(a1, _B2, 1.0)
+    F1 = Ellipse(a2, _B1, 1.0)
+    F2 = Ellipse(a2, _B2, 1.0)
+    wedge1 = _wedge_at_b1()
+    wedge2 = _wedge_at_b2()
 
-    T = Primitive(ConvexPolygon([_B1, _B2, W_PLUS]))
-    T2 = Primitive(ConvexPolygon([_B1, _B2, Z_MINUS]))
+    T = ConvexPolygon([_B1, _B2, W_PLUS])
+    T2 = ConvexPolygon([_B1, _B2, Z_MINUS])
 
     if variant == "restricted":
         S1 = Difference(
-            Intersection((T, Primitive(HalfPlane(Point(0.5, 0.0), Point(1.0, 0.0))))),
+            Intersection((T, HalfPlane(Point(0.5, 0.0), Point(1.0, 0.0)))),
             Dh1,
         )
     else:
@@ -408,17 +405,17 @@ def build_named_regions(f: CrossingFrame,
     S2 = Difference(Intersection((T2, A1)), Union((wedge1, wedge2)))
 
     M = Intersection((Dk1, Dk2))
-    M_plus = Intersection((M, upper))
+    M_plus = Intersection((M, _UPPER))
     R1 = Intersection((Dk1, Difference(B1, B2)))
     R2 = Intersection((Dk1, Difference(B2, B1)))
 
     if variant == "restricted":
-        L1 = Difference(Intersection((Dk1, upper, E1, Dh1)), M)
-        L2 = Difference(Intersection((Dk1, upper, E2, Dh2)), M)
+        L1 = Difference(Intersection((Dk1, _UPPER, E1, Dh1)), M)
+        L2 = Difference(Intersection((Dk1, _UPPER, E2, Dh2)), M)
         L3 = Intersection((M_plus, Union((Dh1, Dh2))))
-        L5 = Difference(Intersection((Dk2, lower, F1, Dh1)), T2)
-        L6 = Difference(Intersection((Dk2, lower, F2, Dh2)), T2)
-        H3 = Difference(Intersection((A2, lower)), Union((B1, B2)))
+        L5 = Difference(Intersection((Dk2, _LOWER, F1, Dh1)), T2)
+        L6 = Difference(Intersection((Dk2, _LOWER, F2, Dh2)), T2)
+        H3 = Difference(Intersection((A2, _LOWER)), Union((B1, B2)))
     else:
         L1 = Difference(Intersection((Dk1, E1, Dh1)), M)
         L2 = Difference(Intersection((Dk1, E2, Dh2)), M)

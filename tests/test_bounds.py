@@ -250,6 +250,23 @@ def test_certificate_config_hash_tracks_config():
     assert c1.config_hash != c2.config_hash
 
 
+def test_crossing_ratio_checks_the_hplus_reading_it_records():
+    s = 0.02
+    parts = {"lplus": bounds.verify_L_plus(s),
+             "lminus": bounds.verify_L_minus(s),
+             "hplus": bounds.verify_H_plus(s, exclusion="intersection"),
+             "hminus": bounds.verify_H_minus(s)}
+    with pytest.raises(ValueError, match="exclusion='either'"):
+        bounds.crossing_ratio(s, components=parts)
+    strict = bounds.crossing_ratio(s, components=parts,
+                                   exclusion="intersection")
+    assert strict == bounds.crossing_ratio(s, exclusion="intersection")
+    either = bounds.crossing_ratio(
+        s, components={**parts, "hplus": bounds.verify_H_plus(s)})
+    assert either.config_hash != strict.config_hash
+    assert either.computed < strict.computed
+
+
 def test_threshold_suite_all_pass_at_certified_coefficient():
     certs = threshold_suite()
     assert len(certs) == 23

@@ -352,8 +352,7 @@ def _typed(mapping):
 _MANIFEST_CASES = {
     "constants": (
         ["--c", "1.0", "--out", "{d}/consts.json"],
-        {"c": 1.0, "n": None, "c_prime": 0.0, "out": "{d}/consts.json",
-         "seed": None}),
+        {"c": 1.0, "n": None, "c_prime": 0.0, "out": "{d}/consts.json"}),
     "verify": (
         ["--step", "0.01", "--which", "lplus", "--out-dir", "{d}"],
         {"step": 0.01, "which": "lplus", "out_dir": "{d}", "seed": None,
@@ -370,6 +369,10 @@ _MANIFEST_CASES = {
         {"n": 150.0, "c": 1.0, "trials": 1, "seed": 1, "samples": 0,
          "out": "{d}/report.json", "inject_bug": False, "threads": 1}),
 }
+
+
+def test_constants_takes_no_seed(capsys):
+    assert main(["constants", "--c", "1.0", "--seed", "3"]) == 2
 
 
 @pytest.mark.parametrize("source", ["flags", "config"])
@@ -393,7 +396,8 @@ def test_manifest_records_the_resolved_configuration(command, source,
         (tmp_path / ("run_manifest_%s.json" % command)).read_text())
     assert manifest["command"] == command
     assert _typed(manifest["config"]) == _typed(expected)
-    assert _typed(manifest)["seed"] == _typed(expected)["seed"]
+    seed = expected.get("seed")
+    assert _typed(manifest)["seed"] == (seed, type(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 from knnlab.geom import (
+    EMPTY,
+    AngularSector,
+    ConvexPolygon,
+    Difference,
     Disk,
-    GridSpec,
+    Ellipse,
+    HalfPlane,
+    Intersection,
     Point,
     Segment,
     circle_intersections,
@@ -19,6 +25,7 @@ from knnlab.geom import (
     grid_area_bounds,
     point_segment_distance,
     segments_intersect,
+    Union,
 )
 
 
@@ -162,14 +169,93 @@ def test_intersection_areas_near_tangency_are_never_negative():
 
 
 def test_grid_area_bounds_bracket_disk_area():
-    bound = grid_area_bounds(Disk(Point(0.0, 0.0), 1.0), GridSpec(0.02))
+    bound = grid_area_bounds(Disk(Point(0.0, 0.0), 1.0), 0.02)
     assert bound.lower <= math.pi <= bound.upper
     assert bound.width < 0.3
 
 
 def test_grid_area_bounds_tighten_with_refinement():
     disk = Disk(Point(0.0, 0.0), 1.0)
-    coarse = grid_area_bounds(disk, GridSpec(0.1))
-    fine = grid_area_bounds(disk, GridSpec(0.02))
+    coarse = grid_area_bounds(disk, 0.1)
+    fine = grid_area_bounds(disk, 0.02)
     assert coarse.lower <= fine.lower
     assert fine.upper <= coarse.upper
+
+
+def _ellipse():
+    f1, f2, total = Point(-0.3, 0.1), Point(0.5, 0.4), 2.0
+    a = total / 2.0
+    c = distance(f1, f2) / 2.0
+    return Ellipse(f1, f2, total), math.pi * a * math.sqrt(a * a - c * c)
+
+
+def _polygon():
+    verts = [(0.0, 0.0), (1.2, -0.1), (1.5, 0.8), (0.6, 1.3), (-0.2, 0.7)]
+    xs, ys = np.array(verts).T
+    shoelace = 0.5 * abs(np.dot(xs, np.roll(ys, -1)) - np.dot(np.roll(xs, -1), ys))
+    return ConvexPolygon([Point(x, y) for x, y in verts]), shoelace
+
+
+def _sector_cut_by_disk():
+    apex, r = Point(0.2, 0.1), 0.8
+    sector = AngularSector(apex, Point(1.0, 0.2), Point(-0.3, 1.0))
+    assert sector.span < math.pi
+    return Intersection((sector, Disk(apex, r))), sector.span * r * r / 2.0
+
+
+def _half_disk():
+    c, r = Point(0.3, -0.2), 0.7
+    return (Intersection((Disk(c, r), HalfPlane(c, Point(1.0, 2.0)))),
+            math.pi * r * r / 2.0)
+
+
+_LEFT, _RIGHT = Disk(Point(0.0, 0.0), 1.0), Disk(Point(0.8, 0.3), 0.7)
+_LENS = disk_lens_area(math.hypot(0.8, 0.3), 1.0, 0.7)
+
+_EXACT_AREAS = {
+    "ellipse": _ellipse,
+    "convex-polygon": _polygon,
+    "sector-cut-by-disk": _sector_cut_by_disk,
+    "half-disk": _half_disk,
+    "lens": lambda: (Intersection((_LEFT, _RIGHT)), _LENS),
+    "crescent": lambda: (Difference(_LEFT, _RIGHT), math.pi - _LENS),
+    "two-disjoint-disks": lambda: (
+        Union((Disk(Point(0.0, 0.0), 0.5), Disk(Point(1.5, 0.2), 0.3))),
+        math.pi * (0.5 ** 2 + 0.3 ** 2)),
+}
+
+
+@pytest.mark.parametrize("step", [0.05, 0.01])
+@pytest.mark.parametrize("case", sorted(_EXACT_AREAS))
+def test_grid_area_bounds_bracket_exact_areas(case, step):
+    region, area = _EXACT_AREAS[case]()
+    bound = grid_area_bounds(region, step)
+    assert 0.0 < bound.lower <= area <= bound.upper
+
+
+def test_grid_area_bounds_drop_a_hole_the_erosion_eliminates():
+    # The hole's radius is below the half-diagonal 0.0354 of a 0.05 square,
+    # so the inflated region subtracts nothing and its upper bound is the
+    # disk's own.
+    disk = Disk(Point(0.0, 0.0), 1.0)
+    holed = Difference(disk, Disk(Point(0.3, 0.2), 0.02))
+    bound = grid_area_bounds(holed, 0.05)
+    assert bound.upper == grid_area_bounds(disk, 0.05).upper
+    assert bound.lower <= math.pi * (1.0 - 0.02 ** 2) <= bound.upper
+
+
+def test_grid_area_bounds_of_the_empty_region_are_zero():
+    bound = grid_area_bounds(EMPTY, 0.05)
+    assert (bound.lower, bound.upper) == (0.0, 0.0)
+
+
+def test_grid_area_bounds_reject_unbounded_regions():
+    with pytest.raises(ValueError):
+        grid_area_bounds(HalfPlane(Point(0.0, 0.0), Point(1.0, 1.0)), 0.05)
+    reflex = AngularSector(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, -1.0))
+    assert reflex.span > math.pi
+    with pytest.raises(ValueError):
+        grid_area_bounds(reflex, 0.05)
+    with pytest.raises(ValueError, match="reflex"):
+        grid_area_bounds(Intersection((Disk(Point(0.0, 0.0), 1.0), reflex)),
+                         0.05)
