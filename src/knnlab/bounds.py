@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from . import _census
 from .geom import disk_lens_area, disks_intersection_area
@@ -384,8 +384,12 @@ def solve_mu(a1: float, a2: float, a3: float, a4: float) -> float:
     The left side is the guaranteed point count of the capture argument;
     the right side is the total area feeding it.  Applicability requires
     ``a1 <= a3 < 2*a1`` (raises :class:`ConditionNotMet` otherwise) and
-    positive ``a1``, ``a3``.  The root is found by bracketed root solving
-    on the monotone left side and validated by back-substitution.
+    positive ``a1``, ``a3``.  With ``x = sqrt(mu)`` and
+    ``g = sqrt(a1*a3)`` the equation is the quadratic
+    ``a2*x**2 + 2*g*x - total = 0``, whose positive root is taken in the
+    cancellation-free form ``x = total / (g + sqrt(g**2 + a2*total))``
+    (which also covers ``a2 = 0``); the result is validated by
+    back-substitution.
     """
     if a1 <= 0.0 or a3 <= 0.0 or a2 < 0.0 or a4 < 0.0:
         raise ValueError("need a1, a3 > 0 and a2, a4 >= 0")
@@ -393,16 +397,8 @@ def solve_mu(a1: float, a2: float, a3: float, a4: float) -> float:
         raise ConditionNotMet(
             "capture argument requires a1 <= a3 < 2*a1")
     total = a1 + a2 + a3 + a4
-    if a2 == 0.0:
-        mu = total * total / (4.0 * a1 * a3)
-    else:
-        def f(mu):
-            return mu * a2 + math.sqrt(4.0 * mu * a1 * a3) - total
-
-        hi = 1.0
-        while f(hi) < 0.0:
-            hi *= 2.0
-        mu = float(brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
+    g = math.sqrt(a1 * a3)
+    mu = (total / (g + math.sqrt(g * g + a2 * total))) ** 2
     resid = mu * a2 + math.sqrt(4.0 * mu * a1 * a3) - total
     if abs(resid) > 1e-8 * total:
         raise ArithmeticError("capture-ratio root failed back-substitution")
@@ -637,43 +633,34 @@ def verify_H_minus(s: float, *, semantics: str = "universal",
     return _census_certificate("hminus", out, {"semantics": semantics})
 
 
-def crossing_ratio(s: float, *,
-                   components: Optional[Mapping[str, Certificate]] = None,
-                   exclusion: str = "either",
-                   threads: Optional[int] = None,
-                   progress=None) -> Certificate:
+def crossing_ratio(s: float, components: Mapping[str, Certificate], *,
+                   exclusion: str = "either") -> Certificate:
     """Certified bound on the occupied/total area ratio of a crossing
     frame, combining upper bounds for the occupied families with lower
     bounds for the empty families.
 
-    The certificate's ``witness`` carries the derived coefficient
-    threshold ``-1 / log(ratio)`` (0 when the ratio degenerates to 0).
-    Pass ``components`` to reuse previously computed census certificates
-    at the same step instead of recomputing all four; the ``hplus`` one
-    must have been computed with the same ``exclusion``, which the ratio
-    certificate records.
+    ``components`` maps ``lplus``, ``lminus``, ``hplus`` and ``hminus`` to
+    census certificates at step ``s``.  Each must carry the config hash
+    its ``verify_*`` function records at that step: ``hplus`` under
+    ``exclusion`` (which the ratio certificate records) and ``hminus``
+    under ``semantics="universal"``; anything else raises
+    :class:`ValueError`.  The certificate's ``witness`` carries the derived
+    coefficient threshold ``-1 / log(ratio)`` (0 when the ratio
+    degenerates to 0).
     """
-    if components is None:
-        components = {
-            "lplus": verify_L_plus(s, threads=threads, progress=progress),
-            "lminus": verify_L_minus(s, threads=threads, progress=progress),
-            "hplus": verify_H_plus(s, exclusion=exclusion, threads=threads,
-                                   progress=progress),
-            "hminus": verify_H_minus(s, threads=threads, progress=progress),
-        }
-    for key in ("lplus", "lminus", "hplus", "hminus"):
+    readings = {"lplus": {}, "lminus": {},
+                "hplus": {"exclusion": exclusion},
+                "hminus": {"semantics": "universal"}}
+    for key, reading in readings.items():
         if key not in components:
             raise ValueError(f"missing component certificate: {key}")
-        if components[key].step != s:
-            raise ValueError(
-                f"component certificate {key} was computed at step "
-                f"{components[key].step}, not {s}")
-    hplus_hash = _certificate_hash("hplus", s, *CENSUS_TARGETS["hplus"],
-                                   _census_config({"exclusion": exclusion}))
-    if components["hplus"].config_hash != hplus_hash:
-        raise ValueError(
-            "component certificate hplus was not computed with "
-            f"exclusion={exclusion!r}")
+        expected = _certificate_hash(key, s, *CENSUS_TARGETS[key],
+                                     _census_config(reading))
+        if components[key].config_hash != expected:
+            with_reading = "".join(f" with {name}={value!r}"
+                                   for name, value in reading.items())
+            raise ValueError(f"component certificate {key} was not "
+                             f"computed at step {s}{with_reading}")
     h = components["hplus"].computed + components["hminus"].computed
     total = h + components["lplus"].computed + components["lminus"].computed
     ratio = 0.0 if total == 0.0 else h / total

@@ -26,8 +26,11 @@ non-negative.  ``verify``, ``simulate`` and ``check`` accept ``--seed``
 manifest next to any file outputs recording the resolved configuration,
 the seed (``null`` when the command takes none) and SHA-256 digests of
 what was produced.  ``verify`` takes its census worker count
-from ``--threads`` or the ``KNNLAB_THREADS`` environment variable;
-``simulate`` and ``check`` accept and record the same setting.
+from ``--threads``, a config file's ``threads`` or the ``KNNLAB_THREADS``
+environment variable, in that order; the variable is the flag's default
+text, so a value that is not a positive integer is a usage error unless
+``--threads`` is given.  ``simulate`` and ``check`` accept and record the
+same setting.
 
 Exit codes: 0 success / all bounds passed; 1 a certified bound or a
 deterministic structural check failed; 2 usage error.
@@ -149,16 +152,6 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
             parser.error("config %s: invalid choice %r (choose from %s)"
                          % (key, text, ", ".join(action.choices)))
     parser.set_defaults(**defaults)
-
-
-def _threads_default() -> int:
-    env = os.environ.get("KNNLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _int_at_least(low: int):
@@ -436,7 +429,9 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
                     "certified area bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
     positive, non_negative = _int_at_least(1), _int_at_least(0)
-    threads = _threads_default()
+    # A string default goes through ``type`` like a flag value, so a bad
+    # KNNLAB_THREADS is rejected unless ``--threads`` is given.
+    threads = os.environ.get("KNNLAB_THREADS") or "1"
 
     p = sub.add_parser("constants",
                        help="print model constants at coefficient c")

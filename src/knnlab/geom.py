@@ -53,7 +53,6 @@ __all__ = [
     "distance",
     "point_segment_distance",
     "segments_intersect",
-    "circle_intersections",
     "membership",
     "grid_area_bounds",
     "disk_lens_area",
@@ -123,10 +122,6 @@ class Segment:
         object.__setattr__(self, "b", as_point(self.b))
         if self.a.x == self.b.x and self.a.y == self.b.y:
             raise ValueError("segment endpoints must be distinct")
-
-    @property
-    def length(self) -> float:
-        return distance(self.a, self.b)
 
 
 def distance(p: PointLike, q: PointLike) -> float:
@@ -767,20 +762,10 @@ def disk_lens_area(d: float, r1: float, r2: float) -> float:
     ))
 
 
-def circle_intersections(c1: Disk, c2: Disk) -> tuple:
-    """Intersection points of the two boundary circles.
-
-    Returns a tuple of 0 or 2 ``Point`` objects (tangency is reported as
-    a coincident pair).  Concentric circles yield an empty tuple.
-    """
-    return tuple(Point(px, py) for px, py in _circle_cuts(
-        c1.center.x, c1.center.y, c1.radius,
-        c2.center.x, c2.center.y, c2.radius))
-
-
 def _circle_cuts(x1: float, y1: float, r1: float,
                  x2: float, y2: float, r2: float) -> tuple:
-    """:func:`circle_intersections` on plain floats: 0 or 2 ``(x, y)`` pairs."""
+    """Intersection points of the two boundary circles: 0 or 2 ``(x, y)``
+    pairs (tangency gives a coincident pair, concentric circles none)."""
     dx, dy = x2 - x1, y2 - y1
     d2 = dx * dx + dy * dy
     d = math.sqrt(d2)

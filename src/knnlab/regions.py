@@ -51,14 +51,8 @@ __all__ = [
     "W_PLUS",
     "W_MINUS",
     "Z_MINUS",
-    "Z_PLUS",
-    "Q_POINT",
     "U_MINUS",
     "V_MINUS",
-    "U_PLUS",
-    "V_PLUS",
-    "Q_LEFT",
-    "Q_RIGHT",
     "A1_LOWEST",
     "CrossingFrame",
     "NormalizationMap",
@@ -78,20 +72,10 @@ W_PLUS = Point(0.5, 1.0 / (2.0 * SQRT3))
 W_MINUS = Point(0.5, -1.0 / (2.0 * SQRT3))
 #: Apex of the lower triangle ``T2`` (equilateral corner below the axis).
 Z_MINUS = Point(0.5, -SQRT3 / 2.0)
-#: Mirror image of ``Z_MINUS`` above the axis.
-Z_PLUS = Point(0.5, SQRT3 / 2.0)
-#: Extremal location at distance 1 from ``b1`` and ``1/sqrt(6)`` from ``b2``.
-Q_POINT = Point(11.0 / 12.0, math.sqrt(23.0) / 12.0)
 #: Left corner of the bounding triangle for ``a2`` placements.
 U_MINUS = Point(0.25, -SQRT3 / 4.0)
 #: Right corner of the bounding triangle for ``a2`` placements.
 V_MINUS = Point(0.75, -SQRT3 / 4.0)
-#: Upper mirror images of ``U_MINUS`` / ``V_MINUS``.
-U_PLUS = Point(0.25, SQRT3 / 4.0)
-V_PLUS = Point(0.75, SQRT3 / 4.0)
-#: Corners of the quadrilateral bounding the upper lens region.
-Q_LEFT = Point(1.0 / 6.0, 1.0 / (2.0 * SQRT3))
-Q_RIGHT = Point(5.0 / 6.0, 1.0 / (2.0 * SQRT3))
 #: Lowest admissible location of ``a1`` (height ``1/(4*sqrt(6))``).
 A1_LOWEST = Point(0.5, 1.0 / (4.0 * math.sqrt(6.0)))
 
@@ -308,15 +292,11 @@ class NamedRegionSet:
         intersection).
     regions : dict
         Mapping from region name to ``Region``.
-    points : dict
-        Named reference points (``w``, ``z``, ``q``, corner locations,
-        and the frame points themselves).
     """
 
     frame: CrossingFrame
     variant: str
     regions: Dict[str, Region]
-    points: Dict[str, Point]
 
     def __getitem__(self, name: str) -> Region:
         return self.regions[name]
@@ -467,23 +447,5 @@ def build_named_regions(f: CrossingFrame,
         "H": H,
         "L": L,
     }
-    points: Dict[str, Point] = {
-        "a1": a1,
-        "a2": a2,
-        "b1": _B1,
-        "b2": _B2,
-        "w": W_PLUS,
-        "w_minus": W_MINUS,
-        "z": Z_MINUS,
-        "z_plus": Z_PLUS,
-        "q": Q_POINT,
-        "u_minus": U_MINUS,
-        "v_minus": V_MINUS,
-        "u_plus": U_PLUS,
-        "v_plus": V_PLUS,
-        "q_left": Q_LEFT,
-        "q_right": Q_RIGHT,
-        "a1_lowest": A1_LOWEST,
-    }
-    return NamedRegionSet(frame=f, variant=variant, regions=regions, points=points)
+    return NamedRegionSet(frame=f, variant=variant, regions=regions)
 

@@ -2,8 +2,8 @@
 
 Every ``__all__`` entry of the package and its modules must resolve, every
 layer that the benchmark tracer (``perfbench/spans.py``) wraps must exist,
-and every demo script must import.  A deletion that breaks any of them fails
-here rather than in a benchmark run or a demo.
+and every demo script must import and run.  A deletion that breaks any of
+them fails here rather than in a benchmark run or a demo.
 """
 
 from __future__ import annotations
@@ -57,3 +57,18 @@ def test_demos_are_present():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_imports(path):
     assert callable(_load(path).main)
+
+
+#: Small arguments for each demo's ``main`` (each run takes well under 1 s).
+_DEMO_ARGS = {
+    "certificate_walkthrough": (0.02, 0.01),
+    "connectivity_sweep": (300.0, 2),
+    "structure_checks": (1,),
+    "crossing_showcase": (),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEMO_ARGS))
+def test_demo_runs(name, capsys):
+    _load(ROOT / "demos" / (name + ".py")).main(*_DEMO_ARGS[name])
+    assert capsys.readouterr().out.strip()

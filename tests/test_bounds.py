@@ -9,8 +9,10 @@ behavioural change in the derivations, not an acceptable refactoring.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from knnlab import bounds
 from knnlab.bounds import (
     ANNULUS_SCALE,
     CRESCENT_AREA,
+    Certificate,
     ConditionNotMet,
     ModelConstants,
     capture_chain,
@@ -198,6 +201,40 @@ def test_solve_mu_root_branch_back_substitutes():
     assert abs(resid) <= 1e-10 * total
 
 
+def _mu_decimal(a1, a2, a3, a4):
+    """``mu`` from the textbook root of ``a2 x^2 + 2 g x - total = 0``
+    (``x = sqrt(mu)``, ``g = sqrt(a1 a3)``) in 50-digit arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a1, a2, a3, a4 = (decimal.Decimal(a) for a in (a1, a2, a3, a4))
+        total = a1 + a2 + a3 + a4
+        g = (a1 * a3).sqrt()
+        x = total / (2 * g) if a2 == 0 else ((g * g + a2 * total).sqrt()
+                                             - g) / a2
+        return float(x * x)
+
+
+def _capture_inputs(region, overlap):
+    return (CRESCENT_AREA - overlap, overlap, region - overlap,
+            math.pi * bounds.R_HAT * bounds.R_HAT)
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param("exact", id="capture-chain-exact"),
+    pytest.param((2.31, 0.6515), id="capture-chain-rounded"),
+    pytest.param((1.3, 0.7, 1.3, 0.2), id="a3-equals-a1"),
+    pytest.param((1.0, 0.0, 1.5, 0.25), id="a2-zero"),
+    pytest.param((1.0, 1e8, 1.9, 3.0), id="large-a2"),
+])
+def test_solve_mu_matches_a_50_digit_solve(a):
+    if a == "exact":
+        far = far_region_areas()
+        a = _capture_inputs(far["region"], far["overlap"])
+    elif len(a) == 2:
+        a = _capture_inputs(*a)
+    assert solve_mu(*a) == pytest.approx(_mu_decimal(*a), rel=1e-14)
+
+
 def test_solve_mu_preconditions():
     with pytest.raises(ValueError):
         solve_mu(0.0, 0.0, 1.0, 0.0)
@@ -250,21 +287,77 @@ def test_certificate_config_hash_tracks_config():
     assert c1.config_hash != c2.config_hash
 
 
+def _census_parts(s, exclusion="either"):
+    return {"lplus": bounds.verify_L_plus(s),
+            "lminus": bounds.verify_L_minus(s),
+            "hplus": bounds.verify_H_plus(s, exclusion=exclusion),
+            "hminus": bounds.verify_H_minus(s)}
+
+
 def test_crossing_ratio_checks_the_hplus_reading_it_records():
     s = 0.02
-    parts = {"lplus": bounds.verify_L_plus(s),
-             "lminus": bounds.verify_L_minus(s),
-             "hplus": bounds.verify_H_plus(s, exclusion="intersection"),
-             "hminus": bounds.verify_H_minus(s)}
+    parts = _census_parts(s, exclusion="intersection")
     with pytest.raises(ValueError, match="exclusion='either'"):
         bounds.crossing_ratio(s, components=parts)
     strict = bounds.crossing_ratio(s, components=parts,
                                    exclusion="intersection")
-    assert strict == bounds.crossing_ratio(s, exclusion="intersection")
+    h = parts["hplus"].computed + parts["hminus"].computed
+    total = h + parts["lplus"].computed + parts["lminus"].computed
+    assert strict.computed == h / total
+    assert strict.witness == -1.0 / math.log(h / total)
     either = bounds.crossing_ratio(
         s, components={**parts, "hplus": bounds.verify_H_plus(s)})
     assert either.config_hash != strict.config_hash
     assert either.computed < strict.computed
+
+
+@pytest.fixture(scope="module")
+def parts_at_coarse_step():
+    return _census_parts(0.02)
+
+
+@pytest.mark.parametrize("case", ["missing", "other-step", "hplus-reading",
+                                  "hminus-cover"])
+def test_crossing_ratio_rejects_a_component_it_does_not_rest_on(
+        case, parts_at_coarse_step):
+    s, parts, exclusion = 0.02, dict(parts_at_coarse_step), "either"
+    if case == "missing":
+        del parts["lminus"]
+        match = "missing component certificate: lminus"
+    elif case == "other-step":
+        parts["lplus"] = bounds.verify_L_plus(0.01)
+        match = "component certificate lplus was not computed at step 0.02"
+    elif case == "hplus-reading":
+        exclusion = "intersection"
+        match = "hplus .*exclusion='intersection'"
+    else:
+        parts["hminus"] = bounds.verify_H_minus(s, semantics="cover")
+        match = "hminus .*semantics='universal'"
+    bounds.crossing_ratio(s, components=parts_at_coarse_step)
+    with pytest.raises(ValueError, match=match):
+        bounds.crossing_ratio(s, components=parts, exclusion=exclusion)
+
+
+_COMMITTED = Path(__file__).resolve().parent.parent / "certificates"
+_DEFAULT_READINGS = {"lplus": {}, "lminus": {},
+                     "hplus": {"exclusion": "either"},
+                     "hminus": {"semantics": "universal"}}
+
+
+def test_committed_certificates_match_the_code():
+    certs = {name: Certificate.load(_COMMITTED / ("%s_0.001.json" % name))
+             for name in list(_DEFAULT_READINGS) + ["ratio"]}
+    for name, cert in certs.items():
+        assert cert.name == name and cert.step == 0.001
+        assert cert.check() == cert.passed
+    for name, reading in _DEFAULT_READINGS.items():
+        assert certs[name].config_hash == bounds._certificate_hash(
+            name, 0.001, *bounds.CENSUS_TARGETS[name],
+            bounds._census_config(reading))
+    ratio = bounds.crossing_ratio(
+        0.001, components={name: certs[name] for name in _DEFAULT_READINGS})
+    assert ratio.to_json() == (_COMMITTED / "ratio_0.001.json").read_text(
+        encoding="utf-8")
 
 
 def test_threshold_suite_all_pass_at_certified_coefficient():

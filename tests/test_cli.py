@@ -302,6 +302,33 @@ def test_threads_environment_default(tmp_path, monkeypatch, capsys):
     assert manifest["config"]["threads"] == 7
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_bad_threads_environment_is_a_usage_error(value, tmp_path,
+                                                  monkeypatch, capsys):
+    monkeypatch.setenv("KNNLAB_THREADS", value)
+    argv = ["verify", "--step", "0.01", "--which", "lplus",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "run_manifest_verify.json").exists()
+    assert main(argv + ["--threads", "2"]) == 1
+
+
+def test_threads_flag_and_config_override_the_environment(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    monkeypatch.setenv("KNNLAB_THREADS", "7")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 3\n")
+    argv = ["verify", "--step", "0.01", "--which", "lplus",
+            "--out-dir", str(tmp_path), "--config", str(cfg)]
+    manifest = tmp_path / "run_manifest_verify.json"
+    for extra, expected in (([], 3), (["--threads", "2"], 2)):
+        assert main(argv + extra) == 1
+        config = json.loads(manifest.read_text())["config"]
+        assert config["threads"] == expected
+
+
 def test_unknown_subcommand_exits_with_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2

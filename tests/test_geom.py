@@ -18,7 +18,6 @@ from knnlab.geom import (
     Intersection,
     Point,
     Segment,
-    circle_intersections,
     disk_lens_area,
     disks_intersection_area,
     distance,
@@ -26,6 +25,7 @@ from knnlab.geom import (
     point_segment_distance,
     segments_intersect,
     Union,
+    _circle_cuts,
 )
 
 
@@ -90,13 +90,12 @@ def test_disk_requires_positive_radius():
 
 
 def test_circle_intersections_symmetric():
-    pts = circle_intersections(Disk(Point(0.0, 0.0), 1.0),
-                               Disk(Point(1.0, 0.0), 1.0))
-    ys = sorted(p.y for p in pts)
+    pts = _circle_cuts(0.0, 0.0, 1.0, 1.0, 0.0, 1.0)
+    ys = sorted(y for _, y in pts)
     assert len(pts) == 2
     assert ys[0] == pytest.approx(-math.sqrt(3.0) / 2.0, rel=1e-12)
     assert ys[1] == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
-    assert all(p.x == pytest.approx(0.5, abs=1e-12) for p in pts)
+    assert all(x == pytest.approx(0.5, abs=1e-12) for x, _ in pts)
 
 
 def test_lens_area_disjoint_and_contained():
