@@ -12,8 +12,11 @@ decisions that matter):
   covered by the union for y, z (and the w-x lens fits in each), one of the
   four cross pairs must be an edge.
 
-A goodness report then evaluates six exact conditions that together
-describe the typical geometry of a near-threshold graph.
+A goodness report then evaluates six conditions that together describe
+the typical geometry of a near-threshold graph.  Conditions 1, 2, 4, 5
+and 6 are exact.  Condition 3 (an empty half-disk of radius D in the
+window) tries five directions per wide angular gap, so it can miss an
+admissible one; it reports bad only on an exactly verified half-disk.
 
 Run:  python demos/structure_checks.py [seeds]
 """

@@ -4,7 +4,7 @@ This module is the verification engine of the package.  It provides
 
 * closed-form model constants (edge-length coefficients, blow-up roots,
   exponent coefficients) evaluated at full double precision;
-* one-dimensional exponent maximisations over area parameters;
+* the closed-form maxima of the exponents over area parameters;
 * the root solve for the neighbour-capture ratio ``mu``;
 * conservative grid certificates for the four crossing-frame area
   bounds (via :mod:`knnlab._census`), the crossing ratio derived from
@@ -23,10 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
-
-import numpy as np
-from scipy.optimize import minimize_scalar
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import _census
 from .geom import disk_lens_area, disks_intersection_area
@@ -54,10 +51,8 @@ __all__ = [
     "easy_connectivity_constant",
     "corner_exponent_coefficient",
     "edge_exponent_coefficient",
-    "ExponentProblem",
-    "maximize_exponent",
-    "tile_density_problem",
-    "component_size_problem",
+    "tile_density_maximum",
+    "component_size_maximum",
     "cap_overflow_exponent",
     "solve_mu",
     "annulus_residual_area",
@@ -211,20 +206,21 @@ def model_constants(c: float, n: Optional[float] = None,
 # ---------------------------------------------------------------------------
 
 
-def iso_blowup_lower(area_y, r: float, boundary: bool = False):
+def _blowup_coefficients(boundary: bool) -> Tuple[float, float]:
+    """``(a, b)`` of ``blowup(A) = a pi r^2 + b r sqrt(pi A)``: ``(1, 2)``
+    in the interior and ``(1/2, 1)`` against a straight window edge."""
+    return (0.5, 1.0) if boundary else (1.0, 2.0)
+
+
+def iso_blowup_lower(area_y: float, r: float, boundary: bool = False) -> float:
     """Isoperimetric lower bound on the area of the ``r``-blow-up ring of
     a set of area ``area_y``: ``pi r^2 + 2 r sqrt(pi area_y)`` in the
-    interior, halved appropriately against a straight window edge.
-    Accepts scalars or numpy arrays for ``area_y``.
+    interior, halved against a straight window edge.
     """
-    area_y = np.asarray(area_y, dtype=float)
-    if np.any(area_y < 0.0) or r <= 0.0:
+    if area_y < 0.0 or r <= 0.0:
         raise ValueError("area must be non-negative and r positive")
-    if boundary:
-        out = math.pi * r * r / 2.0 + r * np.sqrt(math.pi * area_y)
-    else:
-        out = math.pi * r * r + 2.0 * r * np.sqrt(math.pi * area_y)
-    return float(out) if out.ndim == 0 else out
+    a, b = _blowup_coefficients(boundary)
+    return a * math.pi * r * r + b * r * math.sqrt(math.pi * area_y)
 
 
 def solve_y_cap(boundary: bool, r: float = R_HAT) -> float:
@@ -265,101 +261,58 @@ def edge_exponent_coefficient() -> float:
 
 
 # ---------------------------------------------------------------------------
-# exponent maximisations
+# exponent maxima
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExponentProblem:
-    """A one-dimensional exponent maximisation over a closed interval.
+def tile_density_maximum(c: float = CONNECTIVITY_LOWER_C,
+                         boundary: bool = False) -> Tuple[float, float]:
+    """Maximum over the near-tile area ``A`` in ``(0, TILE_AREA_CAP]`` of
+    the exponent that the tiles near a small component hold ``k`` points
+    while their empty blow-up ring holds none:
+    ``c * log(A / (A + blowup(A)))``.
 
-    ``objective`` maps an area parameter to the coefficient of ``log n``
-    in a probability bound; it must accept scalars and numpy arrays.
+    ``blowup(A) / A = a pi r^2 / A + b r sqrt(pi / A)`` falls as ``A``
+    grows, so for ``c > 0`` the exponent rises with ``A`` and its maximum
+    is at ``A = TILE_AREA_CAP``.  Returns ``(argmax, value)``.
     """
+    if c <= 0.0:
+        raise ValueError("c must be positive")
+    A = TILE_AREA_CAP
+    return A, c * math.log(A / (A + iso_blowup_lower(A, R_HAT, boundary)))
 
-    name: str
-    objective: Callable[[np.ndarray], np.ndarray]
-    lo: float
-    hi: float
 
+def component_size_maximum(c: float = CONNECTIVITY_LOWER_C,
+                           boundary: bool = False) -> Tuple[float, float]:
+    """Maximum over the tile-set area ``A`` in ``(0, cap]`` (the working
+    cap) of the exponent that a small component keeps more than the split
+    fraction of ``k`` points, the two-region occupancy bound with the
+    crescent and the blow-up ring as competitors::
 
-def maximize_exponent(problem: ExponentProblem) -> Tuple[float, float]:
-    """Global maximum of ``problem.objective`` on ``[lo, hi]``.
+        c * (s log(2A) + log(2C) - (1 + s) log(C + A + blowup(A)))
 
-    A dense grid scan (a million intervals, so the step never exceeds a
-    millionth of the range) locates the best sample; an interior best is
-    polished by golden-section search to ``1e-12``.  Endpoints are always
-    evaluated, and an endpoint maximum is returned as-is.
-
+    with ``s = SPLIT_FRACTION``, ``C = CRESCENT_AREA``, ``r = R_HAT`` and
+    ``blowup(A) = a pi r^2 + b r sqrt(pi A)`` (:func:`iso_blowup_lower`).
+    In ``x = sqrt(A)`` the last argument is
+    ``C + a pi r^2 + x^2 + b r sqrt(pi) x``, and the derivative in ``x`` is
+    ``2c (q - x^2 - p x) / (x (C + A + blowup(A)))`` with
+    ``p = b (1 - s) / 2 * r sqrt(pi)`` and ``q = s (C + a pi r^2)``.  Both
+    are positive, so for ``c > 0`` the exponent rises up to the positive
+    root ``x* = 2q / (p + sqrt(p^2 + 4q))`` (the cancellation-free form)
+    and falls after it.  The maximum is at ``A = min(x*^2, cap)``.
     Returns ``(argmax, value)``.
     """
-    lo, hi = float(problem.lo), float(problem.hi)
-    if not hi > lo:
-        raise ValueError("empty maximisation interval")
-    xs = np.linspace(lo, hi, 1_000_001)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(problem.objective(xs), dtype=float)
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
-    i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-    if i == 0 or i == len(xs) - 1:
-        return best_x, best_v
-    a, b = float(xs[i - 1]), float(xs[i + 1])
-    try:
-        res = minimize_scalar(lambda t: -float(problem.objective(t)),
-                              bracket=(a, best_x, b), method="golden",
-                              options={"xtol": 1e-12})
-        x = float(res.x)
-        if lo <= x <= hi:
-            v = float(problem.objective(x))
-            if math.isfinite(v) and v > best_v:
-                best_x, best_v = x, v
-    except (ValueError, RuntimeError):
-        pass  # flat bracket: the grid sample already is the maximum
-    return best_x, best_v
-
-
-def tile_density_problem(c: float = CONNECTIVITY_LOWER_C,
-                         boundary: bool = False) -> ExponentProblem:
-    """Exponent that the tiles near a small component hold ``k`` points
-    while their empty blow-up ring holds none, maximised over the
-    near-tile area ``A`` in ``(0, TILE_AREA_CAP]``:
-    ``c * log(A / (A + blowup(A)))``.
-    """
-    def objective(A):
-        A = np.asarray(A, dtype=float)
-        blow = iso_blowup_lower(np.maximum(A, 0.0), R_HAT, boundary)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = c * np.log(A / (A + blow))
-        return out
-
-    side = "edge" if boundary else "interior"
-    return ExponentProblem(name=f"tile-density-{side}", objective=objective,
-                           lo=0.0, hi=TILE_AREA_CAP)
-
-
-def component_size_problem(c: float = CONNECTIVITY_LOWER_C,
-                           boundary: bool = False) -> ExponentProblem:
-    """Exponent that a small component keeps more than the split fraction
-    of ``k`` points, maximised over the tile-set area ``A`` up to the
-    working cap: the two-region occupancy bound with the crescent and the
-    blow-up ring as competitors.
-    """
+    if c <= 0.0:
+        raise ValueError("c must be positive")
     cap = COMPONENT_AREA_CAP_EDGE if boundary else COMPONENT_AREA_CAP_INTERIOR
-
-    def objective(A):
-        A = np.asarray(A, dtype=float)
-        blow = iso_blowup_lower(np.maximum(A, 0.0), R_HAT, boundary)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = c * (SPLIT_FRACTION * np.log(2.0 * A)
-                       + np.log(2.0 * CRESCENT_AREA)
-                       - (1.0 + SPLIT_FRACTION)
-                       * np.log(CRESCENT_AREA + A + blow))
-        return out
-
-    side = "edge" if boundary else "interior"
-    return ExponentProblem(name=f"component-size-{side}", objective=objective,
-                           lo=0.0, hi=cap)
+    a, b = _blowup_coefficients(boundary)
+    s, r, C = SPLIT_FRACTION, R_HAT, CRESCENT_AREA
+    p = b * (1.0 - s) / 2.0 * r * math.sqrt(math.pi)
+    q = s * (C + a * math.pi * r * r)
+    A = min((2.0 * q / (p + math.sqrt(p * p + 4.0 * q))) ** 2, cap)
+    return A, c * (s * math.log(2.0 * A) + math.log(2.0 * C)
+                   - (1.0 + s)
+                   * math.log(C + A + iso_blowup_lower(A, r, boundary)))
 
 
 def cap_overflow_exponent(c: float = CONNECTIVITY_LOWER_C,
@@ -686,7 +639,7 @@ def threshold_suite(c: float = CONNECTIVITY_THRESHOLD) -> List[Certificate]:
     coefficient ``c`` and return one certificate per link.
 
     Includes the 4-decimal agreement checks for the closed-form
-    constants, the four exponent maximisations (interior links must
+    constants, the four exponent maxima (interior links must
     clear -1, edge links -1/2), the far-point capture areas, and the
     capture-ratio margin.  All certificates pass at the certified
     threshold coefficient; lowering ``c`` shows which links fail first.
@@ -716,13 +669,11 @@ def threshold_suite(c: float = CONNECTIVITY_THRESHOLD) -> List[Certificate]:
 
     for boundary, floor in ((False, -1.0), (True, -0.5)):
         side = "edge" if boundary else "interior"
-        prob = tile_density_problem(c, boundary)
-        arg, val = maximize_exponent(prob)
+        arg, val = tile_density_maximum(c, boundary)
         certs.append(make_certificate(
             f"tile-density-{side}-exponent", 0.0, val, floor, "<=",
             witness=arg, config=cfg))
-        prob = component_size_problem(c, boundary)
-        arg, val = maximize_exponent(prob)
+        arg, val = component_size_maximum(c, boundary)
         certs.append(make_certificate(
             f"component-size-{side}-exponent", 0.0, val, floor, "<=",
             witness=arg, config=cfg))

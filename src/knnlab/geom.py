@@ -90,14 +90,6 @@ class Point:
         yield self.x
         yield self.y
 
-    def __sub__(self, other: "Point") -> "Point":
-        other = as_point(other)
-        return Point(self.x - other.x, self.y - other.y)
-
-    def __add__(self, other: "Point") -> "Point":
-        other = as_point(other)
-        return Point(self.x + other.x, self.y + other.y)
-
 
 PointLike = _TUnion[Point, Sequence[float]]
 

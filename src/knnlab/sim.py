@@ -1041,8 +1041,9 @@ def _half_disk_bbox(px: float, py: float, u: float, radius: float
                     ) -> Tuple[float, float, float, float]:
     """Axis-aligned bounding box of the closed half-disk at ``p``.
 
-    The half-disk is ``{p + t v : |t| <= radius, v in unit directions within
-    pi/2 of u}`` — centre on the boundary diameter, bulge towards ``u``.
+    The half-disk is ``{p + t v : 0 <= t <= radius, v in unit directions
+    within pi/2 of u}`` — centre on the boundary diameter, bulge towards
+    ``u``.
     """
     lo_c, hi_c = _cos_extremes(u - math.pi / 2.0, u + math.pi / 2.0)
     lo_s, hi_s = _cos_extremes(u - math.pi, u)  # sin t = cos(t - pi/2)

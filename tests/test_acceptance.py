@@ -23,14 +23,13 @@ import pytest
 from knnlab import bounds, sim
 from knnlab.bounds import (
     capture_chain,
-    component_size_problem,
+    component_size_maximum,
     corner_exponent_coefficient,
     crossing_ratio,
     easy_connectivity_constant,
     edge_exponent_coefficient,
-    maximize_exponent,
     solve_y_cap,
-    tile_density_problem,
+    tile_density_maximum,
     verify_H_minus,
     verify_H_plus,
     verify_L_minus,
@@ -205,7 +204,7 @@ def test_acceptance_3_closed_form_constants(capsys):
 
 
 # ---------------------------------------------------------------------------
-# criterion 4: exponent maximisations
+# criterion 4: exponent maxima
 # ---------------------------------------------------------------------------
 
 
@@ -216,17 +215,15 @@ def _trunc2(v: float) -> float:
 def test_acceptance_4_exponent_maximisations(capsys):
     checks = []
     for boundary, stated in ((False, -1.18), (True, -0.81)):
-        problem = tile_density_problem(boundary=boundary)
-        arg, value = maximize_exponent(problem)
+        arg, value = tile_density_maximum(boundary=boundary)
         label = "tile density %s" % ("edge" if boundary else "interior")
         checks.append(("%s truncates to %s" % (label, stated),
                        _trunc2(value) == stated))
         checks.append(("%s argmax at right endpoint" % label,
-                       abs(arg - problem.hi) <= 1e-3))
+                       abs(arg - bounds.TILE_AREA_CAP) <= 1e-3))
     for boundary, stated, stated_arg in ((False, -1.0001, 0.6069),
                                          (True, -0.593, 0.601)):
-        problem = component_size_problem(boundary=boundary)
-        arg, value = maximize_exponent(problem)
+        arg, value = component_size_maximum(boundary=boundary)
         label = "component size %s" % ("edge" if boundary else "interior")
         checks.append(("%s value near %s" % (label, stated),
                        abs(value - stated) <= 5e-3))
@@ -304,7 +301,7 @@ def test_acceptance_6_graph_construction_equivalence(capsys):
 
 def test_acceptance_7_structure_checks(capsys):
     t0 = time.perf_counter()
-    half_disk = farapart = iu_failures = iu_qualified = 0
+    half_disk = farapart = iu_failures = iu_qualified = iu_nontrivial = 0
     for seed in range(100):
         k = 7 + seed % 8
         ps = sim.sample_poisson(1000.0, seed)
@@ -314,13 +311,16 @@ def test_acceptance_7_structure_checks(capsys):
         farapart += len(sim.check_farapart(g, comps))
         results, _ = sim.sample_intersect_union_quadruples(g, 40, seed)
         iu_qualified += len(results)
+        iu_nontrivial += sum(1 for (w, x, y, z), _ in results
+                             if {w, x} != {y, z})
         iu_failures += sum(1 for _, verdict in results if not verdict)
     elapsed = time.perf_counter() - t0
     checks = [
         ("half-disk violations", half_disk == 0),
         ("far-apart violations", farapart == 0),
         ("containment-implication failures", iu_failures == 0),
-        ("containment hypotheses exercised (%d)" % iu_qualified,
+        ("containment hypotheses exercised (%d, %d non-trivial)"
+         % (iu_qualified, iu_nontrivial),
          iu_qualified > 0),
         ("finished inside 300 s (took %.1f s)" % elapsed, elapsed < 300.0),
     ]

@@ -3,14 +3,19 @@
 Every ``__all__`` entry of the package and its modules must resolve, every
 layer that the benchmark tracer (``perfbench/spans.py``) wraps must exist,
 and every demo script must import and run.  A deletion that breaks any of
-them fails here rather than in a benchmark run or a demo.
+them fails here rather than in a benchmark run or a demo.  The command-line
+entry point must also load without ``scipy.optimize``, which the library
+no longer needs.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +77,15 @@ _DEMO_ARGS = {
 def test_demo_runs(name, capsys):
     _load(ROOT / "demos" / (name + ".py")).main(*_DEMO_ARGS[name])
     assert capsys.readouterr().out.strip()
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # A fresh interpreter: this session may have imported scipy.optimize.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", "import knnlab.cli, sys; "
+         "print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

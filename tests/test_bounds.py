@@ -1,10 +1,12 @@
-"""Tests for the closed-form constants, exponent maximisations, and the
+"""Tests for the closed-form constants, exponent maxima, and the
 capture-ratio chain in :mod:`knnlab.bounds`.
 
 Expected numbers are frozen from independent oracle computations
 (closed-form evaluation, dense grid scans, and high-precision root
 solving) and pinned to 12 significant digits; any drift indicates a
 behavioural change in the derivations, not an acceptable refactoring.
+The closed-form exponent maxima are also checked against a dense grid
+scan of their objectives, written out here from the formulas.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from knnlab.bounds import (
     ModelConstants,
     capture_chain,
     cap_overflow_exponent,
-    component_size_problem,
+    component_size_maximum,
     corner_exponent_coefficient,
     easy_connectivity_constant,
     edge_exponent_coefficient,
@@ -34,14 +36,13 @@ from knnlab.bounds import (
     far_region_areas,
     iso_blowup_lower,
     make_certificate,
-    maximize_exponent,
     model_constants,
     ring_occupancy_area,
     annulus_residual_area,
     solve_mu,
     solve_y_cap,
     threshold_suite,
-    tile_density_problem,
+    tile_density_maximum,
 )
 
 
@@ -115,53 +116,84 @@ def test_solve_y_cap_roots():
 
 
 # ---------------------------------------------------------------------------
-# exponent maximisations
+# exponent maxima
 # ---------------------------------------------------------------------------
 
 
 def test_tile_density_interior_maximum_at_cap():
-    prob = tile_density_problem()
-    arg, val = maximize_exponent(prob)
+    arg, val = tile_density_maximum()
     assert val == approx12(-1.188449868532523)
-    assert arg == prob.hi  # maximal admissible tile area
+    assert arg == bounds.TILE_AREA_CAP  # maximal admissible tile area
 
 
 def test_tile_density_edge_maximum():
-    arg, val = maximize_exponent(tile_density_problem(boundary=True))
+    arg, val = tile_density_maximum(boundary=True)
     assert val == approx12(-0.8155706374163155)
 
 
 def test_component_size_interior_maximum():
-    arg, val = maximize_exponent(component_size_problem())
+    arg, val = component_size_maximum()
     assert val == approx12(-1.000276665056373)
     assert arg == pytest.approx(0.6073482832775055, abs=1e-6)
 
 
 def test_component_size_edge_maximum():
-    arg, val = maximize_exponent(component_size_problem(boundary=True))
+    arg, val = component_size_maximum(boundary=True)
     assert val == approx12(-0.5931910771863859)
     assert arg == pytest.approx(0.6015502636509269, abs=1e-6)
+
+
+def _tile_density_objective(A, c, boundary):
+    """``c log(A / (A + blowup(A)))``, written out on an array of areas."""
+    a, b = (0.5, 1.0) if boundary else (1.0, 2.0)
+    r = bounds.R_HAT
+    blow = a * math.pi * r * r + b * r * np.sqrt(math.pi * A)
+    return c * np.log(A / (A + blow))
+
+
+def _component_size_objective(A, c, boundary):
+    """The two-region occupancy exponent, written out on an array of
+    areas."""
+    a, b = (0.5, 1.0) if boundary else (1.0, 2.0)
+    r, s = bounds.R_HAT, bounds.SPLIT_FRACTION
+    blow = a * math.pi * r * r + b * r * np.sqrt(math.pi * A)
+    return c * (s * np.log(2.0 * A) + np.log(2.0 * CRESCENT_AREA)
+                - (1.0 + s) * np.log(CRESCENT_AREA + A + blow))
+
+
+@pytest.mark.parametrize("boundary", [False, True], ids=["interior", "edge"])
+@pytest.mark.parametrize("maximum, objective, caps", [
+    (tile_density_maximum, _tile_density_objective,
+     (bounds.TILE_AREA_CAP, bounds.TILE_AREA_CAP)),
+    (component_size_maximum, _component_size_objective,
+     (bounds.COMPONENT_AREA_CAP_INTERIOR, bounds.COMPONENT_AREA_CAP_EDGE)),
+], ids=["tile-density", "component-size"])
+def test_closed_form_maximum_beats_a_dense_grid(maximum, objective, caps,
+                                                boundary):
+    # The reference is a scan over a million equal intervals of (0, cap].
+    hi = caps[boundary]
+    xs = np.linspace(0.0, hi, 1_000_001)[1:]
+    grid_step = hi / 1_000_000
+    for c in (0.3, 0.5, 0.7209, 0.9684, 1.5, 3.0):
+        arg, val = maximum(c, boundary)
+        vals = objective(xs, c, boundary)
+        best = int(np.argmax(vals))
+        assert vals[best] <= val + 1e-12 * abs(val)
+        assert abs(xs[best] - arg) <= grid_step
+
+
+@pytest.mark.parametrize("maximum", [tile_density_maximum,
+                                     component_size_maximum],
+                         ids=["tile-density", "component-size"])
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_exponent_maxima_reject_non_positive_c(maximum, c):
+    with pytest.raises(ValueError):
+        maximum(c)
 
 
 def test_cap_overflow_exponents():
     assert cap_overflow_exponent() == approx12(-1.5822781701177868)
     assert cap_overflow_exponent(boundary=True) == approx12(-1.010692373664382)
-
-
-def test_maximize_exponent_handles_simple_parabola():
-    prob = bounds.ExponentProblem(
-        name="parabola", objective=lambda x: -(np.asarray(x) - 0.3) ** 2,
-        lo=0.0, hi=1.0)
-    arg, val = maximize_exponent(prob)
-    assert arg == pytest.approx(0.3, abs=1e-9)
-    assert val == pytest.approx(0.0, abs=1e-15)
-
-
-def test_maximize_exponent_rejects_empty_interval():
-    prob = bounds.ExponentProblem(name="bad", objective=lambda x: x,
-                                  lo=1.0, hi=1.0)
-    with pytest.raises(ValueError):
-        maximize_exponent(prob)
 
 
 # ---------------------------------------------------------------------------

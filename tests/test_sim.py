@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from knnlab import sim
 from knnlab.bounds import ModelConstants, model_constants
@@ -275,6 +275,25 @@ def test_component_diameter_matches_brute_force_on_random_sets():
         m = comps.members(label)
         expected = math.sqrt(((diff[np.ix_(m, m)] ** 2).sum(-1)).max())
         assert diameter == pytest.approx(expected, rel=1e-12)
+
+
+def test_component_diameter_through_the_convex_hull():
+    # Components of 5000 or more points take the diameter over their hull
+    # vertices; the giant component here has 5872 points.
+    comps = components(build_graph(sample_poisson(6000.0, 3), 12,
+                                   model="mutual"))
+    label, size = max(comps.sizes.items(), key=lambda item: item[1])
+    assert size >= 5000
+    members = comps.points[comps.members(label)]
+    assert comps.diameters[label] == sim._pairwise_max_dist(members)
+
+
+def test_component_diameter_falls_back_when_qhull_fails():
+    t = np.linspace(0.0, 1.0, 5000)
+    pts = np.column_stack([t, t])  # collinear: Qhull has no 2-d hull
+    with pytest.raises(QhullError):
+        ConvexHull(pts)
+    assert sim._component_diameter(pts) == sim._pairwise_max_dist(pts)
 
 
 # ---------------------------------------------------------------------------
