@@ -226,7 +226,8 @@ def _progress_printer(enabled: bool):
         now = time.perf_counter()
         if done == total or now - state["last"] > 2.0:
             state["last"] = now
-            sys.stderr.write("\r  %d/%d candidate squares" % (done, total))
+            sys.stderr.write("\r  %d/%d candidate squares settled"
+                             % (done, total))
             sys.stderr.flush()
             if done == total:
                 sys.stderr.write("\n")

@@ -3,10 +3,10 @@ censuses, the closed-form constant chain, graph-construction equivalence,
 the deterministic structure checks, the connectivity experiment, and
 reproducibility of command-line outputs.
 
-Each criterion prints one ``ACCEPTANCE n: PASS/FAIL`` line.  The two
-long-running census recomputations at step 0.001 are additionally available
-behind the ``extended`` marker; the default run validates the committed
-step-0.001 certificates and brackets them with a fresh step-0.004 census.
+Each criterion prints an ``ACCEPTANCE n: PASS/FAIL`` line followed by the
+label of each of its checks.  Criteria 1 and 2 validate the committed
+step-0.001 certificates, bracket them with a fresh step-0.004 census, and
+recompute all five at step 0.001, byte for byte.
 """
 
 from __future__ import annotations
@@ -61,8 +61,11 @@ def _emit(capsys, line: str) -> None:
 def _verdict(capsys, number: int, checks, suffix: str = "") -> None:
     failed = [label for label, ok in checks if not ok]
     passed = not failed
-    _emit(capsys, "ACCEPTANCE %d%s: %s" % (number, suffix,
-                                           "PASS" if passed else "FAIL"))
+    lines = ["ACCEPTANCE %d%s: %s" % (number, suffix,
+                                      "PASS" if passed else "FAIL")]
+    lines += ["  %-4s %s" % ("ok" if ok else "FAIL", label)
+              for label, ok in checks]
+    _emit(capsys, "\n".join(lines))
     assert passed, "failed checks: %s" % ", ".join(failed)
 
 
@@ -118,7 +121,7 @@ def test_acceptance_1_census_bounds(capsys):
 @pytest.fixture(scope="module")
 def fine_census():
     # Census results do not depend on the thread count (test_census checks
-    # this), so the long step-0.001 scans use the machine's cores.
+    # this), so the step-0.001 scans use the machine's cores.
     threads = min(os.cpu_count() or 1, 4)
     return {
         "lplus": verify_L_plus(0.001, threads=threads),
@@ -128,11 +131,18 @@ def fine_census():
     }
 
 
-@pytest.mark.extended
-def test_acceptance_1_census_bounds_extended(capsys, fine_census):
+def _same_as_committed(cert, tmp_path) -> bool:
+    name = "%s_0.001.json" % cert.name
+    cert.save(tmp_path / name)
+    return (tmp_path / name).read_bytes() == (CERT_DIR / name).read_bytes()
+
+
+def test_acceptance_1_census_bounds_extended(capsys, fine_census, tmp_path):
     checks = []
     for name, (bound, centre) in CENSUS_REFERENCE.items():
         cert = fine_census[name]
+        checks.append(("%s recomputed byte for byte" % name,
+                       _same_as_committed(cert, tmp_path)))
         if name in LOWER_FAMILIES:
             checks.append(("%s clears %s" % (name, bound),
                            cert.computed > bound))
@@ -141,7 +151,7 @@ def test_acceptance_1_census_bounds_extended(capsys, fine_census):
                            cert.computed < bound))
         checks.append(("%s witness near %s" % (name, (centre,)),
                        _witness_near(cert.witness, centre, 0.001)))
-    _verdict(capsys, 1, checks, suffix=" (extended)")
+    _verdict(capsys, 1, checks, suffix=" (step 0.001 recomputed)")
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +180,19 @@ def test_acceptance_2_crossing_threshold(capsys):
     _verdict(capsys, 2, checks)
 
 
-@pytest.mark.extended
-def test_acceptance_2_crossing_threshold_extended(capsys, fine_census):
+def test_acceptance_2_crossing_threshold_extended(capsys, fine_census,
+                                                 tmp_path):
     cert = crossing_ratio(0.001, components=fine_census)
     checks = [
+        ("ratio recomputed byte for byte",
+         _same_as_committed(cert, tmp_path)),
         ("ratio below %s" % RATIO_REFERENCE,
          cert.computed <= RATIO_REFERENCE - GUARD),
         ("threshold at most %s" % THRESHOLD_REFERENCE,
          cert.witness <= THRESHOLD_REFERENCE),
         ("certificate passed", cert.passed),
     ]
-    _verdict(capsys, 2, checks, suffix=" (extended)")
+    _verdict(capsys, 2, checks, suffix=" (step 0.001 recomputed)")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ the two coarse steps that run quickly.  The refinement test checks the
 defining conservativity property: lower censuses only grow and upper
 censuses only shrink as the grid is refined.  The row kernel's count of
 every candidate is checked against a direct per-candidate 2-D window
-count of the same family spec.
+count of the same family spec.  The pruned scan is checked against the
+kernel over every candidate, and the tile set of each sampled block bound
+against the tile sets of the block's members.
 """
 
 from __future__ import annotations
@@ -173,6 +175,21 @@ FAMILIES = {
 }
 
 
+def _window(ci, cj, x, y, reach):
+    """The window of columns and rows that a binary search on the tile
+    centres finds for ``reach`` about ``(x, y)``, the squared distances
+    from ``(x, y)`` to its tile centres, and its tiles inside the disk."""
+    ia = np.searchsorted(ci, x - reach, side="left")
+    ib = np.searchsorted(ci, x + reach, side="right") if reach > 0.0 else ia
+    ja = np.searchsorted(cj, y - reach, side="left")
+    jb = np.searchsorted(cj, y + reach, side="right")
+    cols, rows = slice(ia, ib), slice(ja, jb)
+    dx = ci[cols, None] - x
+    dy = cj[None, rows] - y
+    d2 = dx * dx + dy * dy
+    return cols, rows, d2, d2 <= reach * reach
+
+
 def _window_counts(s, family):
     """Reference count of every candidate: mask the candidate's whole 2-D
     window of tiles with the disk test and the family's ``keep`` test."""
@@ -181,21 +198,20 @@ def _window_counts(s, family):
     cj = (np.arange(*family.rows) + 0.5) * s
     static, _ = family.tiles(ci[:, None], cj[None, :], s)
     reach = family.reach_of(xs, ys, s)
-    r2 = reach * reach
-    ia = np.searchsorted(ci, xs - reach, side="left")
-    ib = np.where(reach > 0.0, np.searchsorted(ci, xs + reach, side="right"),
-                  ia)
-    ja = np.searchsorted(cj, ys - reach, side="left")
-    jb = np.searchsorted(cj, ys + reach, side="right")
     counts = np.zeros(xs.size, dtype=np.int64)
     for t in range(xs.size):
-        cols = slice(ia[t], ib[t])
-        rows = slice(ja[t], jb[t])
-        dx = ci[cols, None] - xs[t]
-        dy = cj[None, rows] - ys[t]
-        d2 = dx * dx + dy * dy
-        counts[t] = np.count_nonzero((d2 <= r2[t])
+        cols, rows, d2, disk = _window(ci, cj, xs[t], ys[t], reach[t])
+        counts[t] = np.count_nonzero(disk
                                      & family.keep(d2, static[cols, rows]))
+    return xs, ys, counts
+
+
+def _full_counts(s, family, threads=None):
+    """The kernel over every candidate: the full-scan reference."""
+    u = _census._universe(s, family)
+    xs, ys = _census._candidate_centers(s, family.hull)
+    counts, _ = _census._counts(u, xs, ys, family.reach_of(xs, ys, s),
+                                np.full(xs.size, u.C), threads)
     return xs, ys, counts
 
 
@@ -205,16 +221,13 @@ def test_row_kernel_counts_match_window_reference(name, step):
     family = FAMILIES[name](step)
     xs, ys, reference = _window_counts(step, family)
     for threads in (1, 3):
-        got_xs, got_ys, counts = _census._counts(step, family, threads=threads)
+        got_xs, got_ys, counts = _full_counts(step, family, threads)
         assert np.array_equal(got_xs, xs) and np.array_equal(got_ys, ys)
         assert np.array_equal(counts, reference)
 
 
-@pytest.mark.parametrize("name", ["hplus", "hplus_intersection", "lminus",
-                                  "lplus"])
-def test_untrusted_rows_are_counted_tile_by_tile(name, monkeypatch):
-    # Flag every chord untrusted (and empty it), so each row with ellipse
-    # tiles is counted by the per-tile recount alone.
+def _untrusted_chords(monkeypatch):
+    # Flag every chord untrusted (and empty it).
     chord = _census._ellipse_chord
 
     def untrusted(*args):
@@ -222,9 +235,114 @@ def test_untrusted_rows_are_counted_tile_by_tile(name, monkeypatch):
         return ca, ca, np.zeros_like(ok)
 
     monkeypatch.setattr(_census, "_ellipse_chord", untrusted)
+
+
+ELLIPSE_FAMILIES = ["hplus", "hplus_intersection", "lminus", "lplus"]
+
+
+@pytest.mark.parametrize("name", ELLIPSE_FAMILIES)
+def test_untrusted_rows_are_counted_tile_by_tile(name, monkeypatch):
+    # Each row with ellipse tiles is counted by the per-tile recount alone.
+    _untrusted_chords(monkeypatch)
     family = FAMILIES[name](0.01)
-    _, _, counts = _census._counts(0.01, family, threads=2)
+    _, _, counts = _full_counts(0.01, family, threads=2)
     assert np.array_equal(counts, _window_counts(0.01, family)[2])
+
+
+@pytest.mark.parametrize("name", ELLIPSE_FAMILIES)
+def test_untrusted_block_bounds_are_never_pruned(name, monkeypatch):
+    reference = _run(name, 0.01)
+    _untrusted_chords(monkeypatch)
+    family = FAMILIES[name](0.01)
+    xs, ys = _census._candidate_centers(0.01, family.hull)
+    reach = family.reach_of(xs, ys, 0.01)
+    owner, _, bound = _census._block_bounds(_census._universe(0.01, family),
+                                            family, xs, ys, reach)
+    assert np.isinf(bound).any()
+    # Record the candidates counted exactly (the family's own focal sum).
+    kernel, seen = _census._counts, []
+
+    def spy(u, px, py, reach, C, threads=None):
+        if np.all(C == u.C):
+            seen.extend(zip(px, py))
+        return kernel(u, px, py, reach, C, threads)
+
+    monkeypatch.setattr(_census, "_counts", spy)
+    out = _run(name, 0.01)
+    assert out.counted == len(seen) == len(set(seen))
+    assert ({(xs[t], ys[t]) for t in np.flatnonzero(np.isinf(bound[owner]))}
+            <= set(seen))
+    assert (out.count, out.witness) == (reference.count, reference.witness)
+
+
+def _keep_tiles(ci, cj, static, family, x, y, reach):
+    """The universe tiles a candidate counts, by its window, disk and
+    ``keep`` tests."""
+    cols, rows, d2, disk = _window(ci, cj, x, y, reach)
+    tiles = np.zeros((ci.size, cj.size), dtype=bool)
+    tiles[cols, rows] = disk & family.keep(d2, static[cols, rows])
+    return tiles
+
+
+def _term_tiles(ci, cj, terms, x, y, reach, C):
+    """The universe tiles a point counts by the family's terms with focal
+    sum ``C``: positive terms' tiles less negative terms' tiles, each cut
+    by the float test of its joining ellipse."""
+    cols, rows, d2, disk = _window(ci, cj, x, y, reach)
+    held = {1: np.zeros_like(disk), -1: np.zeros_like(disk)}
+    for mask, sign, focus in terms:
+        sel = mask[cols, rows] & disk
+        if focus is not None:
+            t = C - np.hypot(ci[cols, None] - _census._FOCI[focus][0],
+                             cj[None, rows])
+            sel &= (t > 0.0) & (d2 <= t * t)
+        held[sign] |= sel
+    assert not (held[-1] & ~held[1]).any()
+    tiles = np.zeros((ci.size, cj.size), dtype=bool)
+    tiles[cols, rows] = held[1] & ~held[-1]
+    return tiles
+
+
+@pytest.mark.parametrize("step", [0.02, 0.01, 0.008, 0.005, 0.004])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_block_bound_tiles_hold_for_every_member(name, step):
+    # The tile set a block's bound counts must lie inside every member's
+    # tile set (min families) or hold every member's (max families).  A
+    # count check is weaker: a bound can cover a member's count with the
+    # wrong tiles.
+    family = FAMILIES[name](step)
+    u = _census._universe(step, family)
+    xs, ys = _census._candidate_centers(step, family.hull)
+    reach = family.reach_of(xs, ys, step)
+    owner, (x0, y0, reach0, c0), bound = _census._block_bounds(
+        u, family, xs, ys, reach)
+    finite = np.flatnonzero(np.isfinite(bound))
+    assert finite.size > bound.size // 2
+    _, terms = family.tiles(u.ci[:, None], u.cj[None, :], step)
+    rng = np.random.default_rng(int(1 / step))
+    for b in rng.choice(finite, size=min(5, finite.size), replace=False):
+        tiles = _term_tiles(u.ci, u.cj, terms, x0[b], y0[b], reach0[b], c0[b])
+        assert np.count_nonzero(tiles) == bound[b]
+        for t in np.flatnonzero(owner == b):
+            member = _keep_tiles(u.ci, u.cj, u.static, family, xs[t], ys[t],
+                                 reach[t])
+            if family.minimise:
+                assert not (tiles & ~member).any()
+            else:
+                assert not (member & ~tiles).any()
+
+
+@pytest.mark.parametrize("step", [0.008, 0.005, 0.004])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_pruned_scan_matches_the_full_kernel(name, step):
+    family = FAMILIES[name](step)
+    xs, ys, counts = _full_counts(step, family)
+    t = int(np.argmin(counts) if family.minimise else np.argmax(counts))
+    out = _run(name, step)
+    assert out.count == counts[t]
+    assert out.witness == (xs[t], ys[t])
+    assert out.candidates == xs.size
+    assert out.counted < out.candidates
 
 
 def _grid(s):
