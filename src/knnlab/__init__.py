@@ -18,6 +18,8 @@ connectivity sweeps, and the structural checks.
 
 __version__ = "1.0.0"
 
+import importlib
+
 from .bounds import (
     CENSUS_TARGETS,
     CONNECTIVITY_THRESHOLD,
@@ -50,29 +52,41 @@ from .regions import (
     normalize_crossing_pair,
     normalize_crossing_pair_with_map,
 )
-from .sim import (
-    MODELS,
-    ComponentDecomposition,
-    ConnectivityEstimate,
-    CrossingReport,
-    GoodnessReport,
-    NearestNeighborGraph,
-    PointSet,
-    SampleWindow,
-    TrialResult,
-    brute_force_graph,
-    build_graph,
-    check_farapart,
-    check_goodness,
-    check_half_disk_lemma,
-    check_intersect_union_lemma,
-    components,
-    estimate_connectivity,
-    figure_one_pointset,
-    find_crossing_pairs,
-    sample_poisson,
-    wilson_interval,
-)
+
+#: Names re-exported from :mod:`knnlab.sim`.  The module is imported on
+#: first use, so that the analytic half and the ``verify`` and
+#: ``constants`` commands do not load scipy.
+_SIM_NAMES = frozenset({
+    "MODELS",
+    "ComponentDecomposition",
+    "ConnectivityEstimate",
+    "CrossingReport",
+    "GoodnessReport",
+    "NearestNeighborGraph",
+    "PointSet",
+    "SampleWindow",
+    "TrialResult",
+    "brute_force_graph",
+    "build_graph",
+    "check_farapart",
+    "check_goodness",
+    "check_half_disk_lemma",
+    "check_intersect_union_lemma",
+    "components",
+    "estimate_connectivity",
+    "figure_one_pointset",
+    "find_crossing_pairs",
+    "sample_poisson",
+    "wilson_interval",
+})
+
+
+def __getattr__(name):
+    if name == "sim" or name in _SIM_NAMES:
+        sim = importlib.import_module(".sim", __name__)
+        return sim if name == "sim" else getattr(sim, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "__version__",

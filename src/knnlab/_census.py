@@ -21,31 +21,37 @@ reproducible.
 
 The four families run through one scan, :func:`_scan`.  Each family is a
 spec (:class:`_Family`): its candidate hull, the universe rows, the reach
-of every candidate, a static per-tile array with a per-tile ``keep`` test
-on it (``d2 <= lens**2`` for ``L+``; ``d2 <= bound`` with ``+inf`` on the
-pi/6 wedges for ``L-``; ``d2 >= min(crescent bounds)`` with ``-inf`` on
-the kite for ``H+``; a bool mask for ``H-``), the same test written as
-signed terms, and whether the count is minimised or maximised.  A term is
-a static tile mask counted inside the candidate's disk, cut by the
-joining ellipse about ``b1`` or ``b2`` if it names one: ``L+`` is the
+of every candidate, its tile tests, and the per-tile data built from
+them: a static array with a per-tile ``keep`` test on it (``d2 <=
+lens**2`` for ``L+``; ``d2 <= bound`` with ``+inf`` on the pi/6 wedges
+for ``L-``; ``d2 >= min(crescent bounds)`` with ``-inf`` on the kite for
+``H+``; a bool mask for ``H-``), and the same test written as signed
+terms.  A term is a tile mask counted inside the candidate's disk, cut by
+the joining ellipse about ``b1`` or ``b2`` if it names one: ``L+`` is the
 lens tiles of each ``b`` inside that ``b``'s ellipse; ``L-`` adds the
 wedges; ``H+`` is the kite and crescent tiles minus the crescent tiles
 inside their crescent's exclusion ellipse (no tile lies in both
-crescents' exclusion sets).  The kernel, :func:`_counts`, counts each
-term one row at a time, from per-row prefix sums over the row's disk and
-ellipse chords, so a point costs O(1/s).  A chord is used only when the
-float excess at its ends clears a stated rounding margin, and the row is
-otherwise counted tile by tile, so the counts are those of the per-tile
-``keep`` test, bit for bit.
+crescents' exclusion sets).
+
+No array spans the universe.  Every mask is a Boolean function of the
+family's tile tests, and each test turns at most once on each piece of a
+row between the columns of ``b1`` and ``b2``.  So each mask is a few
+column intervals per row, whose ends a bisection with the tests
+themselves finds (:func:`_universe`); memory is O(1/s).  The kernel,
+:func:`_counts`, counts each term one row at a time as the overlap of the
+row's intervals with its disk and ellipse chords, so a point costs
+O(1/s).  A chord is used only when the float excess at its ends clears a
+stated rounding margin, and the row is otherwise counted tile by tile,
+so the counts are those of the per-tile ``keep`` test, bit for bit.
 
 Few candidates come near the extremum, so the scan counts few of them.
-It bounds each 5 x 5 block of candidates at once: one kernel call at the
-block's middle tile with the disk and ellipses moved by the block's
-radius, so that its count is certified not to beat any member's.  It
-then counts exactly only the blocks, best bound first, whose bound can
-still reach the best count so far.  The bounds cost O(s**-3) / 25 and
-the counted blocks little beyond that (0.2% to 3% of the candidates at
-step 0.001); the extremum and witness are those of the full scan.
+It bounds nested square blocks of candidates, 27, 9 and 3 tiles on a
+side, each with one kernel call at the block's middle tile with the disk
+and ellipses moved by the block's radius, so that the count is certified
+not to beat any member's.  Best bound first, it splits only the blocks
+whose bound can still reach the best count so far, and counts exactly
+only the members of such 3 x 3 blocks (0.02% to 1% of the candidates at
+step 0.001).  The extremum and witness are those of the full scan.
 
 The public wrappers that turn these censuses into certificates live in
 :mod:`knnlab.bounds`.
@@ -53,6 +59,7 @@ The public wrappers that turn these censuses into certificates live in
 
 from __future__ import annotations
 
+import heapq
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -112,9 +119,9 @@ class CensusOutcome:
     step : float
         The grid side used.
     counted : int
-        Number of candidate squares counted exactly; the others lie in
-        blocks whose bound is strictly worse than the extremum (see
-        :func:`_scan`).
+        Number of candidate squares counted exactly; each of the others
+        lies in a block, at some level of :func:`_scan`'s hierarchy, whose
+        bound is strictly worse than the extremum.
     """
 
     area: float
@@ -144,8 +151,13 @@ def validate_step(s: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tile-level certificates
+# tile tests
 # ---------------------------------------------------------------------------
+#
+# A tile test is a callable ``test(CX, CY, s)`` that takes tile centres
+# (broadcast like numpy) and the tile side and returns a bool array.  Each
+# one compares a float quantity that, along a row, is monotone in the
+# column on each side of the columns of b1 and b2 (see :func:`_scan`).
 
 
 def _edges_of(poly):
@@ -165,27 +177,38 @@ def _edges_of(poly):
     return out
 
 
-def _tiles_overlapping(poly, cx, cy, s):
-    """Exact separating-axis test: closed tile meets closed convex polygon."""
-    half = s / 2.0
-    ok = np.ones(np.broadcast(cx, cy).shape, dtype=bool)
-    for nx, ny, c in _edges_of(poly):
-        m = nx * cx + ny * cy - (abs(nx) + abs(ny)) * half
-        ok &= m <= c
-    xs = [p[0] for p in poly]
-    ys = [p[1] for p in poly]
-    ok &= (cx + half >= min(xs)) & (cx - half <= max(xs))
-    ok &= (cy + half >= min(ys)) & (cy - half <= max(ys))
-    return ok
+def _half_plane(nx, ny, c, inside):
+    """Test: the closed tile lies inside (``inside``) or meets the closed
+    half-plane ``{p : nx*x + ny*y <= c}``."""
+    k = abs(nx) + abs(ny)
+    if inside:
+        return lambda CX, CY, s: nx * CX + ny * CY + k * (s / 2.0) <= c
+    return lambda CX, CY, s: nx * CX + ny * CY - k * (s / 2.0) <= c
 
 
-def _tiles_inside(poly, cx, cy, s):
-    """Exact test: closed tile entirely inside closed convex polygon."""
-    half = s / 2.0
-    ok = np.ones(np.broadcast(cx, cy).shape, dtype=bool)
-    for nx, ny, c in _edges_of(poly):
-        m = nx * cx + ny * cy + (abs(nx) + abs(ny)) * half
-        ok &= m <= c
+def _inside_tests(poly):
+    """Tests whose conjunction is exact: the closed tile lies inside the
+    closed convex polygon ``poly``."""
+    return [_half_plane(nx, ny, c, True) for nx, ny, c in _edges_of(poly)]
+
+
+def _overlap_tests(poly):
+    """Tests whose conjunction is the exact separating-axis test: the
+    closed tile meets the closed convex polygon ``poly``."""
+    x0, x1 = min(p[0] for p in poly), max(p[0] for p in poly)
+    y0, y1 = min(p[1] for p in poly), max(p[1] for p in poly)
+    return ([_half_plane(nx, ny, c, False) for nx, ny, c in _edges_of(poly)]
+            + [lambda CX, CY, s: CX + s / 2.0 >= x0,
+               lambda CX, CY, s: CX - s / 2.0 <= x1,
+               lambda CX, CY, s: CY + s / 2.0 >= y0,
+               lambda CX, CY, s: CY - s / 2.0 <= y1])
+
+
+def _all(tests, CX, CY, s):
+    """Conjunction of ``tests`` at the tile centres ``(CX, CY)``."""
+    ok = np.ones(np.broadcast(CX, CY).shape, dtype=bool)
+    for test in tests:
+        ok &= test(CX, CY, s)
     return ok
 
 
@@ -203,6 +226,50 @@ def _mincorner_dist2(cx, cy, px, py, s):
     return dx * dx + dy * dy
 
 
+def _corner(p, farthest, r2, within):
+    """Test: the farthest corner (``farthest``) or the nearest point of the
+    tile lies within (``within``) or at least ``sqrt(r2)`` from ``p``."""
+    dist2 = _maxcorner_dist2 if farthest else _mincorner_dist2
+    if within:
+        return lambda CX, CY, s: dist2(CX, CY, p[0], p[1], s) <= r2
+    return lambda CX, CY, s: dist2(CX, CY, p[0], p[1], s) >= r2
+
+
+def _short_of(b):
+    """Test: the tile centre lies nearer to ``b`` than the focal sum."""
+    return lambda CX, CY, s: np.hypot(CX - b[0], CY - b[1]) < _lens_sum(s)
+
+
+def _nearer_b1(CX, CY, s):
+    """Test: ``C - |p - b1| >= C - |p - b2|`` in floats at the centre
+    ``p``, with ``C`` the focal sum: the lens radius about ``b1`` is the
+    larger."""
+    C = _lens_sum(s)
+    return (C - np.hypot(CX - _B1[0], CY - _B1[1])
+            >= C - np.hypot(CX - _B2[0], CY - _B2[1]))
+
+
+#: Tests of the lens: the tile lies in the half-radius disk about b1, about
+#: b2, and its lens radius about b1 is the larger.
+_LENS_TESTS = (_corner(_B1, True, 0.25, True), _corner(_B2, True, 0.25, True),
+               _nearer_b1)
+#: Tests of the two pi/6 wedges of the lower triangle.
+_WEDGE_TESTS = (_inside_tests(_TRI_B1), _inside_tests(_TRI_B2))
+#: Tests of the ``H+`` crescents: the tile meets the unit disk about b1 and
+#: b2, lies outside the unit disk about b1 and b2 in part, and outside the
+#: half-radius disk about b1 and b2 in part; its centre lies short of the
+#: focal sum from b1 and b2.
+_CRESCENT_TESTS = (_corner(_B1, False, 1.0, True),
+                   _corner(_B2, False, 1.0, True),
+                   _corner(_B1, True, 1.0, False),
+                   _corner(_B2, True, 1.0, False),
+                   _corner(_B1, True, 0.25, False),
+                   _corner(_B2, True, 0.25, False),
+                   _short_of(_B1), _short_of(_B2))
+#: Tests of ``H+``'s kite: the tile meets it.
+_KITE_TESTS = _overlap_tests(_KITE)
+
+
 def _candidate_centers(s, poly):
     """Centres of all tiles meeting ``poly``, in (column, row) scan order."""
     xs = [p[0] for p in poly]
@@ -218,7 +285,7 @@ def _candidate_centers(s, poly):
     J = J.ravel()
     cx = (I + 0.5) * s
     cy = (J + 0.5) * s
-    m = _tiles_overlapping(poly, cx, cy, s)
+    m = _all(_overlap_tests(poly), cx, cy, s)
     if not np.any(m):
         raise ValueError("census step too coarse: no candidate squares")
     order = np.lexsort((J[m], I[m]))
@@ -264,12 +331,12 @@ def _h_points(xs, ys, eps1):
 # ---------------------------------------------------------------------------
 
 #: Most points per unit of work handed to the thread pool, and about the
-#: number of candidates counted exactly between incumbent updates.
+#: number of points the scan bounds or counts between incumbent updates.
 _BLOCK = 64
 
-#: Side, in tiles, of the square blocks of candidates that :func:`_scan`
-#: bounds at once.
-_PRUNE_SIDE = 5
+#: Sides, in tiles, of the nested square blocks of candidates that
+#: :func:`_scan` bounds, coarsest first; each side divides the one before.
+_SIDES = (27, 9, 3)
 
 #: Margin added to a block's radius (see :func:`_scan`).
 _PRUNE_MARGIN = 1e-9
@@ -288,18 +355,19 @@ class _Family(NamedTuple):
     hull: list
     rows: Tuple[int, int]
     reach_of: Callable
+    tests: tuple
     tiles: Callable
     keep: Callable
     minimise: bool
 
 
 class _Universe(NamedTuple):
-    """The tiles one family counts at one step, built once per scan: the
-    column and row centres (``cp`` pads the columns by two on each side),
-    the columns ``[first, last)`` of each row that hold any term tile, the
-    ``static`` array of the ``keep`` test, each term as ``(prefix, sign,
-    focus)`` with ``prefix`` its per-row prefix sums, and the family's
-    focal sum ``C``."""
+    """The tiles one family counts at one step: the column and row centres
+    (``cp`` pads the columns by two on each side), the columns ``[first,
+    last)`` of each row that hold any term tile, each term as ``(starts,
+    ends, sign, focus)`` with the tiles of row ``j`` in the column
+    intervals ``[starts[k, j], ends[k, j])``, the family's ``tiles`` and
+    ``keep`` for the rows counted tile by tile, and its focal sum ``C``."""
 
     s: float
     i0: int
@@ -308,27 +376,83 @@ class _Universe(NamedTuple):
     cp: np.ndarray
     first: np.ndarray
     last: np.ndarray
-    static: np.ndarray
-    sums: list
+    terms: list
+    tiles: Callable
     keep: Callable
     C: float
 
 
+def _turns(test, ci, cj, a, b, s):
+    """Column of every row at which ``test`` turns within each piece of
+    columns ``[a[p], b[p])``, or ``b[p]`` where it does not.
+
+    ``test`` must be monotone in the column on each piece, so that it
+    turns at most once there; the bisection keeps ``lo`` on the value of
+    the piece's first column and ``hi`` on that of its last.
+    """
+    y = cj[:, None]
+    lo = np.broadcast_to(a, (cj.size, a.size))
+    hi = np.broadcast_to(b - 1, lo.shape)
+    head = np.broadcast_to(test(ci[lo], y, s), lo.shape)
+    turns = head != test(ci[hi], y, s)
+    if not turns.any():
+        return np.broadcast_to(b, lo.shape)
+    for _ in range(int(np.max(b - 1 - a)).bit_length()):
+        mid = (lo + hi) // 2
+        same = test(ci[mid], y, s) == head
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return np.where(turns, hi, b)
+
+
 def _universe(s, family):
-    """Build the :class:`_Universe` of ``family`` at step ``s``."""
+    """Build the :class:`_Universe` of ``family`` at step ``s``.
+
+    The columns of a row are split at those of ``b1`` and ``b2``, which lie
+    on tile corners.  Each test is monotone in the column on each piece
+    (see :func:`_scan`), so :func:`_turns` finds where it turns, and every
+    test, hence every mask, is constant between the sorted turns.  The
+    masks come from ``family.tiles`` at the first column of each such
+    segment, and each term keeps the runs of segments that hold it.
+    """
     i0 = math.floor(-0.35 / s)
     ci = (np.arange(i0, math.ceil(1.35 / s)) + 0.5) * s
     cj = (np.arange(*family.rows) + 0.5) * s
-    static, terms = family.tiles(ci[:, None], cj[None, :], s)
-    held = np.logical_or.reduce([mask for mask, _, _ in terms]).T
-    first = np.argmax(held, axis=1)
-    last = np.where(held.any(axis=1),
-                    ci.size - np.argmax(held[:, ::-1], axis=1), 0)
-    sums = [(np.pad(np.cumsum(mask.T, axis=1, dtype=np.int32),
-                    ((0, 0), (1, 0))).ravel(), sign, focus)
-            for mask, sign, focus in terms]
+    n, m = ci.size, cj.size
+    cuts = np.concatenate(([0], np.searchsorted(ci, [b[0] for b in _FOCI]),
+                           [n]))
+    turns = [np.zeros((m, 1), dtype=np.int64), np.full((m, 1), n)]
+    turns += [_turns(test, ci, cj, cuts[:-1], cuts[1:], s)
+              for test in family.tests]
+    turns = np.sort(np.concatenate(turns, axis=1), axis=1)
+    # The segments [lo, hi) between consecutive turns, in row-major order;
+    # those of a row are consecutive and cover it.
+    row, k = np.nonzero(turns[:, 1:] > turns[:, :-1])
+    lo, hi = turns[row, k], turns[row, k + 1]
+    _, masks = family.tiles(ci[lo], cj[row], s)
+    head = np.concatenate(([True], row[1:] != row[:-1]))
+    tail = np.concatenate((head[1:], [True]))
+    first = np.full(m, n)
+    last = np.zeros(m, dtype=np.int64)
+    terms = []
+    for mask, sign, focus in masks:
+        on = np.broadcast_to(mask, lo.shape)
+        # A run of segments that hold the term starts at a row's first
+        # segment or after one without it, and ends at a row's last
+        # segment or before one without it.
+        start = on & (head | ~np.concatenate(([False], on[:-1])))
+        end = on & (tail | ~np.concatenate((on[1:], [False])))
+        runs = np.bincount(row[start], minlength=m)
+        starts = np.zeros((max(1, int(runs.max())), m), dtype=np.int64)
+        ends = np.zeros_like(starts)
+        _, rank = _ragged(runs)
+        starts[rank, row[start]] = lo[start]
+        ends[rank, row[end]] = hi[end]
+        first = np.minimum(first, np.where(runs > 0, starts[0], n))
+        last = np.maximum(last, ends.max(axis=0))
+        terms.append((starts, ends, sign, focus))
     return _Universe(s, i0, ci, cj, np.pad(ci, 2, mode="edge"), first, last,
-                     static, sums, family.keep, _lens_sum(s))
+                     terms, family.tiles, family.keep, _lens_sum(s))
 
 
 def _lens_sum(s):
@@ -341,6 +465,15 @@ def _ragged(n):
     ``i`` owns ``n[i]`` consecutive items."""
     owner = np.repeat(np.arange(n.size), n)
     return owner, np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+
+
+def _overlap(starts, ends, lo, hi):
+    """Number of columns of ``[lo, hi)`` in the intervals ``[starts[k],
+    ends[k])`` over ``k``, one column of intervals per item."""
+    total = 0
+    for a, b in zip(starts, ends):
+        total = total + np.maximum(np.minimum(b, hi) - np.maximum(a, lo), 0)
+    return total
 
 
 def _disk_chord(ci, x, dy2, r2, k, a, b, s, i0):
@@ -444,26 +577,32 @@ def _ellipse_chord(cp, x, y, dy, bx, C, lo, hi, s, i0):
     return np.where(full, q1, lo), np.where(full, q2 + 1, lo), ok
 
 
-def _counts(u, xs, ys, reach, C, threads=None):
+def _counts(u, xs, ys, reach, C, pool=None):
     """Census count of every point ``(xs, ys)`` of the universe ``u``,
     with counting radius ``reach`` and joining-ellipse focal sum ``C``
     (arrays, one entry per point), and whether each point had every row's
     chord trusted.
 
     A row whose chord is not trusted is counted tile by tile with the
-    family's ``keep`` test when the point's focal sum is the family's own
-    ``u.C``, the one ``keep`` encodes.  Any other point (the virtual point
-    of a block, see :func:`_scan`) keeps the chord count; its flag says the
-    count is not to be used.  Points are split into at least ``threads``
-    parts of at most ``_BLOCK`` that run on a pool of ``threads`` threads
-    (one when ``None``) and write disjoint slices of the result, so the
-    counts do not depend on the split.
+    family's ``keep`` test, on ``tiles`` built for that row's disk columns
+    alone, when the point's focal sum is the family's own ``u.C``, the one
+    ``keep`` encodes.  Any other point (the virtual point of a block, see
+    :func:`_scan`) keeps the chord count; its flag says the count is not
+    to be used.  Points are split into parts of at most ``_BLOCK``; more
+    than one part runs on the thread ``pool`` when one is given, and each
+    part writes a disjoint slice of the result, so the counts do not
+    depend on the split.  (A part of up to ``_BLOCK`` points is too small
+    to gain from threads that contend for the interpreter lock.)
     """
     s, ci, cj = u.s, u.ci, u.cj
-    for focus in {focus for _, _, focus in u.sums} - {None}:
-        # The rounding bound of _scan needs C - |a - b| >= 0.07.
+    for focus in {focus for *_, focus in u.terms} - {None}:
         bx, by = _FOCI[focus]
-        assert np.all(C - np.hypot(xs - bx, ys - by) >= 0.07)
+        if not np.all(C - np.hypot(xs - bx, ys - by) >= 0.07):
+            raise ValueError("the rounding bound of the census needs "
+                             "C - |a - b| >= 0.07 at every point")
+    kx = np.searchsorted(ci, xs)
+    if not np.array_equal(ci[np.minimum(kx, ci.size - 1)], xs):
+        raise ValueError("every census point must lie on a column centre")
     exact = C == u.C
     r2 = reach * reach
     ia = np.searchsorted(ci, xs - reach, side="left")
@@ -471,9 +610,6 @@ def _counts(u, xs, ys, reach, C, threads=None):
                   ia)
     ja = np.searchsorted(cj, ys - reach, side="left")
     jb = np.searchsorted(cj, ys + reach, side="right")
-    kx = np.searchsorted(ci, xs)
-    assert np.array_equal(ci[kx], xs)
-    width = ci.size + 1
     total = xs.size
     counts = np.zeros(total, dtype=np.int64)
     trusted = np.ones(total, dtype=bool)
@@ -492,11 +628,11 @@ def _counts(u, xs, ys, reach, C, threads=None):
         lo, hi = _disk_chord(ci, x, dy2, r2[t], np.clip(kx[t], a, b - 1),
                              a, b, s, u.i0)
         del a, b
-        base = j * width
         row = np.zeros(t.size, dtype=np.int64)
         ok = np.ones(t.size, dtype=bool)
-        for prefix, sign, focus in u.sums:
-            in_disk = prefix[base + hi] - prefix[base + lo]
+        for starts, ends, sign, focus in u.terms:
+            starts, ends = starts[:, j], ends[:, j]
+            in_disk = _overlap(starts, ends, lo, hi)
             if focus is None:
                 row += sign * in_disk
                 continue
@@ -506,8 +642,7 @@ def _counts(u, xs, ys, reach, C, threads=None):
                                           _FOCI[focus][0], C[t[idx]],
                                           lo[idx], hi[idx], s, u.i0)
             ok[idx] &= good
-            row[idx] += sign * (prefix[base[idx] + cb]
-                                - prefix[base[idx] + ca])
+            row[idx] += sign * _overlap(starts[:, idx], ends[:, idx], ca, cb)
         trusted[t0:t1] = np.bincount(t[~ok] - t0, minlength=t1 - t0) == 0
         # Rows whose chords fail the rounding check are counted tile by tile.
         bad = np.flatnonzero(~ok & exact[t])
@@ -516,14 +651,17 @@ def _counts(u, xs, ys, reach, C, threads=None):
             q = lo[bad][r] + pos
             dx = ci[q] - x[bad][r]
             d2 = dx * dx + dy2[bad][r]
-            hits = u.keep(d2, u.static[q, j[bad][r]])
+            static, _ = u.tiles(ci[q], cj[j[bad][r]], s)
+            hits = u.keep(d2, static)
             row[bad] = np.bincount(r[hits], minlength=bad.size)
         counts[t0:t1] = np.bincount(t - t0, weights=row, minlength=t1 - t0)
 
-    workers = max(1, int(threads or 1))
-    parts = max(workers, -(-total // _BLOCK))
+    parts = max(1, -(-total // _BLOCK))
     ends = [total * k // parts for k in range(parts + 1)]
-    with ThreadPoolExecutor(workers) as pool:
+    if pool is None or parts == 1:
+        for t0, t1 in zip(ends[:-1], ends[1:]):
+            count_part(t0, t1)
+    else:
         list(pool.map(count_part, ends[:-1], ends[1:]))
     return counts, trusted
 
@@ -542,12 +680,16 @@ def _scan(s, family, progress, threads):
         Counting radius of every candidate centre at once; a tile counts
         only if its centre lies within it.  A radius ``<= 0`` counts
         nothing.
+    ``tests``
+        Tile tests ``test(CX, CY, s)``, each a float comparison that along
+        a row is monotone in the column on each side of the columns of
+        ``b1`` and ``b2``.
     ``tiles(CX, CY, s)``
-        Static per-tile data over the universe, built once from column
-        centres ``CX`` (shape ``(ni, 1)``) and row centres ``CY`` (shape
-        ``(1, nj)``): an array ``static`` for the ``keep`` test and the
-        family's terms, a list of ``(mask, sign, focus)`` with ``focus``
-        ``None``, or 0 or 1 for the joining ellipse about ``b1`` or ``b2``.
+        Per-tile data at tile centres ``CX``, ``CY`` (broadcast): an array
+        ``static`` for the ``keep`` test and the family's terms, a list of
+        ``(mask, sign, focus)`` with ``focus`` ``None``, or 0 or 1 for the
+        joining ellipse about ``b1`` or ``b2``.  Every mask is a Boolean
+        function of the ``tests`` and of the row.
     ``keep(d2, static)``
         Per-tile test: ``d2`` holds squared distances from a candidate
         centre to tile centres and ``static`` the matching entries.
@@ -564,12 +706,30 @@ def _scan(s, family, progress, threads):
     the signed sum, over the terms, of the term's ``mask`` tiles in that
     interval, cut by the row's chord of the term's joining ellipse if it
     has one (foci the candidate centre and ``b1`` or ``b2``, focal sum
-    ``C = 1 - 3*(sqrt(2)/2)*s``).  Per-row prefix sums of each mask give
-    every piece in O(1), so a candidate costs O(rows), not O(rows *
-    columns).  The terms are chosen so that on every tile the signed sum
-    equals ``keep`` whenever each ellipse's float test on the tile agrees
-    with the row chord, and every tile ``keep`` can accept lies in a mask
-    (so columns outside all masks are skipped).
+    ``C = 1 - 3*(sqrt(2)/2)*s``).  The terms are chosen so that on every
+    tile the signed sum equals ``keep`` whenever each ellipse's float test
+    on the tile agrees with the row chord, and every tile ``keep`` can
+    accept lies in a mask (so columns outside all masks are skipped).
+
+    *Intervals.*  Each mask is stored as a few column intervals per row
+    (:func:`_universe`), and a row's piece of a term is their overlap with
+    the disk interval or the ellipse chord.  The memory is O(1/s), against
+    O(s**-2) for per-row prefix sums of the masks.  The columns of ``b1``
+    and ``b2`` lie on tile corners and split a row into three pieces, and
+    on each piece every test is monotone in the column, so it turns at
+    most once there and a bisection with the test itself finds where.  A corner-distance test compares ``(|cx - px| +-
+    s/2)**2 + ...`` with a constant and a half-plane test ``nx*cx + ny*cy
+    +- k*s/2`` with one; every float step is monotone, and ``px`` is
+    ``b1``'s or ``b2``'s abscissa.  The remaining tests compare ``hypot(cx
+    - bx, y)`` with ``C`` or ``C - hypot`` about ``b1`` with the same about
+    ``b2``.  Within a piece neighbouring centres' exact distances to ``b``
+    differ by at least ``s**2 / 2.5`` (``|cx - bx| >= s/2`` and distances
+    are below 2.5), far more than the error of a faithful ``hypot``; so the
+    float distances are monotone too.  ``C - hypot`` about ``b1`` falls
+    and about ``b2`` rises on ``0 < x < 1``; off it the two differ by more
+    than 0.3 and the comparison is constant.  Between two consecutive
+    turns every test, and so every mask, is constant, and ``tiles`` at one
+    column gives the segment's masks.
 
     *Rounding.*  Let ``h(p) = |p - a| + |p - b| - C`` be the excess of a
     tile centre ``p`` over an ellipse with foci ``a`` and ``b``; ``h`` is
@@ -579,8 +739,8 @@ def _scan(s, family, progress, threads):
     compares ``d2`` with the static ``(C - |p - b|)**2``: the two are
     within ``16u`` of their exact values, whose difference is ``h * (|p -
     a| + C - |p - b|)``, and the second factor is at least ``C - |a - b|
-    >= 0.07`` (triangle inequality; checked for every candidate when the
-    scan starts).  So the float test follows the sign of ``h`` once
+    >= 0.07`` (triangle inequality; :func:`_counts` raises for a point
+    that misses it).  So the float test follows the sign of ``h`` once
     ``|h| > 32u / 0.07 < 6e-14``.  A row's chord is trusted only when the
     float excess is below ``-_ROUND`` (``1e-12``) at its end tiles and
     above ``+_ROUND`` at the next tile outwards on each side (when that
@@ -591,22 +751,26 @@ def _scan(s, family, progress, threads):
     about the row's least excess is above ``+_ROUND`` and grows by more
     than ``_ROUND`` to the next tile outwards on each side; by convexity
     every tile is then outside.  Any other row (none at the steps tried,
-    0.02 to 0.001) is counted tile by tile with ``keep``.  Either way the
-    count equals the 2-D window count.
+    0.02 to 0.00025) is counted tile by tile with ``keep``.  Either way
+    the count equals the 2-D window count.
 
-    *Blocks.*  The candidates are split into squares of ``_PRUNE_SIDE``
-    tile columns by rows (:func:`_block_bounds`).  A block's virtual point
-    ``a0`` is the centre of its middle tile, a column centre, and its
-    radius ``rho`` is the largest float distance from ``a0`` to a member
-    plus ``_PRUNE_MARGIN`` (``1e-9``), so ``rho >= |a - a0| + 1e-9 -
-    1e-15`` for every member ``a``.  The kernel counts ``a0`` with reach
-    ``min(member reach) - rho`` in a min family and ``max(member reach) +
-    rho`` in a max family, and focal sum ``C - rho`` in both.  On every
-    tile the signed sum of the terms is ``keep``, 0 or 1, so a count is the
-    size of a tile set: the tiles of the positive terms in the disk, less
-    the tiles of the negative terms in the disk, each term cut by its
-    ellipse if it has one.  Every term with a focus is positive in a min
-    family and negative in a max family (checked when the scan starts).
+    *Blocks.*  The candidates are split into squares of ``side`` tile
+    columns by rows, anchored at the candidates' least column and row, for
+    each ``side`` of ``_SIDES`` (:func:`_blocks`); the sides nest, so each
+    block splits into the blocks of the next side, and the last into its
+    candidates.  A block's virtual point ``a0`` is the centre of its
+    middle tile (``side`` is odd), a column centre, and its radius ``rho``
+    is the largest float distance from ``a0`` to a member plus
+    ``_PRUNE_MARGIN`` (``1e-9``), so ``rho >= |a - a0| + 1e-9 - 1e-15``
+    for every member ``a``.  The kernel counts ``a0`` with reach ``min(member
+    reach) - rho`` in a min family and ``max(member reach) + rho`` in a
+    max family, and focal sum ``C - rho`` in both (:func:`_bound`).  On
+    every tile the signed sum of the terms is ``keep``, 0 or 1, so a count
+    is the size of a tile set: the tiles of the positive terms in the
+    disk, less the tiles of the negative terms in the disk, each term cut
+    by its ellipse if it has one.  Every term with a focus is positive in
+    a min family and negative in a max family (checked when the scan
+    starts).
 
     Take a tile ``p``, a member ``a`` with reach ``R`` and the block's
     ``a0``.  The float disk test is within ``1e-15`` of the exact one
@@ -622,97 +786,148 @@ def _scan(s, family, progress, threads):
     is in ``a0``'s by the same margin, and ``p`` outside ``a``'s ellipse
     (``h(p) >= -6e-14``) has ``h0 >= h(p) - |a - a0| + rho > 0``: it is
     outside ``a0``'s ellipse too, so the tile ``a`` keeps, ``a0`` keeps,
-    and the bound's set holds every member's.  The ellipse shrinks in the
-    max family because ``H+`` subtracts its ellipse term: a grown ellipse
-    would remove tiles that a member keeps.  The kernel takes only points
-    with ``C - |a - b| >= 0.07``; a block whose ``a0`` misses that (some
-    edge blocks at coarse steps), or whose bound has any untrusted row,
-    gets the bound ``-inf`` (min) or ``+inf`` (max) and is never pruned.
-    So every member's count is at least the bound in a min family, and at
-    most it in a max family.
+    and the bound's set holds every member's.  The argument holds for any
+    ``rho``, so at every level.  The ellipse shrinks in the max family
+    because ``H+`` subtracts its ellipse term: a grown ellipse would remove
+    tiles that a member keeps.  The kernel takes only points with ``C -
+    |a - b| >= 0.07``; a block whose ``a0`` misses that (some large
+    blocks, and edge blocks at coarse steps), or whose bound has any
+    untrusted row, gets the bound ``-inf`` (min) or ``+inf`` (max).  So
+    every member's count is at least the bound in a min family, and at
+    most it in a max family.  A block's members are members of its parent
+    too, so its key (below) is the better of its own and its parent's.
 
-    *Search.*  Blocks are ranked by bound, best first, by a stable sort.
-    The members of the best-ranked blocks are counted exactly in batches
-    of about ``_BLOCK`` candidates, and the incumbent, the best count so
-    far, is updated after each batch.  The scan stops when the next bound
-    is strictly worse than the incumbent: every candidate not counted then
-    has a count strictly worse than the extremum.  The witness is the
-    first candidate in (column, row) scan order, among those counted,
-    whose count is the extremum, the tie rule of ``argmin``/``argmax``
-    over all candidates.  ``CensusOutcome.counted`` records how many were
-    counted.
+    *Search.*  Work with the key to minimise: the count, or minus it.  The
+    blocks of the largest side are bounded first and held in a heap by
+    key.  Each step takes, best key first, blocks whose key is at most the
+    incumbent (the best count so far), until they hold about ``_BLOCK``
+    items of the next level; it bounds the child blocks and pushes them,
+    and counts the candidates of last-level blocks exactly and updates the
+    incumbent.  The scan stops when the best key left is strictly worse
+    than the incumbent: every candidate not counted then lies in a block
+    whose key is, so its count is strictly worse than the extremum.  A
+    candidate whose count is the extremum has every enclosing key at most
+    it, so it is counted.  The witness is the first candidate in (column,
+    row) scan order, among those counted, whose count is the extremum, the
+    tie rule of ``argmin``/``argmax`` over all candidates.
+    ``CensusOutcome.counted`` records how many were counted.
 
-    *Threads.*  :func:`_counts` splits the bound pass and each batch over
-    ``threads`` threads (one when ``None``).  The batches are fixed by the
+    *Threads.*  With ``threads`` above 1, one pool of that many threads
+    runs the parts of every bound and count call (:func:`_counts`).  The
+    steps are fixed by the
     bounds and counts, so the outcome, ``counted`` included, does not
     depend on the thread count.  ``progress(done, total)`` is called after
-    each batch with the number of settled candidates: counted, or in a
-    block whose bound is strictly worse than the incumbent.  It never
-    falls and ends at ``(total, total)``.
+    each step with the number of settled candidates: counted, or in a
+    block whose key is strictly worse than the incumbent.  It never falls
+    and ends at ``(total, total)``.
     """
+    workers = max(1, int(threads or 1))
+    if workers == 1:
+        return _search(s, family, progress, None)
+    with ThreadPoolExecutor(workers) as pool:
+        return _search(s, family, progress, pool)
+
+
+def _search(s, family, progress, pool):
+    """:func:`_scan` with its thread ``pool``, or ``None``."""
     u = _universe(s, family)
     sign = 1 if family.minimise else -1
-    assert all(sg == sign for _, sg, focus in u.sums if focus is not None)
+    if any(sg != sign for _, _, sg, focus in u.terms if focus is not None):
+        raise ValueError("every ellipse term must be positive in a min "
+                         "family and negative in a max family")
     xs, ys = _candidate_centers(s, family.hull)
     reach = family.reach_of(xs, ys, s)
     total = xs.size
-    owner, _, bound = _block_bounds(u, family, xs, ys, reach, threads)
-    # Work with the key to minimise: the count, or minus it.
-    key = sign * bound
-    rank = np.argsort(key, kind="stable")
-    key = key[rank]
-    members = np.argsort(owner, kind="stable")
-    size = np.bincount(owner)
-    start = np.concatenate(([0], np.cumsum(size)))
-    # tail[i]: candidates in the blocks ranked i and after.
-    tail = np.concatenate((np.cumsum(size[rank][::-1])[::-1], [0]))
+    levels = [_blocks(u, family, xs, ys, reach, side) for side in _SIDES]
+    # children[l]: the items of level l + 1 (blocks, then candidates) that
+    # each block of level l holds, as (order, start); size[l]: candidates
+    # per item of level l.
+    firsts = [first for _, first, _ in levels[1:]] + [np.arange(total)]
+    children, size = [], []
+    for (owner, _, _), first in zip(levels, firsts):
+        parent = owner[first]
+        start = np.concatenate(([0], np.cumsum(np.bincount(parent))))
+        children.append((np.argsort(parent, kind="stable"), start))
+        size.append(np.bincount(owner))
+    size.append(np.ones(total, dtype=np.int64))
+
+    # Heap entries are (key, -level, block): deeper blocks first among ties.
+    heap = []
+
+    def push(parts):
+        """Bound the blocks of every ``(level, blocks, parent key)`` of
+        ``parts`` in one kernel call, and push them."""
+        level = np.concatenate([np.full(b.size, -lv) for lv, b, _ in parts])
+        block = np.concatenate([b for _, b, _ in parts])
+        parent = np.concatenate([np.full(b.size, key) for _, b, key in parts])
+        x0, y0, reach0, c0 = (np.concatenate([levels[lv][2][k][b]
+                                              for lv, b, _ in parts])
+                              for k in range(4))
+        key = np.maximum(sign * _bound(u, family, x0, y0, reach0, c0,
+                                       pool), parent)
+        for entry in zip(key.tolist(), level.tolist(), block.tolist()):
+            heapq.heappush(heap, entry)
+
+    push([(0, np.arange(size[0].size), -math.inf)])
     best = math.inf
-    batches, keys = [], []
-    done = nxt = 0
-    while nxt < rank.size and key[nxt] <= best:
-        stop, batch = nxt, 0
-        while stop < rank.size and key[stop] <= best and batch < _BLOCK:
-            batch += size[rank[stop]]
-            stop += 1
-        idx = np.concatenate([members[start[b]:start[b + 1]]
-                              for b in rank[nxt:stop]])
-        cnt, _ = _counts(u, xs[idx], ys[idx], reach[idx],
-                         np.full(idx.size, u.C), threads)
-        batches.append(idx)
-        keys.append(sign * cnt)
-        best = min(best, keys[-1].min())
-        done += idx.size
-        nxt = stop
+    batches, counts = [], []
+    done = 0
+    while heap and heap[0][0] <= best:
+        blocks, members = [], []
+        # Descend one block at a time until there is an incumbent.
+        work, budget = 0, _BLOCK if best < math.inf else 1
+        while heap and heap[0][0] <= best and work < budget:
+            key, level, b = heapq.heappop(heap)
+            order, start = children[-level]
+            items = order[start[b]:start[b + 1]]
+            if 1 - level < len(_SIDES):
+                blocks.append((1 - level, items, key))
+            else:
+                members.append(items)
+            work += items.size
+        if blocks:
+            push(blocks)
+        if members:
+            idx = np.concatenate(members)
+            cnt, _ = _counts(u, xs[idx], ys[idx], reach[idx],
+                             np.full(idx.size, u.C), pool)
+            batches.append(idx)
+            counts.append(sign * cnt)
+            best = min(best, counts[-1].min())
+            done += idx.size
         if progress is not None:
-            pruned = max(nxt, np.searchsorted(key, best, side="right"))
-            progress(done + int(tail[pruned]), total)
+            pruned = sum(size[-level][b] for key, level, b in heap
+                         if key > best)
+            progress(done + int(pruned), total)
     idx = np.concatenate(batches)
-    keys = np.concatenate(keys)
-    t = int(idx[keys == best].min())
+    counts = np.concatenate(counts)
+    t = int(idx[counts == best].min())
     cnt = sign * int(best)
     return CensusOutcome(cnt * s * s, (float(xs[t]), float(ys[t])), cnt,
                          total, s, done)
 
 
-def _block_bounds(u, family, xs, ys, reach, threads=None):
-    """Split the candidates into blocks and bound each block's counts.
+def _blocks(u, family, xs, ys, reach, side):
+    """Split the candidates into blocks of ``side`` by ``side`` tiles.
 
-    Returns ``owner``, the block of every candidate; ``(x0, y0, reach0,
+    The blocks are anchored at the candidates' least column and row.
+    Returns ``owner``, the block of every candidate; ``first``, the first
+    member of every block in (column, row) order; and ``(x0, y0, reach0,
     c0)``, for every block in (column, row) order, the centre of its
-    middle tile and the reach and focal sum it is counted with; and
-    ``bound``, that count, or ``-inf`` (min family) or ``+inf`` (max
-    family) where the kernel gives none (see :func:`_scan`).
+    middle tile and the reach and focal sum it is counted with (see
+    :func:`_scan`).
     """
     s = u.s
     col = np.rint(xs / s - 0.5).astype(np.int64)
     row = np.rint(ys / s - 0.5).astype(np.int64)
-    bcol = (col - col.min()) // _PRUNE_SIDE
-    brow = (row - row.min()) // _PRUNE_SIDE
+    bcol = (col - col.min()) // side
+    brow = (row - row.min()) // side
     nrow = int(brow.max()) + 1
-    keys, owner = np.unique(bcol * nrow + brow, return_inverse=True)
-    mid = _PRUNE_SIDE // 2
-    x0 = (col.min() + (keys // nrow) * _PRUNE_SIDE + mid + 0.5) * s
-    y0 = (row.min() + (keys % nrow) * _PRUNE_SIDE + mid + 0.5) * s
+    keys, first, owner = np.unique(bcol * nrow + brow, return_index=True,
+                                   return_inverse=True)
+    mid = side // 2
+    x0 = (col.min() + (keys // nrow) * side + mid + 0.5) * s
+    y0 = (row.min() + (keys % nrow) * side + mid + 0.5) * s
     rho = np.zeros(keys.size)
     np.maximum.at(rho, owner, np.hypot(xs - x0[owner], ys - y0[owner]))
     rho += _PRUNE_MARGIN
@@ -724,18 +939,24 @@ def _block_bounds(u, family, xs, ys, reach, threads=None):
         reach0 = np.full(keys.size, -np.inf)
         np.maximum.at(reach0, owner, reach)
         reach0 += rho
-    c0 = u.C - rho
+    return owner, first, (x0, y0, reach0, u.C - rho)
+
+
+def _bound(u, family, x0, y0, reach0, c0, pool=None):
+    """The count of each virtual point ``(x0, y0)`` with reach ``reach0``
+    and focal sum ``c0``, or ``-inf`` (min family) or ``+inf`` (max
+    family) where the kernel gives none (see :func:`_scan`)."""
     # The kernel takes only points with C - |a - b| >= 0.07.
-    fit = np.ones(keys.size, dtype=bool)
-    for focus in {focus for _, _, focus in u.sums} - {None}:
+    fit = np.ones(x0.size, dtype=bool)
+    for focus in {focus for *_, focus in u.terms} - {None}:
         bx, by = _FOCI[focus]
         fit &= c0 - np.hypot(x0 - bx, y0 - by) >= 0.07
     fit = np.flatnonzero(fit)
     count, trusted = _counts(u, x0[fit], y0[fit], reach0[fit], c0[fit],
-                             threads)
-    bound = np.full(keys.size, -np.inf if family.minimise else np.inf)
+                             pool)
+    bound = np.full(x0.size, -np.inf if family.minimise else np.inf)
     bound[fit[trusted]] = count[trusted]
-    return owner, (x0, y0, reach0, c0), bound
+    return bound
 
 
 def _lens(CX, CY, s):
@@ -745,15 +966,17 @@ def _lens(CX, CY, s):
     candidate within ``C - |tile - b|`` of it, for a ``b`` point whose
     half-radius disk holds the tile; the squared radius is ``-1`` where
     neither disk does.  Returns it with the masks of the tiles that take
-    their radius from ``b1`` and from ``b2``.
+    their radius from ``b1`` and from ``b2``.  A tile in a half-radius
+    disk has its centre within 1/2 of that ``b``, so its radius about it
+    is positive.
     """
+    near1, near2, nearer1 = (test(CX, CY, s) for test in _LENS_TESTS)
     C = _lens_sum(s)
-    t1, t2 = (np.where(_maxcorner_dist2(CX, CY, bx, by, s) <= 0.25,
-                       C - np.hypot(CX - bx, CY - by), -1.0)
-              for bx, by in (_B1, _B2))
+    t1 = np.where(near1, C - np.hypot(CX - _B1[0], CY - _B1[1]), -1.0)
+    t2 = np.where(near2, C - np.hypot(CX - _B2[0], CY - _B2[1]), -1.0)
     tl = np.maximum(t1, t2)
-    return (np.where(tl > 0.0, tl * tl, -1.0), (t1 >= t2) & (t1 > 0.0),
-            (t2 > t1) & (t2 > 0.0))
+    return (np.where(tl > 0.0, tl * tl, -1.0), near1 & (nearer1 | ~near2),
+            near2 & ~(nearer1 & near1))
 
 
 def _max_reach(xs, ys, s):
@@ -785,8 +1008,8 @@ def _L_plus(s):
         lens2, on1, on2 = _lens(CX, CY, s)
         return lens2, [(on1, 1, 0), (on2, 1, 1)]
 
-    return _Family(A1_QUAD, (0, math.ceil(0.95 / s)), reach_of, tiles,
-                   np.less_equal, True)
+    return _Family(A1_QUAD, (0, math.ceil(0.95 / s)), reach_of, _LENS_TESTS,
+                   tiles, np.less_equal, True)
 
 
 def _L_minus(s):
@@ -796,72 +1019,76 @@ def _L_minus(s):
         return np.maximum(da1, dz) - (_SQRT2 / 2.0) * s - s * _SQRT2
 
     def tiles(CX, CY, s):
-        wedge = (_tiles_inside(_TRI_B1, CX, CY, s)
-                 | _tiles_inside(_TRI_B2, CX, CY, s))
+        wedge = (_all(_WEDGE_TESTS[0], CX, CY, s)
+                 | _all(_WEDGE_TESTS[1], CX, CY, s))
         lens2, on1, on2 = _lens(CX, CY, s)
         return (np.where(wedge, np.inf, lens2),
                 [(wedge, 1, None), (on1 & ~wedge, 1, 0),
                  (on2 & ~wedge, 1, 1)])
 
-    return _Family(A2_TRI, (-math.ceil(1.1 / s), 0), reach_of, tiles,
+    return _Family(A2_TRI, (-math.ceil(1.1 / s), 0), reach_of,
+                   (*_WEDGE_TESTS[0], *_WEDGE_TESTS[1], *_LENS_TESTS), tiles,
                    np.less_equal, True)
 
 
 def _H_plus(s, exclusion):
     def tiles(CX, CY, s):
-        C = _lens_sum(s)
+        (meets1, meets2, beyond1, beyond2, out1, out2, short1,
+         short2) = (test(CX, CY, s) for test in _CRESCENT_TESTS)
+        kite = _all(_KITE_TESTS, CX, CY, s)
         # A crescent tile counts when the candidate lies at least the
         # exclusion radius away; the bound is +inf off the crescents and
         # -inf on the kite, which always counts.
-        maxc1 = _maxcorner_dist2(CX, CY, *_B1, s)
-        maxc2 = _maxcorner_dist2(CX, CY, *_B2, s)
         above = CY > 0.0
-        cres1 = (above & (_mincorner_dist2(CX, CY, *_B1, s) <= 1.0)
-                 & (maxc2 >= 1.0))
-        cres2 = (above & (_mincorner_dist2(CX, CY, *_B2, s) <= 1.0)
-                 & (maxc1 >= 1.0))
+        cres1 = above & meets1 & beyond2
+        cres2 = above & meets2 & beyond1
+        C = _lens_sum(s)
         a1 = np.maximum(C - np.hypot(CX - _B1[0], CY - _B1[1]), 0.0)
         a2 = np.maximum(C - np.hypot(CX - _B2[0], CY - _B2[1]), 0.0)
         if exclusion == "either":
-            cres1 &= maxc1 >= 0.25
-            cres2 &= maxc2 >= 0.25
+            cres1 = cres1 & out1
+            cres2 = cres2 & out2
         else:
-            a1 = np.where(maxc1 >= 0.25, 0.0, a1)
-            a2 = np.where(maxc2 >= 0.25, 0.0, a2)
+            a1 = np.where(out1, 0.0, a1)
+            a2 = np.where(out2, 0.0, a2)
+            short1 = short1 & ~out1
+            short2 = short2 & ~out2
         bound = np.minimum(np.where(cres1, a1 * a1, np.inf),
                            np.where(cres2, a2 * a2, np.inf))
-        bound = np.where(_tiles_overlapping(_KITE, CX, CY, s), -np.inf, bound)
+        bound = np.where(kite, -np.inf, bound)
         # Every finite or -inf tile counts unless the candidate lies inside
-        # the exclusion ellipse of its crescent.  A tile with a positive
-        # radius about b1 has its centre within C of b1, so every corner
-        # within 1: it is not in crescent 2, and no tile has two ellipses.
-        ellipse = bound > 0.0
-        assert not (ellipse & cres1 & cres2).any()
-        return bound, [(bound < np.inf, 1, None), (ellipse & cres1, -1, 0),
-                       (ellipse & cres2, -1, 1)]
+        # the exclusion ellipse of its crescent, whose radius is positive
+        # where the centre is short of C.  A tile with a positive radius
+        # about b1 has its centre within C of b1, so every corner within
+        # 1: it is not in crescent 2, and no tile has two ellipses.
+        ellipse = ~kite & (~cres1 | short1) & (~cres2 | short2)
+        if (ellipse & cres1 & cres2).any():
+            raise RuntimeError("a tile lies in both crescents' exclusion "
+                               "ellipses")
+        return bound, [(kite | cres1 | cres2, 1, None),
+                       (ellipse & cres1, -1, 0), (ellipse & cres2, -1, 1)]
 
     return _Family(A1_QUAD, (-math.ceil(0.95 / s), math.ceil(0.95 / s)),
-                   _max_reach, tiles, np.greater_equal, False)
+                   _max_reach, (*_CRESCENT_TESTS, *_KITE_TESTS), tiles,
+                   np.greater_equal, False)
 
 
 def _H_minus(s, semantics):
+    # "universal" tests the tile's nearest points, "cover" its farthest
+    # corners.
+    cover = semantics != "universal"
+    tests = (_corner(_B1, cover, 1.0, False), _corner(_B2, cover, 1.0, False),
+             _corner(_B1, cover, 0.25, False),
+             _corner(_B2, cover, 0.25, False))
+
     def tiles(CX, CY, s):
-        above = CY > 0.0
-        if semantics == "universal":
-            dist1 = _mincorner_dist2(CX, CY, *_B1, s)
-            dist2 = _mincorner_dist2(CX, CY, *_B2, s)
-            below = True
-        else:
-            dist1 = _maxcorner_dist2(CX, CY, *_B1, s)
-            dist2 = _maxcorner_dist2(CX, CY, *_B2, s)
-            below = CY < 0.0
-        h3 = below & (dist1 >= 1.0) & (dist2 >= 1.0)
-        h4 = above & (dist1 >= 0.25) & (dist2 >= 0.25)
-        mask = h3 | h4
+        out1, out2, half1, half2 = (test(CX, CY, s) for test in tests)
+        below = CY < 0.0 if cover else True
+        mask = (below & out1 & out2) | ((CY > 0.0) & half1 & half2)
         return mask, [(mask, 1, None)]
 
     return _Family(A2_TRI, (-math.ceil(1.15 / s), math.ceil(0.4 / s)),
-                   _max_reach, tiles, _keep_mask, False)
+                   _max_reach, tests, tiles, _keep_mask, False)
 
 
 # ---------------------------------------------------------------------------

@@ -49,14 +49,21 @@ import sys
 import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__, bounds, sim
+from . import __version__, bounds
 from ._census import validate_step
 
+if TYPE_CHECKING:
+    from . import sim
+
 _WHICH_CHOICES = ("lplus", "lminus", "hplus", "hminus", "ratio", "all")
+#: ``sim.MODELS``, spelled out so that parsing the command line does not
+#: import :mod:`knnlab.sim` and scipy; ``tests/test_cli.py`` checks that
+#: the two agree.
+_MODEL_CHOICES = ("mutual", "either", "directed", "gilbert")
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +312,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("c_max must be at least c_min")
     if args.c_step <= 0.0:
         raise ValueError("c_step must be positive")
+    from . import sim
+
     t0 = time.perf_counter()
     count = int(math.floor((args.c_max - args.c_min) / args.c_step
                            + 1e-9)) + 1
@@ -333,6 +342,8 @@ def _inject_half_disk_bug(g: sim.NearestNeighborGraph
     the graph without that edge and the planted triple, or ``g`` and
     ``None`` when no half-disk holds a third point.
     """
+    from . import sim
+
     pts = g.points
     x, y, z, half = sim._half_disk_candidates(g)
     for t in np.flatnonzero(g.has_edges(x, z)).tolist():
@@ -344,6 +355,8 @@ def _inject_half_disk_bug(g: sim.NearestNeighborGraph
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import sim
+
     n, c, trials = args.n, args.c, args.trials
     t0 = time.perf_counter()
     k = int(math.ceil(c * math.log(n)))
@@ -462,7 +475,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
     p.add_argument("--c-max", dest="c_max", type=float)
     p.add_argument("--c-step", dest="c_step", type=float, default=0.1)
     p.add_argument("--trials", type=positive, default=10)
-    p.add_argument("--model", choices=sim.MODELS, default="mutual")
+    p.add_argument("--model", choices=_MODEL_CHOICES, default="mutual")
     p.add_argument("--out")
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=0)

@@ -5,7 +5,8 @@ layer that the benchmark tracer (``perfbench/spans.py``) wraps must exist,
 and every demo script must import and run.  A deletion that breaks any of
 them fails here rather than in a benchmark run or a demo.  The command-line
 entry point must also load without ``scipy.optimize``, which the library
-no longer needs.
+no longer needs, and ``verify`` must run without scipy, which only the
+simulation half needs.
 """
 
 from __future__ import annotations
@@ -79,13 +80,34 @@ def test_demo_runs(name, capsys):
     assert capsys.readouterr().out.strip()
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    # A fresh interpreter: this session may have imported scipy.optimize.
+def _fresh(code, cwd=None):
+    """Standard output of ``code`` run in a fresh interpreter, which has
+    imported nothing that the test process has."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", "import knnlab.cli, sys; "
-         "print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    out = _fresh("import knnlab.cli, sys; "
+                 "print('scipy.optimize' in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_verify_loads_no_scipy(tmp_path):
+    # Step 0.01 is too coarse for the H- target, so the verdict is FAIL.
+    out = _fresh("import sys; from knnlab.cli import main; "
+                 "code = main(['verify', '--step', '0.01', '--which', "
+                 "'hminus', '--out-dir', 'out']); "
+                 "print(code, sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))", cwd=tmp_path)
+    assert out.splitlines()[-1] == "1 []"
+    assert (tmp_path / "out" / "hminus_0.01.json").is_file()
+
+
+def test_sim_names_load_on_first_use():
+    out = _fresh("import knnlab, sys; before = 'knnlab.sim' in sys.modules; "
+                 "print(before, knnlab.build_graph is knnlab.sim.build_graph)")
+    assert out.strip() == "False True"

@@ -5,17 +5,20 @@ against an independent prototype implementation; they pin the census
 semantics (candidate SAT tests, reach radii, tie-breaking scan order) at
 the two coarse steps that run quickly.  The refinement test checks the
 defining conservativity property: lower censuses only grow and upper
-censuses only shrink as the grid is refined.  The row kernel's count of
-every candidate is checked against a direct per-candidate 2-D window
-count of the same family spec.  The pruned scan is checked against the
-kernel over every candidate, and the tile set of each sampled block bound
-against the tile sets of the block's members.
+censuses only shrink as the grid is refined.  The row intervals of each
+family's masks are checked against the masks over the whole grid, and the
+row kernel's count of every candidate against a direct per-candidate 2-D
+window count of the same family spec.  The pruned scan is checked against
+the kernel over every candidate, and the tile set of each sampled block
+bound, at every level of the block hierarchy, against the tile sets of
+the block's members.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -207,11 +210,16 @@ def _window_counts(s, family):
 
 
 def _full_counts(s, family, threads=None):
-    """The kernel over every candidate: the full-scan reference."""
+    """The kernel over every candidate: the full-scan reference, run on a
+    pool of ``threads`` threads when that is above 1."""
     u = _census._universe(s, family)
     xs, ys = _census._candidate_centers(s, family.hull)
-    counts, _ = _census._counts(u, xs, ys, family.reach_of(xs, ys, s),
-                                np.full(xs.size, u.C), threads)
+    args = (u, xs, ys, family.reach_of(xs, ys, s), np.full(xs.size, u.C))
+    if (threads or 1) == 1:
+        counts, _ = _census._counts(*args)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            counts, _ = _census._counts(*args, pool)
     return xs, ys, counts
 
 
@@ -254,24 +262,28 @@ def test_untrusted_block_bounds_are_never_pruned(name, monkeypatch):
     reference = _run(name, 0.01)
     _untrusted_chords(monkeypatch)
     family = FAMILIES[name](0.01)
+    u = _census._universe(0.01, family)
     xs, ys = _census._candidate_centers(0.01, family.hull)
     reach = family.reach_of(xs, ys, 0.01)
-    owner, _, bound = _census._block_bounds(_census._universe(0.01, family),
-                                            family, xs, ys, reach)
-    assert np.isinf(bound).any()
+    # The candidates whose enclosing block has an infinite bound at every
+    # level of the hierarchy.
+    untrusted = np.ones(xs.size, dtype=bool)
+    for side in _census._SIDES:
+        owner, _, block = _census._blocks(u, family, xs, ys, reach, side)
+        untrusted &= np.isinf(_census._bound(u, family, *block))[owner]
+    assert untrusted.any()
     # Record the candidates counted exactly (the family's own focal sum).
     kernel, seen = _census._counts, []
 
-    def spy(u, px, py, reach, C, threads=None):
+    def spy(u, px, py, reach, C, pool=None):
         if np.all(C == u.C):
             seen.extend(zip(px, py))
-        return kernel(u, px, py, reach, C, threads)
+        return kernel(u, px, py, reach, C, pool)
 
     monkeypatch.setattr(_census, "_counts", spy)
     out = _run(name, 0.01)
     assert out.counted == len(seen) == len(set(seen))
-    assert ({(xs[t], ys[t]) for t in np.flatnonzero(np.isinf(bound[owner]))}
-            <= set(seen))
+    assert {(xs[t], ys[t]) for t in np.flatnonzero(untrusted)} <= set(seen)
     assert (out.count, out.witness) == (reference.count, reference.witness)
 
 
@@ -306,30 +318,36 @@ def _term_tiles(ci, cj, terms, x, y, reach, C):
 @pytest.mark.parametrize("step", [0.02, 0.01, 0.008, 0.005, 0.004])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_block_bound_tiles_hold_for_every_member(name, step):
-    # The tile set a block's bound counts must lie inside every member's
-    # tile set (min families) or hold every member's (max families).  A
-    # count check is weaker: a bound can cover a member's count with the
-    # wrong tiles.
+    # At every level of the block hierarchy, the tile set a block's bound
+    # counts must lie inside every member's tile set (min families) or
+    # hold every member's (max families).  A count check is weaker: a
+    # bound can cover a member's count with the wrong tiles.
     family = FAMILIES[name](step)
     u = _census._universe(step, family)
     xs, ys = _census._candidate_centers(step, family.hull)
     reach = family.reach_of(xs, ys, step)
-    owner, (x0, y0, reach0, c0), bound = _census._block_bounds(
-        u, family, xs, ys, reach)
-    finite = np.flatnonzero(np.isfinite(bound))
-    assert finite.size > bound.size // 2
-    _, terms = family.tiles(u.ci[:, None], u.cj[None, :], step)
+    static, terms = family.tiles(u.ci[:, None], u.cj[None, :], step)
     rng = np.random.default_rng(int(1 / step))
-    for b in rng.choice(finite, size=min(5, finite.size), replace=False):
-        tiles = _term_tiles(u.ci, u.cj, terms, x0[b], y0[b], reach0[b], c0[b])
-        assert np.count_nonzero(tiles) == bound[b]
-        for t in np.flatnonzero(owner == b):
-            member = _keep_tiles(u.ci, u.cj, u.static, family, xs[t], ys[t],
-                                 reach[t])
-            if family.minimise:
-                assert not (tiles & ~member).any()
-            else:
-                assert not (member & ~tiles).any()
+    for side in _census._SIDES:
+        owner, _, (x0, y0, reach0, c0) = _census._blocks(u, family, xs, ys,
+                                                         reach, side)
+        bound = _census._bound(u, family, x0, y0, reach0, c0)
+        finite = np.flatnonzero(np.isfinite(bound))
+        # At step 0.02 one block of side 27 holds every candidate, and its
+        # radius leaves it no finite bound.
+        assert finite.size > bound.size // 2 or bound.size == 1
+        for b in rng.choice(finite, size=min(5, finite.size),
+                            replace=False):
+            tiles = _term_tiles(u.ci, u.cj, terms, x0[b], y0[b], reach0[b],
+                                c0[b])
+            assert np.count_nonzero(tiles) == bound[b]
+            for t in np.flatnonzero(owner == b):
+                member = _keep_tiles(u.ci, u.cj, static, family, xs[t],
+                                     ys[t], reach[t])
+                if family.minimise:
+                    assert not (tiles & ~member).any()
+                else:
+                    assert not (member & ~tiles).any()
 
 
 @pytest.mark.parametrize("step", [0.008, 0.005, 0.004])
@@ -443,3 +461,65 @@ def test_ellipse_chord_flags_a_tile_on_the_boundary():
         _, _, ok = _census._ellipse_chord(cp, x[part], y[part], dy[part], e,
                                           C[part], lo[part], hi[part], s, i0)
         assert not ok.any()
+
+
+@pytest.mark.parametrize("step", [0.02, 0.01, 0.008, 0.004, 0.002])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_interval_universe_is_the_full_grid_masks(name, step):
+    # Each term's row intervals hold exactly the tiles of its mask over the
+    # whole grid, row for row, and [first, last) spans every term tile.
+    family = FAMILIES[name](step)
+    u = _census._universe(step, family)
+    _, terms = family.tiles(u.ci[:, None], u.cj[None, :], step)
+    shape = (u.ci.size, u.cj.size)
+    col = np.arange(u.ci.size)
+    held = np.zeros(shape, dtype=bool)
+    assert len(terms) == len(u.terms)
+    for (mask, sign, focus), (starts, ends, sign2, focus2) in zip(terms,
+                                                                  u.terms):
+        assert (sign, focus) == (sign2, focus2)
+        got = ((col >= starts[:, :, None])
+               & (col < ends[:, :, None])).any(axis=0)
+        assert np.array_equal(got, np.broadcast_to(mask, shape).T)
+        held |= np.broadcast_to(mask, shape)
+    rows = held.any(axis=0)
+    assert np.array_equal(u.first[rows], np.argmax(held, axis=0)[rows])
+    assert np.array_equal(u.last[rows],
+                          u.ci.size - np.argmax(held[::-1], axis=0)[rows])
+    assert (u.first[~rows] >= u.last[~rows]).all()
+
+
+def test_counts_rejects_a_point_too_near_the_focus():
+    # The rounding bound needs C - |a - b| >= 0.07; a focal sum of 0.5 at
+    # a point about 0.54 from b1 misses it.
+    u = _census._universe(0.01, FAMILIES["lplus"](0.01))
+    x = u.ci[np.searchsorted(u.ci, 0.5)]
+    with pytest.raises(ValueError, match="0.07"):
+        _census._counts(u, np.array([x]), np.array([0.2]), np.array([0.3]),
+                        np.array([0.5]))
+
+
+def test_counts_rejects_a_point_off_the_column_centres():
+    u = _census._universe(0.01, FAMILIES["lplus"](0.01))
+    x = u.ci[np.searchsorted(u.ci, 0.5)] + 0.001
+    with pytest.raises(ValueError, match="column centre"):
+        _census._counts(u, np.array([x]), np.array([0.2]), np.array([0.3]),
+                        np.array([u.C]))
+
+
+def test_scan_rejects_an_ellipse_term_of_the_wrong_sign():
+    # L+ counts its ellipse terms positively: as a max family its bounds
+    # would not be conservative.
+    family = FAMILIES["lplus"](0.02)._replace(minimise=False)
+    with pytest.raises(ValueError, match="ellipse term"):
+        _census._scan(0.02, family, None, 1)
+
+
+def test_hplus_tiles_reject_a_tile_in_both_exclusion_ellipses(monkeypatch):
+    # With a focal sum of 1.5 both exclusion ellipses reach the tiles about
+    # the crescents' common tip, (1/2, sqrt(3)/2).
+    monkeypatch.setattr(_census, "_lens_sum", lambda s: 1.5)
+    i0, ci = _grid(0.02)
+    cj = (np.arange(0, 50) + 0.5) * 0.02
+    with pytest.raises(RuntimeError, match="both crescents"):
+        FAMILIES["hplus"](0.02).tiles(ci[:, None], cj[None, :], 0.02)

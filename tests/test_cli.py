@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 import knnlab
 from knnlab import sim
-from knnlab.cli import _inject_half_disk_bug, main
+from knnlab.cli import _MODEL_CHOICES, _inject_half_disk_bug, main
 
 
 def _sha256(path):
@@ -179,6 +179,10 @@ def test_simulate_out_file_matches_stdout(tmp_path, capsys):
     assert manifest["seed"] == 3
     assert isinstance(manifest["runtime_ms"], float)
     assert manifest["started"].endswith("+00:00")
+
+
+def test_model_choices_are_the_simulated_models():
+    assert _MODEL_CHOICES == sim.MODELS
 
 
 def test_simulate_rejects_bad_usage(capsys):
