@@ -51,7 +51,9 @@ and ellipses moved by the block's radius, so that the count is certified
 not to beat any member's.  Best bound first, it splits only the blocks
 whose bound can still reach the best count so far, and counts exactly
 only the members of such 3 x 3 blocks (0.02% to 1% of the candidates at
-step 0.001).  The extremum and witness are those of the full scan.
+step 0.001).  The extremum and witness are those of the full scan.  The
+scan runs in the calling thread, and its steps are fixed by the bounds
+and counts alone, so the outcome, ``counted`` included, is reproducible.
 
 The public wrappers that turn these censuses into certificates live in
 :mod:`knnlab.bounds`.
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -330,8 +331,9 @@ def _h_points(xs, ys, eps1):
 # the shared scan
 # ---------------------------------------------------------------------------
 
-#: Most points per unit of work handed to the thread pool, and about the
-#: number of points the scan bounds or counts between incumbent updates.
+#: Most points per part of a kernel call, which bounds its per-row arrays,
+#: and about the number of points the scan bounds or counts between
+#: incumbent updates.
 _BLOCK = 64
 
 #: Sides, in tiles, of the nested square blocks of candidates that
@@ -577,7 +579,7 @@ def _ellipse_chord(cp, x, y, dy, bx, C, lo, hi, s, i0):
     return np.where(full, q1, lo), np.where(full, q2 + 1, lo), ok
 
 
-def _counts(u, xs, ys, reach, C, pool=None):
+def _counts(u, xs, ys, reach, C):
     """Census count of every point ``(xs, ys)`` of the universe ``u``,
     with counting radius ``reach`` and joining-ellipse focal sum ``C``
     (arrays, one entry per point), and whether each point had every row's
@@ -588,11 +590,9 @@ def _counts(u, xs, ys, reach, C, pool=None):
     alone, when the point's focal sum is the family's own ``u.C``, the one
     ``keep`` encodes.  Any other point (the virtual point of a block, see
     :func:`_scan`) keeps the chord count; its flag says the count is not
-    to be used.  Points are split into parts of at most ``_BLOCK``; more
-    than one part runs on the thread ``pool`` when one is given, and each
-    part writes a disjoint slice of the result, so the counts do not
-    depend on the split.  (A part of up to ``_BLOCK`` points is too small
-    to gain from threads that contend for the interpreter lock.)
+    to be used.  Points are counted in parts of at most ``_BLOCK``, which
+    bounds the per-row arrays; each part writes a disjoint slice of the
+    result, so the counts do not depend on the split.
     """
     s, ci, cj = u.s, u.ci, u.cj
     for focus in {focus for *_, focus in u.terms} - {None}:
@@ -613,8 +613,9 @@ def _counts(u, xs, ys, reach, C, pool=None):
     total = xs.size
     counts = np.zeros(total, dtype=np.int64)
     trusted = np.ones(total, dtype=bool)
-
-    def count_part(t0, t1):
+    parts = max(1, -(-total // _BLOCK))
+    cuts = [total * k // parts for k in range(parts + 1)]
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
         t, pos = _ragged(np.maximum(jb[t0:t1] - ja[t0:t1], 0))
         t += t0
         j = ja[t] + pos
@@ -655,18 +656,10 @@ def _counts(u, xs, ys, reach, C, pool=None):
             hits = u.keep(d2, static)
             row[bad] = np.bincount(r[hits], minlength=bad.size)
         counts[t0:t1] = np.bincount(t - t0, weights=row, minlength=t1 - t0)
-
-    parts = max(1, -(-total // _BLOCK))
-    ends = [total * k // parts for k in range(parts + 1)]
-    if pool is None or parts == 1:
-        for t0, t1 in zip(ends[:-1], ends[1:]):
-            count_part(t0, t1)
-    else:
-        list(pool.map(count_part, ends[:-1], ends[1:]))
     return counts, trusted
 
 
-def _scan(s, family, progress, threads):
+def _scan(s, family, progress):
     """Run one census family and return its :class:`CensusOutcome`.
 
     A family is given by its spec, a :class:`_Family`:
@@ -812,24 +805,11 @@ def _scan(s, family, progress, threads):
     tie rule of ``argmin``/``argmax`` over all candidates.
     ``CensusOutcome.counted`` records how many were counted.
 
-    *Threads.*  With ``threads`` above 1, one pool of that many threads
-    runs the parts of every bound and count call (:func:`_counts`).  The
-    steps are fixed by the
-    bounds and counts, so the outcome, ``counted`` included, does not
-    depend on the thread count.  ``progress(done, total)`` is called after
-    each step with the number of settled candidates: counted, or in a
-    block whose key is strictly worse than the incumbent.  It never falls
-    and ends at ``(total, total)``.
+    ``progress(done, total)`` is called after each step with the number
+    of settled candidates: counted, or in a block whose key is strictly
+    worse than the incumbent.  It never falls and ends at ``(total,
+    total)``.
     """
-    workers = max(1, int(threads or 1))
-    if workers == 1:
-        return _search(s, family, progress, None)
-    with ThreadPoolExecutor(workers) as pool:
-        return _search(s, family, progress, pool)
-
-
-def _search(s, family, progress, pool):
-    """:func:`_scan` with its thread ``pool``, or ``None``."""
     u = _universe(s, family)
     sign = 1 if family.minimise else -1
     if any(sg != sign for _, _, sg, focus in u.terms if focus is not None):
@@ -863,8 +843,8 @@ def _search(s, family, progress, pool):
         x0, y0, reach0, c0 = (np.concatenate([levels[lv][2][k][b]
                                               for lv, b, _ in parts])
                               for k in range(4))
-        key = np.maximum(sign * _bound(u, family, x0, y0, reach0, c0,
-                                       pool), parent)
+        key = np.maximum(sign * _bound(u, family, x0, y0, reach0, c0),
+                         parent)
         for entry in zip(key.tolist(), level.tolist(), block.tolist()):
             heapq.heappush(heap, entry)
 
@@ -890,7 +870,7 @@ def _search(s, family, progress, pool):
         if members:
             idx = np.concatenate(members)
             cnt, _ = _counts(u, xs[idx], ys[idx], reach[idx],
-                             np.full(idx.size, u.C), pool)
+                             np.full(idx.size, u.C))
             batches.append(idx)
             counts.append(sign * cnt)
             best = min(best, counts[-1].min())
@@ -942,7 +922,7 @@ def _blocks(u, family, xs, ys, reach, side):
     return owner, first, (x0, y0, reach0, u.C - rho)
 
 
-def _bound(u, family, x0, y0, reach0, c0, pool=None):
+def _bound(u, family, x0, y0, reach0, c0):
     """The count of each virtual point ``(x0, y0)`` with reach ``reach0``
     and focal sum ``c0``, or ``-inf`` (min family) or ``+inf`` (max
     family) where the kernel gives none (see :func:`_scan`)."""
@@ -952,8 +932,7 @@ def _bound(u, family, x0, y0, reach0, c0, pool=None):
         bx, by = _FOCI[focus]
         fit &= c0 - np.hypot(x0 - bx, y0 - by) >= 0.07
     fit = np.flatnonzero(fit)
-    count, trusted = _counts(u, x0[fit], y0[fit], reach0[fit], c0[fit],
-                             pool)
+    count, trusted = _counts(u, x0[fit], y0[fit], reach0[fit], c0[fit])
     bound = np.full(x0.size, -np.inf if family.minimise else np.inf)
     bound[fit[trusted]] = count[trusted]
     return bound
@@ -1096,8 +1075,7 @@ def _H_minus(s, semantics):
 # ---------------------------------------------------------------------------
 
 
-def census_L_plus(s: float, progress: ProgressFn = None,
-                  threads: Optional[int] = None) -> CensusOutcome:
+def census_L_plus(s: float, progress: ProgressFn = None) -> CensusOutcome:
     """Certified minimum area of the upper empty region family.
 
     For every candidate square of ``a1``, counts tiles above the axis
@@ -1108,11 +1086,10 @@ def census_L_plus(s: float, progress: ProgressFn = None,
     that must be empty, uniformly over the square.
     """
     validate_step(s)
-    return _scan(s, _L_plus(s), progress, threads)
+    return _scan(s, _L_plus(s), progress)
 
 
-def census_L_minus(s: float, progress: ProgressFn = None,
-                   threads: Optional[int] = None) -> CensusOutcome:
+def census_L_minus(s: float, progress: ProgressFn = None) -> CensusOutcome:
     """Certified minimum area of the lower empty region family.
 
     Counts tiles below the axis within the certified radius of an ``a2``
@@ -1121,12 +1098,11 @@ def census_L_minus(s: float, progress: ProgressFn = None,
     the lower triangle.
     """
     validate_step(s)
-    return _scan(s, _L_minus(s), progress, threads)
+    return _scan(s, _L_minus(s), progress)
 
 
 def census_H_plus(s: float, exclusion: str = "either",
-                  progress: ProgressFn = None,
-                  threads: Optional[int] = None) -> CensusOutcome:
+                  progress: ProgressFn = None) -> CensusOutcome:
     """Certified maximum area of the upper point-holding region family.
 
     Counts tiles that could meet the two unit-circle crescents above the
@@ -1147,12 +1123,11 @@ def census_H_plus(s: float, exclusion: str = "either",
     validate_step(s)
     if exclusion not in ("either", "intersection"):
         raise ValueError("exclusion must be 'either' or 'intersection'")
-    return _scan(s, _H_plus(s, exclusion), progress, threads)
+    return _scan(s, _H_plus(s, exclusion), progress)
 
 
 def census_H_minus(s: float, semantics: str = "universal",
-                   progress: ProgressFn = None,
-                   threads: Optional[int] = None) -> CensusOutcome:
+                   progress: ProgressFn = None) -> CensusOutcome:
     """Certified maximum area of the lower point-holding region family.
 
     Counts tiles holding a point outside both unit disks, or an
@@ -1178,4 +1153,4 @@ def census_H_minus(s: float, semantics: str = "universal",
     validate_step(s)
     if semantics not in ("universal", "cover"):
         raise ValueError("semantics must be 'universal' or 'cover'")
-    return _scan(s, _H_minus(s, semantics), progress, threads)
+    return _scan(s, _H_minus(s, semantics), progress)

@@ -549,40 +549,35 @@ def _census_certificate(name: str, outcome: _census.CensusOutcome,
                             config=_census_config(extra_config))
 
 
-def verify_L_plus(s: float, *, threads: Optional[int] = None,
-                  progress=None) -> Certificate:
+def verify_L_plus(s: float, *, progress=None) -> Certificate:
     """Certified lower bound on the upper empty-region area (must clear
     0.3411)."""
-    out = _census.census_L_plus(s, progress=progress, threads=threads)
+    out = _census.census_L_plus(s, progress=progress)
     return _census_certificate("lplus", out)
 
 
-def verify_L_minus(s: float, *, threads: Optional[int] = None,
-                   progress=None) -> Certificate:
+def verify_L_minus(s: float, *, progress=None) -> Certificate:
     """Certified lower bound on the lower empty-region area (must clear
     0.3564)."""
-    out = _census.census_L_minus(s, progress=progress, threads=threads)
+    out = _census.census_L_minus(s, progress=progress)
     return _census_certificate("lminus", out)
 
 
 def verify_H_plus(s: float, *, exclusion: str = "either",
-                  threads: Optional[int] = None, progress=None) -> Certificate:
+                  progress=None) -> Certificate:
     """Certified upper bound on the upper occupied-region area (must stay
     below 0.1300).  See :func:`knnlab._census.census_H_plus` for the
     ``exclusion`` variants."""
-    out = _census.census_H_plus(s, exclusion=exclusion, progress=progress,
-                                threads=threads)
+    out = _census.census_H_plus(s, exclusion=exclusion, progress=progress)
     return _census_certificate("hplus", out, {"exclusion": exclusion})
 
 
 def verify_H_minus(s: float, *, semantics: str = "universal",
-                   threads: Optional[int] = None,
                    progress=None) -> Certificate:
     """Certified upper bound on the lower occupied-region area (must stay
     below 0.0958).  See :func:`knnlab._census.census_H_minus` for the
     ``semantics`` variants."""
-    out = _census.census_H_minus(s, semantics=semantics, progress=progress,
-                                 threads=threads)
+    out = _census.census_H_minus(s, semantics=semantics, progress=progress)
     return _census_certificate("hminus", out, {"semantics": semantics})
 
 

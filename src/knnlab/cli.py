@@ -25,12 +25,9 @@ non-negative.  ``verify``, ``simulate`` and ``check`` accept ``--seed``
 (``constants`` has nothing random to seed).  Every command writes a run
 manifest next to any file outputs recording the resolved configuration,
 the seed (``null`` when the command takes none) and SHA-256 digests of
-what was produced.  ``verify`` takes its census worker count
-from ``--threads``, a config file's ``threads`` or the ``KNNLAB_THREADS``
-environment variable, in that order; the variable is the flag's default
-text, so a value that is not a positive integer is a usage error unless
-``--threads`` is given.  ``simulate`` and ``check`` accept and record the
-same setting.
+what was produced.  ``verify``, ``simulate`` and ``check`` accept
+``--threads`` (or a config file's ``threads``) and record it; knnlab
+starts no threads of its own, so the value changes nothing else.
 
 Exit codes: 0 success / all bounds passed; 1 a certified bound or a
 deterministic structural check failed; 2 usage error.
@@ -44,14 +41,11 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import __version__, bounds
 from ._census import validate_step
@@ -243,7 +237,7 @@ def _progress_printer(enabled: bool):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    step, which, threads = args.step, args.which, args.threads
+    step, which = args.step, args.which
     validate_step(step)
     if step > 0.01:
         raise ValueError("verification step must be at most 0.01")
@@ -260,10 +254,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     certificates: List[bounds.Certificate] = []
     if which in single:
-        certificates.append(single[which](step, threads=threads,
-                                          progress=progress))
+        certificates.append(single[which](step, progress=progress))
     else:
-        parts = {name: single[name](step, threads=threads, progress=progress)
+        parts = {name: single[name](step, progress=progress)
                  for name in ("lplus", "lminus", "hplus", "hminus")}
         if which != "ratio":
             certificates.extend(parts.values())
@@ -337,21 +330,18 @@ def _inject_half_disk_bug(g: sim.NearestNeighborGraph
 
     Takes the first edge ``x y`` and third point ``z`` strictly inside the
     open half-disk at ``x`` (radius ``|xy| / 2``), in the scan order of
-    :func:`sim.check_half_disk_lemma`; the property guarantees ``x z`` is
-    an edge, so deleting it plants a genuine violation.  Returns
+    :func:`sim.check_half_disk_lemma`, whose decision it shares; the
+    property guarantees ``x z`` is an edge, so deleting it plants a
+    genuine violation.  Returns
     the graph without that edge and the planted triple, or ``g`` and
     ``None`` when no half-disk holds a third point.
     """
     from . import sim
 
-    pts = g.points
-    x, y, z, half = sim._half_disk_candidates(g)
-    for t in np.flatnonzero(g.has_edges(x, z)).tolist():
-        xi, zi = int(x[t]), int(z[t])
-        dz = math.hypot(pts[zi, 0] - pts[xi, 0], pts[zi, 1] - pts[xi, 1])
-        if dz < half[t]:
-            return g.without_edges([(xi, zi)]), (xi, int(y[t]), zi)
-    return g, None
+    triple = next(sim._half_disk_triples(g, joined=True), None)
+    if triple is None:
+        return g, None
+    return g.without_edges([(triple[0], triple[2])]), triple
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -433,9 +423,10 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
                              Dict[str, argparse.ArgumentParser]]:
     """The ``knnlab`` parser and its subcommand parsers by name.
 
-    ``check --threads``, ``simulate --threads`` and ``verify --seed`` are
-    accepted, recorded in the run manifest and otherwise ignored: the
-    benchmark passes them and its recorded manifest digests hold them.
+    ``--threads`` (on ``verify``, ``simulate`` and ``check``) and ``verify
+    --seed`` are accepted, recorded in the run manifest and otherwise
+    ignored: the benchmark passes them and its recorded manifest digests
+    hold them.
     """
     parser = argparse.ArgumentParser(
         prog="knnlab",
@@ -443,9 +434,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
                     "certified area bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
     positive, non_negative = _int_at_least(1), _int_at_least(0)
-    # A string default goes through ``type`` like a flag value, so a bad
-    # KNNLAB_THREADS is rejected unless ``--threads`` is given.
-    threads = os.environ.get("KNNLAB_THREADS") or "1"
 
     p = sub.add_parser("constants",
                        help="print model constants at coefficient c")
@@ -464,7 +452,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
     p.add_argument("--progress", action="store_true")
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=positive, default=threads)
+    p.add_argument("--threads", type=positive, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("simulate",
@@ -479,7 +467,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
     p.add_argument("--out")
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=positive, default=threads)
+    p.add_argument("--threads", type=positive, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("check",
@@ -492,7 +480,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
     p.add_argument("--inject-bug", dest="inject_bug", action="store_true")
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=positive, default=threads)
+    p.add_argument("--threads", type=positive, default=1)
     p.set_defaults(func=_cmd_check)
 
     return parser, sub.choices

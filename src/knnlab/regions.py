@@ -285,17 +285,11 @@ class NamedRegionSet:
     Attributes
     ----------
     frame : CrossingFrame
-    variant : str
-        ``"restricted"`` (default region system) or ``"unrestricted"`` (the
-        definitions of ``S1``, ``L1``, ``L3``, ``L5`` and ``H3`` without
-        the half-plane restrictions and with the alternative ``L3``
-        intersection).
     regions : dict
         Mapping from region name to ``Region``.
     """
 
     frame: CrossingFrame
-    variant: str
     regions: Dict[str, Region]
 
     def __getitem__(self, name: str) -> Region:
@@ -314,8 +308,7 @@ class NamedRegionSet:
         raise ValueError("sign must be '+' or '-'")
 
 
-def build_named_regions(f: CrossingFrame,
-                        variant: str = "restricted") -> NamedRegionSet:
+def build_named_regions(f: CrossingFrame) -> NamedRegionSet:
     """Construct the named region system of a crossing frame.
 
     The system contains the bounding triangles ``T`` and ``T2``, the
@@ -325,27 +318,21 @@ def build_named_regions(f: CrossingFrame,
     two neighbourhood disks, the crescents ``R1``/``R2``, the
     point-free regions ``L1``..``L6`` with their union ``L``, and the
     point-forcing regions ``H1``..``H5`` with their union ``H``
-    (``H5`` coincides with ``S2`` by construction).
+    (``H5`` coincides with ``S2`` by construction).  ``S1``, ``L1``,
+    ``L2``, ``L5``, ``L6`` and ``H3`` are clamped to a half-plane, and
+    ``L3`` is the part of ``M_plus`` in either half-radius disk: this is
+    the system the certified censuses count.
 
     Parameters
     ----------
     f : CrossingFrame
-    variant : {"restricted", "unrestricted"}
-        Which definition to use for the regions that come in two forms
-        (``S1``, ``L1``, ``L3``, ``L5``, ``H3``); ``"restricted"``
-        keeps the half-plane clamps and is the system used by the
-        certified censuses.
 
     Raises
     ------
     ValueError
-        For an unknown variant, or when an ellipse degenerates because an
-        ``a`` point is at distance 1 or more from a ``b`` focus (cannot
-        happen for admissible frames).
+        When an ellipse degenerates because an ``a`` point is at distance 1
+        or more from a ``b`` focus (cannot happen for admissible frames).
     """
-    if variant not in ("restricted", "unrestricted"):
-        raise ValueError("variant must be 'restricted' or 'unrestricted'")
-
     a1, a2 = f.a1, f.a2
     r1, r2 = f.r1, f.r2
     for p, tag in ((a1, "a1"), (a2, "a2")):
@@ -374,13 +361,8 @@ def build_named_regions(f: CrossingFrame,
     T = ConvexPolygon([_B1, _B2, W_PLUS])
     T2 = ConvexPolygon([_B1, _B2, Z_MINUS])
 
-    if variant == "restricted":
-        S1 = Difference(
-            Intersection((T, HalfPlane(Point(0.5, 0.0), Point(1.0, 0.0)))),
-            Dh1,
-        )
-    else:
-        S1 = Difference(T, Union((Dh1, Dh2)))
+    S1 = Difference(
+        Intersection((T, HalfPlane(Point(0.5, 0.0), Point(1.0, 0.0)))), Dh1)
 
     S2 = Difference(Intersection((T2, A1)), Union((wedge1, wedge2)))
 
@@ -389,20 +371,12 @@ def build_named_regions(f: CrossingFrame,
     R1 = Intersection((Dk1, Difference(B1, B2)))
     R2 = Intersection((Dk1, Difference(B2, B1)))
 
-    if variant == "restricted":
-        L1 = Difference(Intersection((Dk1, _UPPER, E1, Dh1)), M)
-        L2 = Difference(Intersection((Dk1, _UPPER, E2, Dh2)), M)
-        L3 = Intersection((M_plus, Union((Dh1, Dh2))))
-        L5 = Difference(Intersection((Dk2, _LOWER, F1, Dh1)), T2)
-        L6 = Difference(Intersection((Dk2, _LOWER, F2, Dh2)), T2)
-        H3 = Difference(Intersection((A2, _LOWER)), Union((B1, B2)))
-    else:
-        L1 = Difference(Intersection((Dk1, E1, Dh1)), M)
-        L2 = Difference(Intersection((Dk1, E2, Dh2)), M)
-        L3 = Intersection((M_plus, Dh1, Dh2))
-        L5 = Difference(Intersection((Dk2, F1, Dh1)), T2)
-        L6 = Difference(Intersection((Dk2, F2, Dh2)), T2)
-        H3 = Difference(A2, Union((B1, B2)))
+    L1 = Difference(Intersection((Dk1, _UPPER, E1, Dh1)), M)
+    L2 = Difference(Intersection((Dk1, _UPPER, E2, Dh2)), M)
+    L3 = Intersection((M_plus, Union((Dh1, Dh2))))
+    L5 = Difference(Intersection((Dk2, _LOWER, F1, Dh1)), T2)
+    L6 = Difference(Intersection((Dk2, _LOWER, F2, Dh2)), T2)
+    H3 = Difference(Intersection((A2, _LOWER)), Union((B1, B2)))
 
     L4 = Intersection((T2, Dk2, Union((wedge1, wedge2))))
     H1 = Difference(R1, L1)
@@ -447,5 +421,5 @@ def build_named_regions(f: CrossingFrame,
         "H": H,
         "L": L,
     }
-    return NamedRegionSet(frame=f, variant=variant, regions=regions)
+    return NamedRegionSet(frame=f, regions=regions)
 

@@ -56,7 +56,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -735,16 +735,16 @@ def find_crossing_pairs(g: NearestNeighborGraph,
 # ---------------------------------------------------------------------------
 
 
-def _half_disk_candidates(g: NearestNeighborGraph) -> Tuple[np.ndarray, ...]:
-    """Third points in the half-disks of every edge, in scan order.
+def _half_disk_triples(g: NearestNeighborGraph, joined: bool
+                       ) -> Iterator[Tuple[int, int, int]]:
+    """Triples ``(x, y, z)`` with ``z`` strictly inside the open half-disk
+    at ``x`` of an edge ``x y`` and ``x z`` an edge (``joined``) or not.
 
     For each edge ``x y`` of length ``L``, in the order of
     :meth:`NearestNeighborGraph.edges`, first about ``x`` and then about
-    ``y``, lists every ``z`` other than ``x`` and ``y`` that a cKDTree ball
-    query of radius ``L / 2`` proposes, in the order of a single query.
-    Returns the arrays ``(x, y, z, half)``, ``half`` holding each row's
-    ``L / 2``; whether ``z`` is strictly inside the half-disk is left to the
-    caller.
+    ``y``, takes every ``z`` other than ``x`` and ``y`` that a cKDTree ball
+    query of radius ``L / 2`` proposes, in the order of a single query, and
+    yields it when ``|xz| < L / 2``.
     """
     edges = g.edges()
     pts = g.points
@@ -762,8 +762,13 @@ def _half_disk_candidates(g: NearestNeighborGraph) -> Tuple[np.ndarray, ...]:
                     count=int(sizes.sum()))
     row = np.repeat(np.arange(balls.size), sizes)
     x, y = centre[row], other[row]
-    third = (z != x) & (z != y)
-    return x[third], y[third], z[third], halves[row[third]]
+    sel = (z != x) & (z != y)
+    x, y, z, half = x[sel], y[sel], z[sel], halves[row[sel]]
+    sel = g.has_edges(x, z) == joined
+    for xi, yi, zi, r in zip(x[sel].tolist(), y[sel].tolist(),
+                             z[sel].tolist(), half[sel].tolist()):
+        if math.hypot(pts[zi, 0] - pts[xi, 0], pts[zi, 1] - pts[xi, 1]) < r:
+            yield xi, yi, zi
 
 
 def check_half_disk_lemma(g: NearestNeighborGraph
@@ -774,7 +779,7 @@ def check_half_disk_lemma(g: NearestNeighborGraph
     open disk of radius ``L / 2`` around ``x`` must be joined to ``x`` (and
     symmetrically for ``y``).  Returns violating triples ``(x, y, z)`` where
     ``z`` lies inside the half-disk of ``x`` but ``x z`` is not an edge, in
-    the scan order of :func:`_half_disk_candidates`; an empty list means the
+    the scan order of :func:`_half_disk_triples`; an empty list means the
     property holds.
 
     Examples
@@ -787,16 +792,7 @@ def check_half_disk_lemma(g: NearestNeighborGraph
     if g.model != "mutual":
         raise ValueError("half-neighbourhood containment holds for the "
                          "mutual model; got %r" % g.model)
-    pts = g.points
-    x, y, z, half = _half_disk_candidates(g)
-    test = ~g.has_edges(x, z)
-    violations: List[Tuple[int, int, int]] = []
-    for xi, yi, zi, r in zip(x[test].tolist(), y[test].tolist(),
-                             z[test].tolist(), half[test].tolist()):
-        dz = math.hypot(pts[zi, 0] - pts[xi, 0], pts[zi, 1] - pts[xi, 1])
-        if dz < r:
-            violations.append((xi, yi, zi))
-    return violations
+    return list(_half_disk_triples(g, joined=False))
 
 
 def _disk_triples(g: NearestNeighborGraph, idx: int) -> Tuple[float, float, float]:

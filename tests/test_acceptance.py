@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from pathlib import Path
 
@@ -120,14 +119,11 @@ def test_acceptance_1_census_bounds(capsys):
 
 @pytest.fixture(scope="module")
 def fine_census():
-    # Census results do not depend on the thread count (test_census checks
-    # this), so the step-0.001 scans use the machine's cores.
-    threads = min(os.cpu_count() or 1, 4)
     return {
-        "lplus": verify_L_plus(0.001, threads=threads),
-        "lminus": verify_L_minus(0.001, threads=threads),
-        "hplus": verify_H_plus(0.001, threads=threads),
-        "hminus": verify_H_minus(0.001, threads=threads),
+        "lplus": verify_L_plus(0.001),
+        "lminus": verify_L_minus(0.001),
+        "hplus": verify_H_plus(0.001),
+        "hminus": verify_H_minus(0.001),
     }
 
 

@@ -98,12 +98,14 @@ def test_cli_import_does_not_load_scipy_optimize():
 
 def test_verify_loads_no_scipy(tmp_path):
     # Step 0.01 is too coarse for the H- target, so the verdict is FAIL.
+    # The census runs in the calling thread, so no thread pool is loaded.
     out = _fresh("import sys; from knnlab.cli import main; "
                  "code = main(['verify', '--step', '0.01', '--which', "
                  "'hminus', '--out-dir', 'out']); "
                  "print(code, sorted(m for m in sys.modules "
-                 "if m.split('.')[0] == 'scipy'))", cwd=tmp_path)
-    assert out.splitlines()[-1] == "1 []"
+                 "if m.split('.')[0] == 'scipy'), "
+                 "'concurrent.futures' in sys.modules)", cwd=tmp_path)
+    assert out.splitlines()[-1] == "1 [] False"
     assert (tmp_path / "out" / "hminus_0.01.json").is_file()
 
 

@@ -17,8 +17,6 @@ the block's members.
 from __future__ import annotations
 
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -66,19 +64,19 @@ GOLDEN_0004 = {
 }
 
 
-def _run(name: str, s: float, **kw):
+def _run(name: str, s: float):
     if name == "lplus":
-        return census_L_plus(s, **kw)
+        return census_L_plus(s)
     if name == "lminus":
-        return census_L_minus(s, **kw)
+        return census_L_minus(s)
     if name == "hplus":
-        return census_H_plus(s, **kw)
+        return census_H_plus(s)
     if name == "hplus_intersection":
-        return census_H_plus(s, exclusion="intersection", **kw)
+        return census_H_plus(s, exclusion="intersection")
     if name == "hminus":
-        return census_H_minus(s, **kw)
+        return census_H_minus(s)
     if name == "hminus_cover":
-        return census_H_minus(s, semantics="cover", **kw)
+        return census_H_minus(s, semantics="cover")
     raise KeyError(name)
 
 
@@ -114,22 +112,9 @@ def test_refinement_monotonicity():
     assert hminus == sorted(hminus, reverse=True)
 
 
-@pytest.mark.parametrize("name", ["hminus", "hminus_cover", "hplus",
-                                  "hplus_intersection", "lminus", "lplus"])
-def test_census_independent_of_thread_count(name):
-    reference = _run(name, 0.008, threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # interleave the worker threads finely
-    try:
-        for threads in (None, 2, 4):
-            assert _run(name, 0.008, threads=threads) == reference
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_threaded_progress_is_monotone_and_completes():
+def test_progress_is_monotone_and_completes():
     seen = []
-    out = census_L_minus(0.008, threads=2,
+    out = census_L_minus(0.008,
                          progress=lambda done, total: seen.append((done, total)))
     dones = [done for done, _ in seen]
     assert dones == sorted(dones)
@@ -209,17 +194,12 @@ def _window_counts(s, family):
     return xs, ys, counts
 
 
-def _full_counts(s, family, threads=None):
-    """The kernel over every candidate: the full-scan reference, run on a
-    pool of ``threads`` threads when that is above 1."""
+def _full_counts(s, family):
+    """The kernel over every candidate: the full-scan reference."""
     u = _census._universe(s, family)
     xs, ys = _census._candidate_centers(s, family.hull)
-    args = (u, xs, ys, family.reach_of(xs, ys, s), np.full(xs.size, u.C))
-    if (threads or 1) == 1:
-        counts, _ = _census._counts(*args)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            counts, _ = _census._counts(*args, pool)
+    counts, _ = _census._counts(u, xs, ys, family.reach_of(xs, ys, s),
+                                np.full(xs.size, u.C))
     return xs, ys, counts
 
 
@@ -228,10 +208,9 @@ def _full_counts(s, family, threads=None):
 def test_row_kernel_counts_match_window_reference(name, step):
     family = FAMILIES[name](step)
     xs, ys, reference = _window_counts(step, family)
-    for threads in (1, 3):
-        got_xs, got_ys, counts = _full_counts(step, family, threads)
-        assert np.array_equal(got_xs, xs) and np.array_equal(got_ys, ys)
-        assert np.array_equal(counts, reference)
+    got_xs, got_ys, counts = _full_counts(step, family)
+    assert np.array_equal(got_xs, xs) and np.array_equal(got_ys, ys)
+    assert np.array_equal(counts, reference)
 
 
 def _untrusted_chords(monkeypatch):
@@ -253,7 +232,7 @@ def test_untrusted_rows_are_counted_tile_by_tile(name, monkeypatch):
     # Each row with ellipse tiles is counted by the per-tile recount alone.
     _untrusted_chords(monkeypatch)
     family = FAMILIES[name](0.01)
-    _, _, counts = _full_counts(0.01, family, threads=2)
+    _, _, counts = _full_counts(0.01, family)
     assert np.array_equal(counts, _window_counts(0.01, family)[2])
 
 
@@ -275,10 +254,10 @@ def test_untrusted_block_bounds_are_never_pruned(name, monkeypatch):
     # Record the candidates counted exactly (the family's own focal sum).
     kernel, seen = _census._counts, []
 
-    def spy(u, px, py, reach, C, pool=None):
+    def spy(u, px, py, reach, C):
         if np.all(C == u.C):
             seen.extend(zip(px, py))
-        return kernel(u, px, py, reach, C, pool)
+        return kernel(u, px, py, reach, C)
 
     monkeypatch.setattr(_census, "_counts", spy)
     out = _run(name, 0.01)
@@ -512,7 +491,7 @@ def test_scan_rejects_an_ellipse_term_of_the_wrong_sign():
     # would not be conservative.
     family = FAMILIES["lplus"](0.02)._replace(minimise=False)
     with pytest.raises(ValueError, match="ellipse term"):
-        _census._scan(0.02, family, None, 1)
+        _census._scan(0.02, family, None)
 
 
 def test_hplus_tiles_reject_a_tile_in_both_exclusion_ellipses(monkeypatch):

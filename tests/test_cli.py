@@ -298,30 +298,7 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_threads_environment_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KNNLAB_THREADS", "7")
-    assert main(["verify", "--step", "0.01", "--which", "lplus",
-                 "--out-dir", str(tmp_path)]) == 1
-    manifest = json.loads((tmp_path / "run_manifest_verify.json").read_text())
-    assert manifest["config"]["threads"] == 7
-
-
-@pytest.mark.parametrize("value", ["0", "-2", "abc"])
-def test_bad_threads_environment_is_a_usage_error(value, tmp_path,
-                                                  monkeypatch, capsys):
-    monkeypatch.setenv("KNNLAB_THREADS", value)
-    argv = ["verify", "--step", "0.01", "--which", "lplus",
-            "--out-dir", str(tmp_path)]
-    assert main(argv) == 2
-    assert "--threads" in capsys.readouterr().err
-    assert not (tmp_path / "run_manifest_verify.json").exists()
-    assert main(argv + ["--threads", "2"]) == 1
-
-
-def test_threads_flag_and_config_override_the_environment(tmp_path,
-                                                          monkeypatch,
-                                                          capsys):
-    monkeypatch.setenv("KNNLAB_THREADS", "7")
+def test_threads_flag_overrides_the_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("threads = 3\n")
     argv = ["verify", "--step", "0.01", "--which", "lplus",
@@ -409,9 +386,7 @@ def test_constants_takes_no_seed(capsys):
 @pytest.mark.parametrize("source", ["flags", "config"])
 @pytest.mark.parametrize("command", sorted(_MANIFEST_CASES))
 def test_manifest_records_the_resolved_configuration(command, source,
-                                                     tmp_path, monkeypatch,
-                                                     capsys):
-    monkeypatch.delenv("KNNLAB_THREADS", raising=False)
+                                                     tmp_path, capsys):
     flags, expected = _MANIFEST_CASES[command]
     flags = [flag.format(d=tmp_path) for flag in flags]
     expected = {key: value.format(d=tmp_path) if isinstance(value, str)

@@ -153,13 +153,6 @@ def test_named_regions_families_present():
     assert {"H1", "H2", "H3", "H4", "H5"} <= names
 
 
-def test_named_regions_variant_guard():
-    f = CrossingFrame(Point(0.45, 0.15), Point(0.5, -0.3))
-    build_named_regions(f, variant="unrestricted")
-    with pytest.raises(ValueError):
-        build_named_regions(f, variant="nonsense")
-
-
 def test_named_regions_half_split():
     f = CrossingFrame(Point(0.45, 0.15), Point(0.5, -0.3))
     rs = build_named_regions(f)
