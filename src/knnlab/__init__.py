@@ -53,10 +53,10 @@ from .regions import (
     normalize_crossing_pair_with_map,
 )
 
-#: Names re-exported from :mod:`knnlab.sim`.  The module is imported on
-#: first use, so that the analytic half and the ``verify`` and
-#: ``constants`` commands do not load scipy.
-_SIM_NAMES = frozenset({
+#: Names re-exported from :mod:`knnlab.sim`, and the ``sim`` part of
+#: ``__all__``.  The module is imported on first use, so that the analytic
+#: half and the ``verify`` and ``constants`` commands do not load scipy.
+_SIM_NAMES = (
     "MODELS",
     "ComponentDecomposition",
     "ConnectivityEstimate",
@@ -78,7 +78,7 @@ _SIM_NAMES = frozenset({
     "find_crossing_pairs",
     "sample_poisson",
     "wilson_interval",
-})
+)
 
 
 def __getattr__(name):
@@ -120,25 +120,5 @@ __all__ = [
     "normalize_crossing_pair",
     "normalize_crossing_pair_with_map",
     # sim
-    "MODELS",
-    "ComponentDecomposition",
-    "ConnectivityEstimate",
-    "CrossingReport",
-    "GoodnessReport",
-    "NearestNeighborGraph",
-    "PointSet",
-    "SampleWindow",
-    "TrialResult",
-    "brute_force_graph",
-    "build_graph",
-    "check_farapart",
-    "check_goodness",
-    "check_half_disk_lemma",
-    "check_intersect_union_lemma",
-    "components",
-    "estimate_connectivity",
-    "figure_one_pointset",
-    "find_crossing_pairs",
-    "sample_poisson",
-    "wilson_interval",
+    *_SIM_NAMES,
 ]

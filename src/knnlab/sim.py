@@ -14,9 +14,9 @@ The graph builders are deliberately exact: :func:`build_graph` takes
 candidates from a ``scipy.spatial.cKDTree``, recomputes their distances
 with the reference formula and certifies each neighbour list (any point
 left out is provably farther than the ``k``-th neighbour, otherwise the
-row is re-gathered), so its output is identical to the quadratic
-reference :func:`brute_force_graph` down to tie-breaking.  Ties in
-distance are always broken by lower point index.
+row is queried again with more candidates), so its output is identical to
+the quadratic reference :func:`brute_force_graph` down to tie-breaking.
+Ties in distance are always broken by lower point index.
 
 All randomness flows through :class:`numpy.random.Generator` seeded
 explicitly; trial seeds are derived with ``numpy.random.SeedSequence``
@@ -225,6 +225,16 @@ class NearestNeighborGraph:
         return np.repeat(np.arange(self.n_points, dtype=np.int64),
                          np.diff(self.indptr))
 
+    @functools.cached_property
+    def _radii(self) -> np.ndarray:
+        """Every point's ``k``-th-neighbour radius: the last distance of its
+        row, 0 for an empty row."""
+        ends = self.indptr[1:]
+        filled = ends > self.indptr[:-1]
+        radii = np.zeros(self.n_points)
+        radii[filled] = self.dists[ends[filled] - 1]
+        return radii
+
     def neighbourhood_radius(self, i: int) -> float:
         """Radius of the closed ``k``-th-neighbour disk around point ``i``.
 
@@ -234,8 +244,7 @@ class NearestNeighborGraph:
         if self.model == "gilbert":
             raise ValueError("neighbourhood radius is k-NN specific; "
                              "the gilbert model has a global radius")
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return float(self.dists[hi - 1]) if hi > lo else 0.0
+        return float(self._radii[i])
 
     def edges(self) -> np.ndarray:
         """Undirected edge list, shape ``(E, 2)`` with ``lo < hi`` per row.
@@ -310,18 +319,6 @@ def _validate_graph_args(model: str, k: int, radius: Optional[float]) -> None:
         raise ValueError("radius applies to the gilbert model only")
 
 
-def _sorted_take(cand: np.ndarray, d2: np.ndarray, self_idx: int,
-                 kk: int) -> Tuple[np.ndarray, np.ndarray]:
-    """First ``kk`` candidates by (squared distance, index), excluding self."""
-    order = np.lexsort((cand, d2))
-    cand = cand[order]
-    d2 = d2[order]
-    keep = cand != self_idx
-    cand = cand[keep][:kk]
-    d2 = d2[keep][:kk]
-    return cand, np.sqrt(d2)
-
-
 # Relative margin on cKDTree results.  The tree's distances (and edge
 # midpoints) round differently from the exact tests that follow, by a few
 # ulps; search radii are padded, and certainty is required, by this much.
@@ -340,9 +337,10 @@ def _knn_query(pts: np.ndarray, k: int) -> _CSR:
     formula of :func:`brute_force_graph` and ordered by (distance, index).
     A row is certain when its farthest candidate lies beyond the ``kk``-th by
     more than rounding, since every point the tree left out is farther still.
-    The other rows (distance ties, coincident points) are re-gathered with a
-    ball query of the ``kk``-th radius and filtered exactly.  Every row has
-    exactly ``kk`` entries, so the lists fill one ``(N, kk)`` array.
+    The other rows (distance ties, coincident points) are queried again
+    with twice as many candidates, until ``q == N`` makes every row certain.
+    Every row has exactly ``kk`` entries, so the lists fill one ``(N, kk)``
+    array.
     """
     n = pts.shape[0]
     kk = max(min(k, n - 1), 0)
@@ -351,32 +349,28 @@ def _knn_query(pts: np.ndarray, k: int) -> _CSR:
     dists = np.empty((n, kk), dtype=np.float64)
     if kk == 0:
         return indptr, nbrs.ravel(), dists.ravel()
-    q = min(kk + 2, n)
     tree = cKDTree(pts)
-    for start in range(0, n, _CHUNK):
-        rows = np.arange(start, min(start + _CHUNK, n))
-        _, cand = tree.query(pts[rows], k=q)
-        diff = pts[rows][:, None, :] - pts[cand]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        order = np.lexsort((cand, d2))
-        cand = np.take_along_axis(cand, order, axis=1)
-        d2 = np.take_along_axis(d2, order, axis=1)
-        # The point's own distance 0 leads each sorted row, so column kk is
-        # the kk-th neighbour; a certain row holds the point exactly once.
-        kth = d2[:, kk]
-        sure = (d2[:, -1] > kth * (1.0 + _SLACK)) | (q == n)
-        own = cand[sure] == rows[sure, None]
-        nbrs[rows[sure]] = cand[sure][~own].reshape(-1, q - 1)[:, :kk]
-        dists[rows[sure]] = np.sqrt(d2[sure][~own].reshape(-1, q - 1)[:, :kk])
-        unsure = rows[~sure]
-        balls = tree.query_ball_point(pts[unsure],
-                                      np.sqrt(kth[~sure]) * (1.0 + _SLACK))
-        for i, ball, thr in zip(unsure, balls, kth[~sure]):
-            ball = np.asarray(ball, dtype=np.int64)
-            diff = pts[i] - pts[ball]
-            d2i = np.einsum("ij,ij->i", diff, diff)
-            sel = d2i <= thr
-            nbrs[i], dists[i] = _sorted_take(ball[sel], d2i[sel], int(i), kk)
+    todo, q = np.arange(n), min(kk + 2, n)
+    while todo.size:
+        step = max(1, _CHUNK * (kk + 2) // q)
+        unsure = []
+        for start in range(0, todo.size, step):
+            rows = todo[start:start + step]
+            _, cand = tree.query(pts[rows], k=q)
+            diff = pts[rows][:, None, :] - pts[cand]
+            d2 = np.einsum("ijk,ijk->ij", diff, diff)
+            order = np.lexsort((cand, d2))
+            cand = np.take_along_axis(cand, order, axis=1)
+            d2 = np.take_along_axis(d2, order, axis=1)
+            # The point's own distance 0 leads each sorted row, so column
+            # kk is the kk-th neighbour; a certain row holds it exactly once.
+            sure = (d2[:, -1] > d2[:, kk] * (1.0 + _SLACK)) | (q == n)
+            own = cand[sure] == rows[sure, None]
+            nbrs[rows[sure]] = cand[sure][~own].reshape(-1, q - 1)[:, :kk]
+            dists[rows[sure]] = np.sqrt(
+                d2[sure][~own].reshape(-1, q - 1)[:, :kk])
+            unsure.append(rows[~sure])
+        todo, q = np.concatenate(unsure), min(2 * q, n)
     return indptr, nbrs.ravel(), dists.ravel()
 
 
@@ -407,7 +401,7 @@ def build_graph(ps: PointSet, k: int, model: str = "mutual",
     """Build the nearest-neighbour graph of ``ps`` exactly.
 
     The ``k``-nearest models take ``k + 2`` candidates per point from a
-    cKDTree and re-gather, with a ball query, the rows whose candidate set
+    cKDTree and query again, with twice as many, the rows whose candidates
     cannot prove the ``k``-th neighbour (distance ties, coincident points);
     ``gilbert`` takes a cKDTree pair query.  Every kept distance is
     recomputed and compared exactly.
@@ -450,29 +444,38 @@ def brute_force_graph(ps: PointSet, k: int, model: str = "mutual",
                       radius: Optional[float] = None) -> NearestNeighborGraph:
     """Quadratic reference implementation of :func:`build_graph`.
 
-    Computes the full pairwise squared-distance matrix and sorts each row by
-    (distance, index).  Intended for validation; memory grows as ``N**2``.
+    Computes the full pairwise squared-distance matrix, keeps in each row
+    the other points within its ``kk = min(k, N - 1)``-th smallest value
+    (``radius**2`` for ``gilbert``), orders them by (distance, index) and
+    cuts each ``k``-nearest row at ``kk``.  Intended for validation; memory
+    grows as ``N**2``.
     """
     _validate_graph_args(model, k, radius)
     pts = ps.points
     n = pts.shape[0]
-    diff = pts[:, None, :] - pts[None, :, :]
+    # diff[i, j] = pts[i] - pts[j], one coordinate at a time, which is
+    # faster than broadcasting over the length-2 axis.
+    diff = np.empty((n, n, 2))
+    for j in (0, 1):
+        np.subtract.outer(pts[:, j], pts[:, j], out=diff[:, :, j])
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    rows = []
-    for i in range(n):
-        cand = np.arange(n, dtype=np.int64)
-        kk = min(k, n - 1)
-        if model == "gilbert":
-            cand = cand[d2[i] <= radius * radius]
-            kk = cand.size
-        rows.append(_sorted_take(cand, d2[i][cand], i, kk))
+    np.fill_diagonal(d2, np.inf)
+    if model == "gilbert":
+        kk, limit = n, radius * radius
+    else:
+        kk = max(min(k, n - 1), 0)
+        limit = (np.partition(d2, kk - 1, axis=1)[:, kk - 1:kk] if kk
+                 else -np.inf)
+    row, col = np.nonzero(d2 <= limit)
+    order = np.lexsort((col, d2[row, col], row))
+    row, col = row[order], col[order]
+    counts = np.bincount(row, minlength=n)
+    rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    row, col = row[rank < kk], col[rank < kk]
     return NearestNeighborGraph(
         pointset=ps, k=int(k), model=model,
-        indptr=np.cumsum([0] + [nb.size for nb, _ in rows]),
-        indices=np.concatenate([nb for nb, _ in rows]
-                               + [np.empty(0, dtype=np.int64)]),
-        dists=np.concatenate([di for _, di in rows] + [np.empty(0)]),
-        radius=radius)
+        indptr=np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n)))),
+        indices=col, dists=np.sqrt(d2[row, col]), radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +738,21 @@ def find_crossing_pairs(g: NearestNeighborGraph,
 # ---------------------------------------------------------------------------
 
 
+def _ball_members(pts: np.ndarray, centres: np.ndarray, radii: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every point ``z`` of ``pts`` within ``radii[row]`` of ``centres[row]``.
+
+    One batched cKDTree ball query, flattened to the aligned arrays
+    ``(row, z)``.  Unsorted batched rows list each ball in the order of a
+    single query.
+    """
+    balls = cKDTree(pts).query_ball_point(centres, radii, return_sorted=False)
+    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=balls.size)
+    z = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
+                    count=int(sizes.sum()))
+    return np.repeat(np.arange(balls.size), sizes), z
+
+
 def _half_disk_triples(g: NearestNeighborGraph, joined: bool
                        ) -> Iterator[Tuple[int, int, int]]:
     """Triples ``(x, y, z)`` with ``z`` strictly inside the open half-disk
@@ -750,17 +768,11 @@ def _half_disk_triples(g: NearestNeighborGraph, joined: bool
     pts = g.points
     lengths = np.hypot(*(pts[edges[:, 1]] - pts[edges[:, 0]]).T)
     # Query row 2e is the half-disk of edges[e, 0], row 2e + 1 that of
-    # edges[e, 1].  Unsorted batched rows list each ball in the order of a
-    # single query.
+    # edges[e, 1].
     centre = edges.reshape(-1)
     other = edges[:, ::-1].reshape(-1)
     halves = np.repeat(lengths / 2.0, 2)
-    balls = cKDTree(pts).query_ball_point(pts[centre], halves,
-                                          return_sorted=False)
-    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=balls.size)
-    z = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
-                    count=int(sizes.sum()))
-    row = np.repeat(np.arange(balls.size), sizes)
+    row, z = _ball_members(pts, pts[centre], halves)
     x, y = centre[row], other[row]
     sel = (z != x) & (z != y)
     x, y, z, half = x[sel], y[sel], z[sel], halves[row[sel]]
@@ -793,11 +805,6 @@ def check_half_disk_lemma(g: NearestNeighborGraph
         raise ValueError("half-neighbourhood containment holds for the "
                          "mutual model; got %r" % g.model)
     return list(_half_disk_triples(g, joined=False))
-
-
-def _disk_triples(g: NearestNeighborGraph, idx: int) -> Tuple[float, float, float]:
-    p = g.points[idx]
-    return (float(p[0]), float(p[1]), g.neighbourhood_radius(idx))
 
 
 def _area_subset_union(a: Tuple[float, float, float],
@@ -884,8 +891,10 @@ def check_intersect_union_lemma(g: NearestNeighborGraph,
         raise ValueError("the containment implication applies to the mutual "
                          "model; got %r" % g.model)
     quadruple = tuple(int(v) for v in quadruple)
+    pts, radii = g.points, g._radii
     pairs = _intersect_union_pairs(
-        quadruple, {v: _disk_triples(g, v) for v in quadruple})
+        quadruple, {v: (float(pts[v, 0]), float(pts[v, 1]), float(radii[v]))
+                    for v in quadruple})
     if pairs is None:
         return None
     return not pairs or any(g.has_edge(p, q) for p, q in pairs)
@@ -920,14 +929,8 @@ def sample_intersect_union_quadruples(g: NearestNeighborGraph, samples: int,
     num_edges = len(edge_list)
     ptr = g.indptr.tolist()
     nbrs = g.indices.tolist()
-    # Each point's disk as :func:`_disk_triples` gives it: the radius is the
-    # last distance of its row, 0 for an empty row.
-    ends = g.indptr[1:]
-    filled = ends > g.indptr[:-1]
-    radii = np.zeros(n)
-    radii[filled] = g.dists[ends[filled] - 1]
     disks = list(zip(g.points[:, 0].tolist(), g.points[:, 1].tolist(),
-                     radii.tolist()))
+                     g._radii.tolist()))
     qualified: List[Tuple[Tuple[int, int, int, int], int]] = []
     pairs_flat: List[Tuple[int, int]] = []
     for _ in range(samples):
@@ -980,21 +983,15 @@ def check_farapart(g: NearestNeighborGraph,
         return violations
     pts = g.points
     labels = comps.labels
-    tree = cKDTree(pts)
     rho = np.hypot(*(pts[edges[:, 1]] - pts[edges[:, 0]]).T)
     edges, rho = edges[rho > 0.0], rho[rho > 0.0]
     a = pts[edges[:, 0]]
     b = pts[edges[:, 1]]
     mid = (a + b) / 2.0
     # Any point within FARAPART_RATIO * rho of the segment lies within
-    # rho * (1/2 + FARAPART_RATIO) of the midpoint; pad slightly.  Unsorted
-    # batched rows list each ball in the order of a single query.
+    # rho * (1/2 + FARAPART_RATIO) of the midpoint; pad slightly.
     search = rho * (0.5 + FARAPART_RATIO) * (1.0 + 1e-9)
-    balls = tree.query_ball_point(mid, search, return_sorted=False)
-    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=balls.size)
-    z = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
-                    count=int(sizes.sum()))
-    e = np.repeat(np.arange(balls.size), sizes)
+    e, z = _ball_members(pts, mid, search)
     foreign = labels[z] != labels[edges[e, 0]]
     z, e = z[foreign], e[foreign]
     # point_segment_distance, vectorised.  Only np.hypot may differ from

@@ -144,15 +144,17 @@ def test_build_graph_matches_brute_force():
         _assert_matches_brute_force(ps, k, model, radius)
 
     # Tie-heavy inputs: on an integer lattice most neighbour distances tie,
-    # and duplicated points tie at distance zero (also with themselves).
+    # and duplicated points tie at distance zero (also with themselves).  A
+    # cluster of 61 coincident points keeps rows uncertain until a query
+    # takes more than 61 candidates, so small k re-queries several times.
     lattice = np.array([[x, y] for x in range(1, 16) for y in range(1, 13)],
                        dtype=float)
     base = rng.uniform(0.0, 10.0, size=(60, 2))
     duplicated = np.vstack([base, base[:25], base[:8], lattice[:30],
                             lattice[:30]])
-    tie_sets = [PointSet(points=lattice, seed=0, window=SampleWindow(256.0)),
-                PointSet(points=duplicated, seed=0,
-                         window=SampleWindow(256.0))]
+    cluster = np.vstack([base, np.repeat(base[:1], 60, axis=0)])
+    tie_sets = [PointSet(points=pts, seed=0, window=SampleWindow(256.0))
+                for pts in (lattice, duplicated, cluster)]
     for ps in tie_sets:
         for model in sim.MODELS:
             if model == "gilbert":
@@ -168,6 +170,10 @@ def test_build_graph_handles_degenerate_sizes():
     empty = PointSet(points=np.empty((0, 2)), seed=0, window=w)
     single = PointSet(points=np.array([[1.0, 1.0]]), seed=0, window=w)
     assert build_graph(empty, k=3).edges().shape == (0, 2)
+    for ps in (empty, single):
+        for model in sim.MODELS:
+            radius = 1.0 if model == "gilbert" else None
+            _assert_matches_brute_force(ps, 3, model, radius)
     g = build_graph(single, k=3)
     assert g.edges().shape == (0, 2)
     assert g.neighbourhood_radius(0) == 0.0
