@@ -319,8 +319,8 @@ def _validate_graph_args(model: str, k: int, radius: Optional[float]) -> None:
         raise ValueError("radius applies to the gilbert model only")
 
 
-# Relative margin on cKDTree results.  The tree's distances (and edge
-# midpoints) round differently from the exact tests that follow, by a few
+# Relative margin on cKDTree results and on the crossing search's strip
+# width.  Both round differently from the exact tests that follow, by a few
 # ulps; search radii are padded, and certainty is required, by this much.
 _SLACK = 1e-9
 # Rows per cKDTree query, which bounds the candidate arrays at large N.
@@ -334,13 +334,19 @@ def _knn_query(pts: np.ndarray, k: int) -> _CSR:
 
     A cKDTree proposes the ``kk + 2`` nearest candidates of each point (the
     point itself included), whose squared distances are recomputed with the
-    formula of :func:`brute_force_graph` and ordered by (distance, index).
-    A row is certain when its farthest candidate lies beyond the ``kk``-th by
-    more than rounding, since every point the tree left out is farther still.
+    formula of :func:`brute_force_graph`, one coordinate at a time (the
+    same bits as its sum over the coordinate axis), and ordered by
+    (distance, index).  The tree returns each row in its own distance
+    order; a row whose recomputed distances strictly increase is already
+    in (distance, index) order, so only the others are sorted.  A row is
+    certain when its farthest candidate lies beyond the ``kk``-th by more
+    than rounding, since every point the tree left out is farther still.
     The other rows (distance ties, coincident points) are queried again
     with twice as many candidates, until ``q == N`` makes every row certain.
-    Every row has exactly ``kk`` entries, so the lists fill one ``(N, kk)``
-    array.
+    Rows are queried in the tree's leaf order (``tree.indices``), so each
+    chunk of queries is spatially close, and scattered back by index; a
+    row's result does not depend on its chunk.  Every row has exactly
+    ``kk`` entries, so the lists fill one ``(N, kk)`` array.
     """
     n = pts.shape[0]
     kk = max(min(k, n - 1), 0)
@@ -350,25 +356,30 @@ def _knn_query(pts: np.ndarray, k: int) -> _CSR:
     if kk == 0:
         return indptr, nbrs.ravel(), dists.ravel()
     tree = cKDTree(pts)
-    todo, q = np.arange(n), min(kk + 2, n)
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    todo, q = tree.indices, min(kk + 2, n)
     while todo.size:
         step = max(1, _CHUNK * (kk + 2) // q)
         unsure = []
         for start in range(0, todo.size, step):
             rows = todo[start:start + step]
             _, cand = tree.query(pts[rows], k=q)
-            diff = pts[rows][:, None, :] - pts[cand]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            order = np.lexsort((cand, d2))
-            cand = np.take_along_axis(cand, order, axis=1)
-            d2 = np.take_along_axis(d2, order, axis=1)
+            d2 = x[rows, None] - x[cand]
+            dy = y[rows, None] - y[cand]
+            d2 *= d2
+            dy *= dy
+            d2 += dy
+            tied = np.flatnonzero(np.any(d2[:, 1:] <= d2[:, :-1], axis=1))
+            if tied.size:
+                order = np.lexsort((cand[tied], d2[tied]))
+                cand[tied] = np.take_along_axis(cand[tied], order, axis=1)
+                d2[tied] = np.take_along_axis(d2[tied], order, axis=1)
             # The point's own distance 0 leads each sorted row, so column
             # kk is the kk-th neighbour; a certain row holds it exactly once.
             sure = (d2[:, -1] > d2[:, kk] * (1.0 + _SLACK)) | (q == n)
-            own = cand[sure] == rows[sure, None]
-            nbrs[rows[sure]] = cand[sure][~own].reshape(-1, q - 1)[:, :kk]
-            dists[rows[sure]] = np.sqrt(
-                d2[sure][~own].reshape(-1, q - 1)[:, :kk])
+            keep = sure[:, None] & (cand != rows[:, None])
+            nbrs[rows[sure]] = cand[keep].reshape(-1, q - 1)[:, :kk]
+            dists[rows[sure]] = np.sqrt(d2[keep].reshape(-1, q - 1)[:, :kk])
             unsure.append(rows[~sure])
         todo, q = np.concatenate(unsure), min(2 * q, n)
     return indptr, nbrs.ravel(), dists.ravel()
@@ -401,10 +412,12 @@ def build_graph(ps: PointSet, k: int, model: str = "mutual",
     """Build the nearest-neighbour graph of ``ps`` exactly.
 
     The ``k``-nearest models take ``k + 2`` candidates per point from a
-    cKDTree and query again, with twice as many, the rows whose candidates
-    cannot prove the ``k``-th neighbour (distance ties, coincident points);
-    ``gilbert`` takes a cKDTree pair query.  Every kept distance is
-    recomputed and compared exactly.
+    cKDTree, querying the points in the tree's leaf order, and query again,
+    with twice as many, the rows whose candidates cannot prove the ``k``-th
+    neighbour (distance ties, coincident points); ``gilbert`` takes a
+    cKDTree pair query.  Every kept distance is recomputed and compared
+    exactly, and only rows whose recomputed distances do not strictly
+    increase in the tree's order are sorted again.
 
     Parameters
     ----------
@@ -650,21 +663,69 @@ class CrossingReport:
         return len(self.quadruples)
 
 
+def _box_candidates(lo: np.ndarray, hi: np.ndarray, minor: np.ndarray,
+                    scale: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge pairs ``(e1, e2)``, ``e1`` minor, that include every pair whose
+    closed boxes ``[lo, hi]`` meet, by the strip argument of
+    :func:`find_crossing_pairs`; ``scale`` is the largest coordinate
+    magnitude.  Both arrays are empty when every box is a point."""
+    m = lo.shape[0]
+    wide = float((hi - lo).max())
+    if wide == 0.0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    wide += _SLACK * (wide + scale)
+    strip = np.floor((lo[:, 0] - lo[:, 0].min()) / wide).astype(np.int64)
+    by_y = np.argsort(lo[:, 1])
+    ys = lo[by_y, 1]
+    key = np.empty(m, dtype=np.int64)
+    key[by_y] = np.arange(m)
+    key += strip * m
+    order = np.argsort(key)
+    key = key[order]
+    # Minor edges in key order, so that each searchsorted below gets its
+    # needles nearly sorted.
+    e1 = order[minor[order]]
+    first = np.searchsorted(ys, lo[e1, 1] - wide)
+    last = np.searchsorted(ys, hi[e1, 1], side="right")
+    # One row each for the keys where strips strip[e1] - 1, strip[e1] and
+    # strip[e1] + 1 begin.
+    base = (strip[e1] + np.array([[-1], [0], [1]])) * m
+    start = np.searchsorted(key, (base + first).ravel())
+    count = np.searchsorted(key, (base + last).ravel()) - start
+    pos = np.repeat(start + count - np.cumsum(count), count)
+    pos += np.arange(pos.size)
+    return np.repeat(np.tile(e1, 3), count), order[pos]
+
+
 def find_crossing_pairs(g: NearestNeighborGraph,
                         comps: Optional[ComponentDecomposition] = None
                         ) -> CrossingReport:
     """Find every pair of crossing edges that lie in different components.
 
     Only edges of different components are compared, so every candidate
-    pair has an edge outside the largest component.  Edges whose bounding
-    boxes meet have midpoints within Chebyshev distance of the longest edge
-    length, so a cKDTree over edge midpoints, queried around each such
-    edge, proposes the pairs.  Labels, closed bounding-box overlap and
-    non-zero lengths are then filtered exactly (``candidates_tested``
-    counts the survivors), and the crossing test itself is the exact
-    closed-segment predicate :func:`knnlab.geom.segments_intersect`.  Each
-    hit is normalized with
-    :func:`knnlab.regions.normalize_crossing_pair_with_map`.
+    pair has an edge outside the largest component.  One sort of the edges
+    proposes the pairs around each such *minor* edge.  Let ``W`` be the
+    widest bounding-box side over all edges, padded by ``1e-9 * (W +
+    max|coordinate|)``.  If the closed boxes of edges 1 and 2 meet, then
+    ``lo2.x`` lies in ``[lo1.x - W, hi1.x]`` and ``lo2.y`` in ``[lo1.y - W,
+    hi1.y]``.  So with ``strip = floor((lo.x - min lo.x) / W)``, edge 2 lies
+    in edge 1's strip or a neighbouring one: the two quotients differ by at
+    most ``(W - pad) / W`` before rounding, and rounding moves them by a
+    few ulps of ``max|coordinate| / W``, far less than the pad.  The pad
+    also covers the rounding of ``lo1.y - W``, and it caps the strip count
+    near ``2e9``, so the key below fits in 64 bits.  The edges are sorted
+    once by the exact integer key ``strip * E + rank(lo.y)``, where the
+    rank is the edge's position in one sort by ``lo.y``.  Each minor edge's
+    three windows (one per strip, cut to the ``lo.y`` window) are then
+    found by ``searchsorted``: the edges with ``lo.y`` in ``[q, h]`` hold
+    exactly the ranks from the first sorted value ``>= q`` to the last
+    ``<= h``, ties included.  So the windows hold every pair whose boxes
+    meet, and more.  Labels, closed bounding-box overlap and non-zero
+    lengths are then filtered exactly (``candidates_tested`` counts the
+    survivors), and the crossing test itself is the exact closed-segment
+    predicate :func:`knnlab.geom.segments_intersect`.  When ``W == 0``
+    every edge has zero length and nothing is tested.  Each hit is
+    normalized with :func:`knnlab.regions.normalize_crossing_pair_with_map`.
 
     Examples
     --------
@@ -687,22 +748,17 @@ def find_crossing_pairs(g: NearestNeighborGraph,
         b = pts[edges[:, 1]]
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        lengths = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
         elab = comps.labels[edges[:, 0]]
         giant = max(comps.sizes, key=comps.sizes.get)
-        minor = np.flatnonzero(elab != giant)
-        reach = float(lengths.max())
-        reach += _SLACK * (reach + float(np.abs(pts).max()))
-        mid = (a + b) / 2.0
-        near = cKDTree(mid[minor]).sparse_distance_matrix(
-            cKDTree(mid), reach, p=np.inf, output_type="ndarray")
-        e1 = minor[near["i"]]
-        e2 = near["j"].astype(np.int64)
+        e1, e2 = _box_candidates(lo, hi, elab != giant,
+                                 float(np.abs(pts).max()))
         # A pair of two minor edges is proposed from both sides; keep one.
         keep = (elab[e1] != elab[e2]) & ((elab[e2] == giant) | (e1 < e2))
         e1, e2 = np.minimum(e1, e2)[keep], np.maximum(e1, e2)[keep]
+        # An edge has zero length exactly when its box is a point.
         keep = (np.all((lo[e1] <= hi[e2]) & (lo[e2] <= hi[e1]), axis=1)
-                & (lengths[e1] != 0.0) & (lengths[e2] != 0.0))
+                & np.any(lo[e1] != hi[e1], axis=1)
+                & np.any(lo[e2] != hi[e2], axis=1))
         e1, e2 = e1[keep], e2[keep]
         tested = int(e1.size)
         for i, j in zip(e1.tolist(), e2.tolist()):

@@ -164,6 +164,21 @@ def test_build_graph_matches_brute_force():
                 for k in (1, 2, 3, 4, 5, 8, 12, 21):
                     _assert_matches_brute_force(ps, k, model, None)
 
+    # Far from the origin the coordinates are coarse: at 1e6 + 1e-8 * u
+    # only about 90 values per axis remain, so distances tie often and the
+    # tree's candidate order need not be the (distance, index) order.
+    window = SampleWindow((1e6 + 21.0) ** 2)
+    for spread in (20.0, 1e-8):
+        ps = PointSet(points=1e6 + rng.uniform(0.0, spread, size=(150, 2)),
+                      seed=0, window=window)
+        for model in sim.MODELS:
+            if model == "gilbert":
+                for radius in (0.05, 0.1, 0.2):
+                    _assert_matches_brute_force(ps, 1, model, radius * spread)
+            else:
+                for k in (1, 2, 4, 7, 13):
+                    _assert_matches_brute_force(ps, k, model, None)
+
 
 def test_build_graph_handles_degenerate_sizes():
     w = SampleWindow(9.0)
@@ -364,14 +379,74 @@ def test_crossing_search_reports_planted_crossing():
     assert {quad[2], quad[3]} == {0, 1}
 
 
+def _edge_graph(pts, pairs):
+    """Mutual graph over ``pts`` whose edges are exactly ``pairs``.
+
+    The point set skips :class:`PointSet`'s window check, so that the
+    coordinates may be negative or far from the origin; the crossing
+    search reads only the points, the edges and the components.
+    """
+    ps = object.__new__(PointSet)
+    for name, value in (("points", np.ascontiguousarray(pts, dtype=float)),
+                        ("seed", 0), ("window", SampleWindow(1.0))):
+        object.__setattr__(ps, name, value)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate((pairs[:, 0], pairs[:, 1]))
+    dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
+    order = np.lexsort((dst, src))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src,
+                                                        minlength=len(pts)))))
+    return sim.NearestNeighborGraph(pointset=ps, k=1, model="mutual",
+                                    indptr=indptr, indices=dst[order],
+                                    dists=np.ones(dst.size))
+
+
 def _planted_segments(pts):
     """Graph joining points ``2i`` and ``2i + 1``: one component per pair."""
-    ps = PointSet(points=pts, seed=0, window=SampleWindow(400.0))
     m = len(pts)
-    return sim.NearestNeighborGraph(pointset=ps, k=1, model="mutual",
-                                    indptr=np.arange(m + 1),
-                                    indices=np.arange(m) ^ 1,
-                                    dists=np.ones(m))
+    return _edge_graph(pts, np.arange(m).reshape(-1, 2))
+
+
+def _all_pairs_reference(g, comps):
+    """``(tested, crossings)`` of the crossing search by comparing every
+    pair of edges: the pairs in different components with non-zero
+    lengths and meeting closed bounding boxes, and the crossing ones among
+    them as sets of two edges."""
+    pts = g.points
+    edges = g.edges()
+    lo = np.minimum(pts[edges[:, 0]], pts[edges[:, 1]])
+    hi = np.maximum(pts[edges[:, 0]], pts[edges[:, 1]])
+    lengths = np.hypot(*(pts[edges[:, 1]] - pts[edges[:, 0]]).T)
+    labels = comps.labels[edges[:, 0]]
+    tested = 0
+    expected = set()
+    for i in range(len(edges)):
+        j = np.arange(i + 1, len(edges))
+        j = j[(labels[j] != labels[i]) & (lengths[j] != 0.0)
+              & (lengths[i] != 0.0) & np.all(lo[j] <= hi[i], axis=1)
+              & np.all(lo[i] <= hi[j], axis=1)]
+        tested += j.size
+        for jj in j.tolist():
+            if segments_intersect(Segment(Point(*pts[edges[i, 0]]),
+                                          Point(*pts[edges[i, 1]])),
+                                  Segment(Point(*pts[edges[jj, 0]]),
+                                          Point(*pts[edges[jj, 1]]))):
+                expected.add(frozenset((frozenset(edges[i].tolist()),
+                                        frozenset(edges[jj].tolist()))))
+    return tested, expected
+
+
+def _assert_matches_all_pairs(g):
+    comps = components(g)
+    report = find_crossing_pairs(g, comps)
+    tested, expected = _all_pairs_reference(g, comps)
+    found = {frozenset((frozenset(q[:2]), frozenset(q[2:])))
+             for q in report.quadruples}
+    assert report.candidates_tested == tested
+    assert report.num_crossings == len(expected)
+    assert found == expected
+    assert report.quadruples == sorted(report.quadruples)
+    return report, expected
 
 
 def test_crossing_search_matches_all_pairs_reference():
@@ -391,35 +466,9 @@ def test_crossing_search_matches_all_pairs_reference():
     pts[0::2] = starts
     pts[1::2] = ends
     g = _planted_segments(pts)
-    comps = components(g)
-    assert comps.num_components == m
-    report = find_crossing_pairs(g, comps)
-
-    edges = g.edges()
-    lo = np.minimum(pts[edges[:, 0]], pts[edges[:, 1]])
-    hi = np.maximum(pts[edges[:, 0]], pts[edges[:, 1]])
-    lengths = np.hypot(*(pts[edges[:, 1]] - pts[edges[:, 0]]).T)
-    tested = 0
-    expected = set()
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if (comps.labels[edges[i, 0]] == comps.labels[edges[j, 0]]
-                    or lengths[i] == 0.0 or lengths[j] == 0.0
-                    or np.any(lo[i] > hi[j]) or np.any(lo[j] > hi[i])):
-                continue
-            tested += 1
-            if segments_intersect(Segment(Point(*pts[edges[i, 0]]),
-                                          Point(*pts[edges[i, 1]])),
-                                  Segment(Point(*pts[edges[j, 0]]),
-                                          Point(*pts[edges[j, 1]]))):
-                expected.add(frozenset((frozenset(edges[i].tolist()),
-                                        frozenset(edges[j].tolist()))))
-    found = {frozenset((frozenset(q[:2]), frozenset(q[2:])))
-             for q in report.quadruples}
-    assert report.candidates_tested == tested
-    assert report.num_crossings == len(expected) > 20
-    assert found == expected
-    assert report.quadruples == sorted(report.quadruples)
+    assert components(g).num_components == m
+    report, expected = _assert_matches_all_pairs(g)
+    assert len(expected) > 20
     # The planted touching cases are among the hits; the zero-length edge
     # (points 88 and 89) is never tested.
     for i, j in ((0, 1), (40, 41), (42, 43)):
@@ -427,6 +476,83 @@ def test_crossing_search_matches_all_pairs_reference():
                           frozenset((2 * j, 2 * j + 1))))
         assert pair in expected
     assert not any(88 in q or 89 in q for q in report.quadruples)
+
+
+def _random_segments(rng, m=400, offset=0.0):
+    starts = rng.uniform(0.0, 20.0, size=(m, 2))
+    ends = starts + rng.normal(0.0, 0.8, size=(m, 2))
+    return _planted_segments(np.stack((starts, ends), axis=1).reshape(-1, 2)
+                             + offset)
+
+
+def _axis_parallel_segments(rng, m=400):
+    starts = rng.uniform(0.0, 20.0, size=(m, 2))
+    ends = starts.copy()
+    # Horizontal, vertical, and a few long ones that set the strip width.
+    ends[0::2, 0] += rng.uniform(-1.5, 1.5, size=(m + 1) // 2)
+    ends[1::2, 1] += rng.uniform(-1.5, 1.5, size=m // 2)
+    ends[:4, 0] = starts[:4, 0] + 4.0
+    return _planted_segments(np.stack((starts, ends), axis=1).reshape(-1, 2))
+
+
+def _strip_multiple_segments(rng, m=400):
+    # Every box side is 0 or 1, the widest side W, and every lo.x an
+    # integer: boxes touch exactly at strip multiples of the unpadded W.
+    lo = np.column_stack((rng.integers(0, 12, size=m),
+                          rng.integers(0, 12, size=m))).astype(float)
+    step = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+    hi = lo + step[rng.integers(0, 4, size=m)]
+    return _planted_segments(np.stack((lo, hi), axis=1).reshape(-1, 2))
+
+
+def _giant_with_minor(rng, m=300):
+    # A random walk of 600 steps is one large component; 300 short
+    # segments around it are the minor ones.
+    walk = np.cumsum(rng.normal(0.0, 0.6, size=(600, 2)), axis=0) + 10.0
+    starts = rng.uniform(0.0, 20.0, size=(m, 2))
+    ends = starts + rng.normal(0.0, 0.5, size=(m, 2))
+    pts = np.vstack((walk, starts, ends))
+    path = np.column_stack((np.arange(599), np.arange(1, 600)))
+    minor = 600 + np.column_stack((np.arange(m), m + np.arange(m)))
+    return _edge_graph(pts, np.vstack((path, minor)))
+
+
+def _zero_length_segments(rng, m=100):
+    return _planted_segments(np.repeat(rng.uniform(0.0, 5.0, size=(m, 2)),
+                                       2, axis=0))
+
+
+def _touching_at_the_widest_side(rng):
+    # The giant component's vertical edge, from y = 1.2 to 3.2, is the
+    # widest box side W = 3.2 - 1.2 = 2.0000000000000004, and 3.2 - W
+    # rounds to 1.1999999999999997, above 1.2 in the other direction: the
+    # minor edge along y = 3.2 finds the edge it touches only because the
+    # window below it is padded.
+    pts = np.array([[5.0, 1.2], [5.0, 3.2], [5.3, 3.0], [4.5, 3.2],
+                    [5.5, 3.2]])
+    return _edge_graph(pts, [[0, 1], [1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("make, least", [
+    (lambda rng: _random_segments(rng, offset=1e4), 50),
+    (lambda rng: _random_segments(rng, offset=-50.0), 50),
+    (_axis_parallel_segments, 50),
+    (_strip_multiple_segments, 50),
+    (_giant_with_minor, 50),
+    (_touching_at_the_widest_side, 2),
+    (_zero_length_segments, 0),
+    (lambda rng: build_graph(sample_poisson(2000.0, 5), 2), 0),
+    (lambda rng: build_graph(sample_poisson(2000.0, 5), 6), 0),
+], ids=["offset_1e4", "offset_minus_50", "axis_parallel", "strip_multiples",
+        "giant_with_minor", "touching_at_the_widest_side", "zero_length",
+        "poisson_k2", "poisson_k6"])
+def test_crossing_search_matches_all_pairs_on_edge_cases(make, least):
+    # Planted segments give at least ``least`` candidates and crossings;
+    # zero-length edges and Poisson mutual graphs give none to test.
+    g = make(np.random.default_rng(19))
+    assert components(g).num_components >= 2
+    report, expected = _assert_matches_all_pairs(g)
+    assert min(report.candidates_tested, len(expected)) >= least
 
 
 # ---------------------------------------------------------------------------
