@@ -31,7 +31,7 @@ def main() -> None:
     print("graph at k = %d: %d edges, %d components, sizes %s"
           % (roles["k"], len(g.edges()), comps.num_components, sizes))
 
-    report = find_crossing_pairs(g, comps)
+    report = find_crossing_pairs(g)
     print("cross-component crossings found: %d (from %d candidate pairs)"
           % (report.num_crossings, report.candidates_tested))
     (a1, a2, b1, b2) = report.quadruples[0]

@@ -52,7 +52,7 @@ def main(seeds: int = 10) -> None:
         g = build_graph(ps, k, model="mutual")
         comps = components(g)
         hd = check_half_disk_lemma(g)
-        fa = check_farapart(g, comps)
+        fa = check_farapart(g)
         results, _ = sample_intersect_union_quadruples(g, 200, seed)
         bad = sum(1 for _, verdict in results if not verdict)
         totals[0] += len(hd)

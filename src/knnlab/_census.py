@@ -710,19 +710,19 @@ def _scan(s, family, progress):
     O(s**-2) for per-row prefix sums of the masks.  The columns of ``b1``
     and ``b2`` lie on tile corners and split a row into three pieces, and
     on each piece every test is monotone in the column, so it turns at
-    most once there and a bisection with the test itself finds where.  A corner-distance test compares ``(|cx - px| +-
-    s/2)**2 + ...`` with a constant and a half-plane test ``nx*cx + ny*cy
-    +- k*s/2`` with one; every float step is monotone, and ``px`` is
-    ``b1``'s or ``b2``'s abscissa.  The remaining tests compare ``hypot(cx
-    - bx, y)`` with ``C`` or ``C - hypot`` about ``b1`` with the same about
-    ``b2``.  Within a piece neighbouring centres' exact distances to ``b``
-    differ by at least ``s**2 / 2.5`` (``|cx - bx| >= s/2`` and distances
-    are below 2.5), far more than the error of a faithful ``hypot``; so the
-    float distances are monotone too.  ``C - hypot`` about ``b1`` falls
-    and about ``b2`` rises on ``0 < x < 1``; off it the two differ by more
-    than 0.3 and the comparison is constant.  Between two consecutive
-    turns every test, and so every mask, is constant, and ``tiles`` at one
-    column gives the segment's masks.
+    most once there and a bisection with the test itself finds where.  A
+    corner-distance test compares ``(|cx - px| +- s/2)**2 + ...`` with a
+    constant and a half-plane test ``nx*cx + ny*cy +- k*s/2`` with one; every
+    float step is monotone, and ``px`` is ``b1``'s or ``b2``'s abscissa.  The
+    remaining tests compare ``hypot(cx - bx, y)`` with ``C`` or ``C - hypot``
+    about ``b1`` with the same about ``b2``.  Within a piece neighbouring
+    centres' exact distances to ``b`` differ by at least ``s**2 / 2.5``
+    (``|cx - bx| >= s/2`` and distances are below 2.5), far more than the
+    error of a faithful ``hypot``; so the float distances are monotone too.
+    ``C - hypot`` about ``b1`` falls and about ``b2`` rises on ``0 < x < 1``;
+    off it the two differ by more than 0.3 and the comparison is constant.
+    Between two consecutive turns every test, and so every mask, is constant,
+    and ``tiles`` at one column gives the segment's masks.
 
     *Rounding.*  Let ``h(p) = |p - a| + |p - b| - C`` be the excess of a
     tile centre ``p`` over an ellipse with foci ``a`` and ``b``; ``h`` is

@@ -70,9 +70,10 @@ def _write_manifest(args: argparse.Namespace, t0: float,
     """Write ``run_manifest_<command>.json`` into ``directory``.
 
     The manifest records the parsed options (config file merged in), the
-    seed (``None`` for a command without ``--seed``), the package version, start/finish timestamps, the milliseconds
-    since ``t0`` (``time.perf_counter`` when the command began) and the
-    SHA-256 digest of every file in ``outputs``.
+    seed (``None`` for a command without ``--seed``), the package version,
+    start/finish timestamps, the milliseconds since ``t0``
+    (``time.perf_counter`` when the command began) and the SHA-256 digest of
+    every file in ``outputs``.
     """
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in outputs}
@@ -371,8 +372,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.inject_bug and injected is None:
             g, injected = _inject_half_disk_bug(g)
         hd = sim.check_half_disk_lemma(g)
-        comps = sim.components(g)
-        fa = sim.check_farapart(g, comps)
+        fa = sim.check_farapart(g)
         results, tested = sim.sample_intersect_union_quadruples(
             g, args.samples, trial_seed)
         iu_sampled += tested
@@ -391,7 +391,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             elif iu_bad:
                 first_violation = {"kind": "intersect_union", "trial": t,
                                    "witness": list(iu_bad[0])}
-        if sim.check_goodness(g, consts, comps).good:
+        if sim.check_goodness(g, consts).good:
             good_count += 1
 
     lo, hi = sim.wilson_interval(good_count, trials)

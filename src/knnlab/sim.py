@@ -155,6 +155,11 @@ class PointSet:
     def __len__(self) -> int:
         return int(self.points.shape[0])
 
+    @functools.cached_property
+    def tree(self) -> cKDTree:
+        """kd-tree over ``points``, built on first use and then shared."""
+        return cKDTree(self.points)
+
 
 def sample_poisson(n: float, seed: int) -> PointSet:
     """Sample a unit-intensity Poisson process on ``[0, sqrt(n)]^2``.
@@ -198,8 +203,8 @@ class NearestNeighborGraph:
     The undirected edge set, component structure, and crossing search all go
     through :meth:`edges`: mutual keeps reciprocated pairs, ``either`` and
     ``directed`` the union of directions (weak connectivity), ``gilbert`` the
-    radius pairs.  A graph is not edited in place; :meth:`without_edges`
-    returns an edited copy.
+    radius pairs.  The graph caches its edges and :func:`components` and is
+    not edited in place; :meth:`without_edges` returns an edited copy.
     """
 
     pointset: PointSet
@@ -211,6 +216,8 @@ class NearestNeighborGraph:
     radius: Optional[float] = None
     _edges: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _codes: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _components: Optional[ComponentDecomposition] = field(
+        default=None, init=False, repr=False)
 
     @property
     def points(self) -> np.ndarray:
@@ -329,10 +336,10 @@ _CHUNK = 1 << 16
 _CSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _knn_query(pts: np.ndarray, k: int) -> _CSR:
+def _knn_query(ps: PointSet, k: int) -> _CSR:
     """Exact ``min(k, N-1)``-nearest lists for every point, as CSR arrays.
 
-    A cKDTree proposes the ``kk + 2`` nearest candidates of each point (the
+    ``ps.tree`` proposes the ``kk + 2`` nearest candidates of each point (the
     point itself included), whose squared distances are recomputed with the
     formula of :func:`brute_force_graph`, one coordinate at a time (the
     same bits as its sum over the coordinate axis), and ordered by
@@ -348,14 +355,14 @@ def _knn_query(pts: np.ndarray, k: int) -> _CSR:
     row's result does not depend on its chunk.  Every row has exactly
     ``kk`` entries, so the lists fill one ``(N, kk)`` array.
     """
-    n = pts.shape[0]
+    pts, n = ps.points, len(ps)
     kk = max(min(k, n - 1), 0)
     indptr = np.arange(n + 1, dtype=np.int64) * kk
     nbrs = np.empty((n, kk), dtype=np.int64)
     dists = np.empty((n, kk), dtype=np.float64)
     if kk == 0:
         return indptr, nbrs.ravel(), dists.ravel()
-    tree = cKDTree(pts)
+    tree = ps.tree
     x, y = pts[:, 0].copy(), pts[:, 1].copy()
     todo, q = tree.indices, min(kk + 2, n)
     while todo.size:
@@ -385,16 +392,15 @@ def _knn_query(pts: np.ndarray, k: int) -> _CSR:
     return indptr, nbrs.ravel(), dists.ravel()
 
 
-def _radius_query(pts: np.ndarray, radius: float) -> _CSR:
+def _radius_query(ps: PointSet, radius: float) -> _CSR:
     """All other points within ``radius`` (closed ball), as CSR arrays.
 
-    A cKDTree pair query with a slightly padded radius proposes the pairs;
+    A ``ps.tree`` pair query with a slightly padded radius proposes the pairs;
     the exact ``d2 <= radius**2`` test decides them, and each point's row
     is ordered by (distance, index).
     """
-    n = pts.shape[0]
-    pairs = cKDTree(pts).query_pairs(radius * (1.0 + _SLACK),
-                                     output_type="ndarray")
+    pts, n = ps.points, len(ps)
+    pairs = ps.tree.query_pairs(radius * (1.0 + _SLACK), output_type="ndarray")
     diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
     d2 = np.einsum("ij,ij->i", diff, diff)
     within = d2 <= radius * radius
@@ -445,9 +451,9 @@ def build_graph(ps: PointSet, k: int, model: str = "mutual",
     """
     _validate_graph_args(model, k, radius)
     if model == "gilbert":
-        indptr, indices, dists = _radius_query(ps.points, radius)
+        indptr, indices, dists = _radius_query(ps, radius)
     else:
-        indptr, indices, dists = _knn_query(ps.points, k)
+        indptr, indices, dists = _knn_query(ps, k)
     return NearestNeighborGraph(pointset=ps, k=int(k), model=model,
                                 indptr=indptr, indices=indices, dists=dists,
                                 radius=radius)
@@ -502,9 +508,9 @@ class ComponentDecomposition:
 
     ``labels[i]`` is the smallest point index in the component of ``i``, so
     the labelling depends only on the partition.  ``sizes`` maps each label
-    to its member count.  ``diameters`` maps each label to the exact
-    Euclidean diameter of its members among ``points`` (0 for singletons);
-    it is computed on first read.
+    to its member count, in ascending label order.  ``diameters`` maps each
+    label to the exact Euclidean diameter of its members among ``points``
+    (0 for singletons); it is computed on first read.
     """
 
     labels: np.ndarray
@@ -524,7 +530,8 @@ class ComponentDecomposition:
         """``(ids, order, starts, counts)``: the ascending labels, and a
         stable argsort of ``labels`` whose slice ``starts[i]:starts[i] +
         counts[i]`` lists the members of ``ids[i]`` in ascending order."""
-        ids, counts = np.unique(self.labels, return_counts=True)
+        ids = np.fromiter(self.sizes, np.int64, len(self.sizes))
+        counts = np.fromiter(self.sizes.values(), np.int64, len(self.sizes))
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         return ids, np.argsort(self.labels, kind="stable"), starts, counts
 
@@ -604,7 +611,7 @@ def _diameter_sides(comps: ComponentDecomposition, big_d: float
 
 
 def components(g: NearestNeighborGraph) -> ComponentDecomposition:
-    """Decompose ``g`` into connected components.
+    """Connected components of ``g``, built once and cached on the graph.
 
     Uses ``scipy.sparse.csgraph.connected_components`` over
     :meth:`NearestNeighborGraph.edges`; for the ``directed`` model this is
@@ -620,18 +627,19 @@ def components(g: NearestNeighborGraph) -> ComponentDecomposition:
     >>> int(comps.labels.min())
     0
     """
-    n = g.n_points
-    e = g.edges()
-    adjacency = coo_matrix((np.ones(e.shape[0], dtype=np.int8),
-                            (e[:, 0], e[:, 1])), shape=(n, n))
-    _, raw = connected_components(adjacency, directed=False)
-    # The first point of each raw label, in index order, is its smallest
-    # member; relabel by it.
-    _, first = np.unique(raw, return_index=True)
-    labels = first[raw].astype(np.int64)
-    ids, counts = np.unique(labels, return_counts=True)
-    sizes = dict(zip(ids.tolist(), counts.tolist()))
-    return ComponentDecomposition(labels=labels, sizes=sizes, points=g.points)
+    if g._components is None:
+        n = g.n_points
+        e = g.edges()
+        adjacency = coo_matrix((np.ones(e.shape[0], dtype=np.int8),
+                                (e[:, 0], e[:, 1])), shape=(n, n))
+        _, raw = connected_components(adjacency, directed=False)
+        # Relabel by each component's first, i.e. smallest, member; csgraph
+        # numbers components in that order, so ``first`` ascends.
+        _, first, counts = np.unique(raw, return_index=True,
+                                     return_counts=True)
+        sizes = dict(zip(first.tolist(), counts.tolist()))
+        g._components = ComponentDecomposition(first[raw], sizes, g.points)
+    return g._components
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +705,7 @@ def _box_candidates(lo: np.ndarray, hi: np.ndarray, minor: np.ndarray,
     return np.repeat(np.tile(e1, 3), count), order[pos]
 
 
-def find_crossing_pairs(g: NearestNeighborGraph,
-                        comps: Optional[ComponentDecomposition] = None
-                        ) -> CrossingReport:
+def find_crossing_pairs(g: NearestNeighborGraph) -> CrossingReport:
     """Find every pair of crossing edges that lie in different components.
 
     Only edges of different components are compared, so every candidate
@@ -726,6 +732,7 @@ def find_crossing_pairs(g: NearestNeighborGraph,
     predicate :func:`knnlab.geom.segments_intersect`.  When ``W == 0``
     every edge has zero length and nothing is tested.  Each hit is
     normalized with :func:`knnlab.regions.normalize_crossing_pair_with_map`.
+    The components are the cached :func:`components` of ``g``.
 
     Examples
     --------
@@ -735,8 +742,7 @@ def find_crossing_pairs(g: NearestNeighborGraph,
     >>> report.num_crossings
     1
     """
-    if comps is None:
-        comps = components(g)
+    comps = components(g)
     edges = g.edges()
     pts = g.points
     quadruples: List[Tuple[int, int, int, int]] = []
@@ -794,15 +800,15 @@ def find_crossing_pairs(g: NearestNeighborGraph,
 # ---------------------------------------------------------------------------
 
 
-def _ball_members(pts: np.ndarray, centres: np.ndarray, radii: np.ndarray
+def _ball_members(tree: cKDTree, centres: np.ndarray, radii: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Every point ``z`` of ``pts`` within ``radii[row]`` of ``centres[row]``.
+    """Every point ``z`` of ``tree`` within ``radii[row]`` of ``centres[row]``.
 
-    One batched cKDTree ball query, flattened to the aligned arrays
+    One batched ball query, flattened to the aligned arrays
     ``(row, z)``.  Unsorted batched rows list each ball in the order of a
     single query.
     """
-    balls = cKDTree(pts).query_ball_point(centres, radii, return_sorted=False)
+    balls = tree.query_ball_point(centres, radii, return_sorted=False)
     sizes = np.fromiter(map(len, balls), dtype=np.int64, count=balls.size)
     z = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
                     count=int(sizes.sum()))
@@ -828,7 +834,7 @@ def _half_disk_triples(g: NearestNeighborGraph, joined: bool
     centre = edges.reshape(-1)
     other = edges[:, ::-1].reshape(-1)
     halves = np.repeat(lengths / 2.0, 2)
-    row, z = _ball_members(pts, pts[centre], halves)
+    row, z = _ball_members(g.pointset.tree, pts[centre], halves)
     x, y = centre[row], other[row]
     sel = (z != x) & (z != y)
     x, y, z, half = x[sel], y[sel], z[sel], halves[row[sel]]
@@ -1016,8 +1022,7 @@ def sample_intersect_union_quadruples(g: NearestNeighborGraph, samples: int,
     return results, max(samples, 0)
 
 
-def check_farapart(g: NearestNeighborGraph,
-                   comps: Optional[ComponentDecomposition] = None
+def check_farapart(g: NearestNeighborGraph
                    ) -> List[Tuple[int, int, int, float, float]]:
     """Check the separation of foreign points from edges (mutual model).
 
@@ -1027,12 +1032,12 @@ def check_farapart(g: NearestNeighborGraph,
     ``(a, b1, b2, dist, rho)``; empty means the property holds.  Distances
     are exact point-to-closed-segment distances; the comparison allows a
     ``1e-12`` relative slack so boundary cases are not reported spuriously.
+    The components are the cached :func:`components` of ``g``.
     """
     if g.model != "mutual":
         raise ValueError("the separation property applies to the mutual "
                          "model; got %r" % g.model)
-    if comps is None:
-        comps = components(g)
+    comps = components(g)
     edges = g.edges()
     violations: List[Tuple[int, int, int, float, float]] = []
     if edges.size == 0 or comps.num_components < 2:
@@ -1047,7 +1052,7 @@ def check_farapart(g: NearestNeighborGraph,
     # Any point within FARAPART_RATIO * rho of the segment lies within
     # rho * (1/2 + FARAPART_RATIO) of the midpoint; pad slightly.
     search = rho * (0.5 + FARAPART_RATIO) * (1.0 + 1e-9)
-    e, z = _ball_members(pts, mid, search)
+    e, z = _ball_members(g.pointset.tree, mid, search)
     foreign = labels[z] != labels[edges[e, 0]]
     z, e = z[foreign], e[foreign]
     # point_segment_distance, vectorised.  Only np.hypot may differ from
@@ -1187,8 +1192,7 @@ class GoodnessReport:
         return not any(self.bad)
 
 
-def check_goodness(g: NearestNeighborGraph, consts: ModelConstants,
-                   comps: Optional[ComponentDecomposition] = None
+def check_goodness(g: NearestNeighborGraph, consts: ModelConstants
                    ) -> GoodnessReport:
     """Evaluate the six badness conditions of :class:`GoodnessReport`.
 
@@ -1199,7 +1203,8 @@ def check_goodness(g: NearestNeighborGraph, consts: ModelConstants,
     containment), so a bad verdict is always genuine.  Points too close to
     the boundary for any half-disk to fit are skipped first (see
     :func:`_half_disk_survivors`); the rest are scanned in index order, so the
-    verdict and witness are those of a scan of every point.
+    verdict and witness are those of a scan of every point.  Conditions 2
+    and 3 query the point set's tree, 4 to 6 the cached :func:`components`.
 
     Examples
     --------
@@ -1209,8 +1214,7 @@ def check_goodness(g: NearestNeighborGraph, consts: ModelConstants,
     >>> isinstance(check_goodness(g, consts).good, bool)
     True
     """
-    if comps is None:
-        comps = components(g)
+    comps = components(g)
     n_int = g.pointset.window.n
     if n_int <= 1.0:
         raise ValueError("goodness conditions need window intensity n > 1")
@@ -1238,7 +1242,7 @@ def check_goodness(g: NearestNeighborGraph, consts: ModelConstants,
                             float(gap[e]))
 
     # Condition 2: near pair that is not an edge.
-    tree = cKDTree(pts)
+    tree = g.pointset.tree
     near = root / d
     close_pairs = tree.query_pairs(near, output_type="ndarray")
     missing = np.flatnonzero(~g.has_edges(close_pairs[:, 0],
@@ -1277,7 +1281,7 @@ def check_goodness(g: NearestNeighborGraph, consts: ModelConstants,
             break
 
     # Condition 6: cross-component edge crossing.
-    report = find_crossing_pairs(g, comps)
+    report = find_crossing_pairs(g)
     if report.num_crossings:
         bad[5] = True
         witnesses[6] = report.quadruples[0]
@@ -1378,7 +1382,7 @@ def run_trial(n: float, c: float, seed: int, model: str = "mutual"
     if connected:
         crossings = 0
     else:
-        crossings = find_crossing_pairs(g, comps).num_crossings
+        crossings = find_crossing_pairs(g).num_crossings
     sizes = comps.sizes_sorted()
     return TrialResult(
         n=n, k=k, c=c, seed=seed, connected=connected,

@@ -320,9 +320,8 @@ def test_acceptance_7_structure_checks(capsys):
         k = 7 + seed % 8
         ps = sim.sample_poisson(1000.0, seed)
         g = sim.build_graph(ps, k, model="mutual")
-        comps = sim.components(g)
         half_disk += len(sim.check_half_disk_lemma(g))
-        farapart += len(sim.check_farapart(g, comps))
+        farapart += len(sim.check_farapart(g))
         results, _ = sim.sample_intersect_union_quadruples(g, 40, seed)
         iu_qualified += len(results)
         iu_nontrivial += sum(1 for (w, x, y, z), _ in results

@@ -227,6 +227,52 @@ def test_check_injected_bug_is_caught(capsys):
     assert report["first_violation"]["witness"][0] in (x, y)
 
 
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """The point arrays of the cKDTrees that knnlab.sim builds during a
+    test, and the point sets that it samples."""
+    built, sampled = [], []
+
+    class CountingTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            built.append(data)
+            super().__init__(data, *args, **kwargs)
+
+    def sample(*args, **kwargs):
+        sampled.append(real_sample(*args, **kwargs))
+        return sampled[-1]
+
+    real_sample = sim.sample_poisson
+    monkeypatch.setattr(sim, "cKDTree", CountingTree)
+    monkeypatch.setattr(sim, "sample_poisson", sample)
+    return built, sampled
+
+
+@pytest.mark.parametrize("extra", [[], ["--inject-bug"]])
+def test_check_builds_one_tree_per_point_set(tree_builds, extra, capsys):
+    built, sampled = tree_builds
+    main(["check", "--n", "300", "--c", "1.0", "--trials", "2",
+          "--samples", "10", "--seed", "0"] + extra)
+    report = json.loads(capsys.readouterr().out)
+    assert (report["injected_bug"] is not None) == bool(extra)
+    assert len(sampled) == 2
+    assert len(built) == 2
+    assert all(data is ps.points for data, ps in zip(built, sampled))
+
+
+def test_simulate_builds_one_tree_per_point_set(tree_builds, capsys):
+    built, sampled = tree_builds
+    assert main(["simulate", "--n", "2000", "--trials", "1", "--c-min",
+                 "0.2", "--c-max", "0.6", "--c-step", "0.4",
+                 "--seed", "0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    # Both rows are disconnected, so the crossing search runs too.
+    assert [row.split(",")[5] for row in rows] == ["0", "0"]
+    assert len(sampled) == 2
+    assert len(built) == 2
+    assert all(data is ps.points for data, ps in zip(built, sampled))
+
+
 def _first_forced_edge(g):
     """Reference scan: one ball query per half-disk, edge by edge."""
     pts = g.points

@@ -235,6 +235,27 @@ def test_without_edges_removes_both_arcs_and_keeps_the_graph():
     violations = check_half_disk_lemma(h)
     assert violations and check_half_disk_lemma(g) == []
     assert all(tuple(sorted((x, z))) in removed for x, _, z in violations)
+    # The copy decomposes its own edges; the original's cached components
+    # stay the same object, unchanged.  Both share the point set's tree.
+    comps = components(g)
+    labels = comps.labels.copy()
+    parent = list(range(n))  # union-find over h's edges, rooted at minima
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in h.edges().tolist():
+        ra, rb = root(a), root(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    expected = [root(i) for i in range(n)]
+    ch = components(h)
+    assert ch is not comps and ch.labels.tolist() == expected
+    assert ch.sizes == {c: expected.count(c) for c in sorted(set(expected))}
+    assert components(g) is comps
+    assert np.array_equal(comps.labels, labels)
+    assert h.pointset.tree is g.pointset.tree
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +283,48 @@ def test_members_match_a_label_scan():
     for label in comps.component_ids:
         assert np.array_equal(comps.members(label),
                               np.flatnonzero(comps.labels == label))
+
+
+def test_components_are_built_once_per_graph(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return connected_components(*args, **kwargs)
+
+    connected_components = sim.connected_components
+    monkeypatch.setattr(sim, "connected_components", counting)
+    n, c = 2000.0, 0.4
+    g = build_graph(sample_poisson(n, 1), k=math.ceil(c * math.log(n)),
+                    model="mutual")
+    comps = components(g)
+    assert components(g) is comps
+    assert comps.num_components > 10
+    # csgraph numbers components by their smallest members, so the sizes
+    # come in ascending label order, which _groups relies on.
+    assert list(comps.sizes) == sorted(comps.sizes)
+    find_crossing_pairs(g)
+    check_farapart(g)
+    check_goodness(g, model_constants(c, n=n))
+    assert components(g) is comps
+    assert len(calls) == 1
+
+
+def test_point_set_builds_its_tree_once_and_only_when_queried():
+    ps = sample_poisson(300.0, seed=2)
+    assert "tree" not in vars(ps)
+    g = build_graph(ps, k=5, model="mutual")
+    tree = ps.tree
+    assert tree is ps.tree and tree.n == len(ps)
+    check_half_disk_lemma(g)
+    check_farapart(g)
+    assert ps.tree is tree
+    # A point set of one point, or k = 0, needs no neighbour query.
+    one = PointSet(points=[[1.0, 1.0]], seed=0, window=SampleWindow(4.0))
+    build_graph(one, k=3, model="mutual")
+    few = sample_poisson(50.0, seed=1)
+    build_graph(few, k=0, model="mutual")
+    assert "tree" not in vars(one) and "tree" not in vars(few)
 
 
 def test_component_partition_stable_under_relabelling():
@@ -327,7 +390,7 @@ def test_fixture_has_exactly_one_cross_component_crossing():
     g = build_graph(ps, roles["k"], model="mutual")
     comps = components(g)
     assert comps.num_components >= 2
-    report = find_crossing_pairs(g, comps)
+    report = find_crossing_pairs(g)
     assert report.num_crossings == 1
     a1, a2, b1, b2 = report.quadruples[0]
     assert {a1, a2} == {roles["a1"], roles["a2"]}
@@ -354,7 +417,7 @@ def test_connected_graph_has_no_crossings():
     g = build_graph(ps, k=10, model="mutual")
     comps = components(g)
     if comps.num_components == 1:
-        assert find_crossing_pairs(g, comps).num_crossings == 0
+        assert find_crossing_pairs(g).num_crossings == 0
 
 
 def test_crossing_search_reports_planted_crossing():
@@ -372,7 +435,7 @@ def test_crossing_search_reports_planted_crossing():
                                  dists=np.array([2.0, 2.0, 1.0, 1.0]))
     comps = components(g)
     assert comps.num_components == 2
-    report = find_crossing_pairs(g, comps)
+    report = find_crossing_pairs(g)
     assert report.num_crossings == 1
     quad = report.quadruples[0]
     assert {quad[0], quad[1]} == {2, 3}  # shorter edge takes the a role
@@ -438,7 +501,7 @@ def _all_pairs_reference(g, comps):
 
 def _assert_matches_all_pairs(g):
     comps = components(g)
-    report = find_crossing_pairs(g, comps)
+    report = find_crossing_pairs(g)
     tested, expected = _all_pairs_reference(g, comps)
     found = {frozenset((frozenset(q[:2]), frozenset(q[2:])))
              for q in report.quadruples}
@@ -876,11 +939,11 @@ def test_farapart_matches_per_edge_scan_on_planted_violations():
         comps = components(g)
         expected = _farapart_per_edge(g, comps)
         assert len(expected) > 5
-        assert check_farapart(g, comps) == expected
+        assert check_farapart(g) == expected
     for seed in (0, 1):
         g = build_graph(sample_poisson(400.0, seed), k=1, model="mutual")
         comps = components(g)
-        assert check_farapart(g, comps) == _farapart_per_edge(g, comps)
+        assert check_farapart(g) == _farapart_per_edge(g, comps)
 
 
 def _exact_d(root, target):
@@ -917,7 +980,7 @@ def test_goodness_diameter_sides_match_exact_diameters():
     for big_d in (3.0, 2.97, 3.2, 1.5, 5.0, 9.0, 12.0):
         consts = ModelConstants(c=1.0, c_minus=0.5, c_plus=23.9,
                                 d=_exact_d(root, big_d))
-        report = check_goodness(g, consts, components(g))
+        report = check_goodness(g, consts)
         diameters = comps.diameters
         wide = sorted(c for c, diam in diameters.items() if diam >= big_d)
         assert report.bad[3] == (len(wide) >= 2)
