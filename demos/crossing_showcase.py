@@ -53,7 +53,7 @@ def main() -> None:
     named = build_named_regions(frame)
     print()
     print("named analysis regions at this frame: %s"
-          % ", ".join(named.names()))
+          % ", ".join(named))
 
 
 if __name__ == "__main__":

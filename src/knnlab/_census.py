@@ -68,8 +68,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .regions import (A1_LOWEST, U_MINUS, V_MINUS, W_MINUS, Z_MINUS,
-                      s1_polygon, s2_triangle)
+from .regions import (A1_LOWEST, KITE, W_MINUS, WEDGE_B1, WEDGE_B2,
+                      Z_MINUS, s1_polygon, s2_triangle)
 
 __all__ = [
     "CensusOutcome",
@@ -86,18 +86,17 @@ _SQRT2 = math.sqrt(2.0)
 
 _B1 = (0.0, 0.0)
 _B2 = (1.0, 0.0)
-_W_MINUS, _Z, _U_MINUS, _V_MINUS, _A1_LOWEST = (
-    tuple(p) for p in (W_MINUS, Z_MINUS, U_MINUS, V_MINUS, A1_LOWEST))
+_W_MINUS, _Z, _A1_LOWEST = (tuple(p) for p in (W_MINUS, Z_MINUS, A1_LOWEST))
 
 #: Convex hull of the admissible ``a1`` positions.
 A1_QUAD = [tuple(p) for p in s1_polygon().vertices]
 #: Convex hull of the admissible ``a2`` positions.
 A2_TRI = [tuple(p) for p in s2_triangle().vertices]
 #: Below-axis region with both base angles at least pi/6.
-_KITE = [_W_MINUS, _V_MINUS, _Z, _U_MINUS]
+_KITE = [tuple(p) for p in KITE.vertices]
 #: Wedge of angle pi/6 at b1 (resp. b2) within the lower triangle.
-_TRI_B1 = [_B1, _B2, _V_MINUS]
-_TRI_B2 = [_B1, _B2, _U_MINUS]
+_TRI_B1 = [tuple(p) for p in WEDGE_B1.vertices]
+_TRI_B2 = [tuple(p) for p in WEDGE_B2.vertices]
 
 ProgressFn = Optional[Callable[[int, int], None]]
 

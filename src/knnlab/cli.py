@@ -332,10 +332,9 @@ def _inject_half_disk_bug(g: sim.NearestNeighborGraph
     Takes the first edge ``x y`` and third point ``z`` strictly inside the
     open half-disk at ``x`` (radius ``|xy| / 2``), in the scan order of
     :func:`sim.check_half_disk_lemma`, whose decision it shares; the
-    property guarantees ``x z`` is an edge, so deleting it plants a
-    genuine violation.  Returns
-    the graph without that edge and the planted triple, or ``g`` and
-    ``None`` when no half-disk holds a third point.
+    property guarantees ``x z`` is an edge, so deleting it plants a genuine
+    violation.  Returns the graph without that edge and the planted triple,
+    or ``g`` and ``None`` when no half-disk holds a third point.
     """
     from . import sim
 

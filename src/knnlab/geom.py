@@ -2,8 +2,8 @@
 
 This module provides the geometric substrate for the rest of the package:
 points and segments, a small closed algebra of planar regions (disks,
-ellipses, half-planes, angular sectors and convex polygons, combined by
-union, intersection and difference), and certified area bounds obtained by
+ellipses, half-planes and convex polygons, combined by union,
+intersection and difference), and certified area bounds obtained by
 counting grid squares.
 
 Design notes
@@ -41,7 +41,6 @@ __all__ = [
     "Disk",
     "Ellipse",
     "HalfPlane",
-    "AngularSector",
     "ConvexPolygon",
     "Region",
     "Union",
@@ -349,77 +348,6 @@ class HalfPlane(Region):
         a, n = self.anchor, self.normal
         ln = math.hypot(n.x, n.y)
         return HalfPlane(Point(a.x + delta * n.x / ln, a.y + delta * n.y / ln), n)
-
-
-@dataclass(frozen=True)
-class AngularSector(Region):
-    """Closed angular sector swept counter-clockwise from ``ray1`` to ``ray2``.
-
-    The region is the set of points ``p`` such that the direction of
-    ``p - apex`` lies in the counter-clockwise angular interval from
-    ``ray1`` to ``ray2`` (the apex itself is included).  The directions
-    need not be normalised but must be distinct and nonzero; the swept
-    angle is therefore in ``(0, 2*pi)``.  A reflex sector (swept angle
-    above ``pi``) is not convex and cannot be offset, so
-    :func:`grid_area_bounds` rejects every region that contains one before
-    it tests any square against the sector's corners.
-    """
-
-    apex: Point
-    ray1: Point
-    ray2: Point
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "apex", as_point(self.apex))
-        object.__setattr__(self, "ray1", as_point(self.ray1))
-        object.__setattr__(self, "ray2", as_point(self.ray2))
-        for ray in (self.ray1, self.ray2):
-            if ray.x == 0.0 and ray.y == 0.0:
-                raise ValueError("sector rays must be nonzero direction vectors")
-        if self.span <= 0.0:
-            raise ValueError("sector rays must have distinct directions")
-
-    @property
-    def span(self) -> float:
-        """Swept angle in radians, in ``(0, 2*pi)``."""
-        a1 = math.atan2(self.ray1.y, self.ray1.x)
-        a2 = math.atan2(self.ray2.y, self.ray2.x)
-        span = (a2 - a1) % (2.0 * math.pi)
-        return span
-
-    def _contains(self, xs, ys):
-        vx = xs - self.apex.x
-        vy = ys - self.apex.y
-        r1 = self.ray1
-        cross = r1.x * vy - r1.y * vx
-        dot = r1.x * vx + r1.y * vy
-        theta = np.mod(np.arctan2(cross, dot), 2.0 * math.pi)
-        at_apex = (vx == 0.0) & (vy == 0.0)
-        return at_apex | (theta <= self.span)
-
-    def _bbox(self):
-        return (-_INF, -_INF, _INF, _INF)
-
-    def _offset(self, delta: float) -> Region:
-        span = self.span
-        if span > math.pi:
-            raise ValueError("cannot offset a reflex angular sector")
-        # Moving the apex back along the interior bisector by
-        # delta / sin(span / 2) covers the Minkowski sum of the sector;
-        # moving it forward (delta < 0) keeps the sector inside the erosion.
-        r1, r2 = self.ray1, self.ray2
-        l1 = math.hypot(r1.x, r1.y)
-        l2 = math.hypot(r2.x, r2.y)
-        bx = r1.x / l1 + r2.x / l2
-        by = r1.y / l1 + r2.y / l2
-        lb = math.hypot(bx, by)
-        if lb == 0.0:
-            # Sector is exactly a half-plane; move perpendicular to the rays.
-            bx, by = -r1.y / l1, r1.x / l1
-            lb = 1.0
-        shift = delta / math.sin(0.5 * span)
-        apex = Point(self.apex.x - shift * bx / lb, self.apex.y - shift * by / lb)
-        return AngularSector(apex, r1, r2)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ similarity transformation, into a canonical frame in which
 
 This module builds that frame (:func:`normalize_crossing_pair`) and the
 named families of regions attached to it (:func:`build_named_regions`).
+It is the one home of the frame's fixed polygons, the pi/6 wedges
+``WEDGE_B1``, ``WEDGE_B2`` and the ``KITE``, which the region system and
+the censuses of :mod:`knnlab._census` both read.
 
 Region names follow a fixed vocabulary.  ``H``-regions must collectively
 hold many points (the disk around ``a1`` or ``a2`` is forced to capture
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .geom import (
-    AngularSector,
     ConvexPolygon,
     Difference,
     Disk,
@@ -54,11 +56,13 @@ __all__ = [
     "U_MINUS",
     "V_MINUS",
     "A1_LOWEST",
+    "WEDGE_B1",
+    "WEDGE_B2",
+    "KITE",
     "CrossingFrame",
     "NormalizationMap",
     "normalize_crossing_pair",
     "normalize_crossing_pair_with_map",
-    "NamedRegionSet",
     "build_named_regions",
     "s1_polygon",
     "s2_triangle",
@@ -81,6 +85,15 @@ A1_LOWEST = Point(0.5, 1.0 / (4.0 * math.sqrt(6.0)))
 
 _B1 = Point(0.0, 0.0)
 _B2 = Point(1.0, 0.0)
+
+#: The pi/6 wedge of the lower triangle ``T2`` at ``b1``: its ray at
+#: angle -pi/6 meets the edge ``b2 Z_MINUS`` at its midpoint ``V_MINUS``.
+WEDGE_B1 = ConvexPolygon([_B1, _B2, V_MINUS])
+#: The pi/6 wedge of ``T2`` at ``b2``, mirror image of ``WEDGE_B1``.
+WEDGE_B2 = ConvexPolygon([_B1, _B2, U_MINUS])
+#: The below-axis kite where both base angles are at least pi/6: ``T2``
+#: minus both wedges, up to its two upper edges.
+KITE = ConvexPolygon([W_MINUS, V_MINUS, Z_MINUS, U_MINUS])
 
 #: Closed upper / lower half-planes about the ``b1 b2`` axis.
 _UPPER = HalfPlane(Point(0.0, 0.0), Point(0.0, -1.0))
@@ -253,18 +266,6 @@ def normalize_crossing_pair(
 # ---------------------------------------------------------------------------
 
 
-def _wedge_at_b1() -> AngularSector:
-    """Closed wedge of half-angle pi/6 at ``b1`` about the direction of ``b2``."""
-    c, s = math.cos(math.pi / 6.0), math.sin(math.pi / 6.0)
-    return AngularSector(_B1, Point(c, -s), Point(c, s))
-
-
-def _wedge_at_b2() -> AngularSector:
-    """Closed wedge of half-angle pi/6 at ``b2`` about the direction of ``b1``."""
-    c, s = math.cos(math.pi / 6.0), math.sin(math.pi / 6.0)
-    return AngularSector(_B2, Point(-c, s), Point(-c, -s))
-
-
 def s1_polygon() -> ConvexPolygon:
     """Convex quadrilateral certified to contain every admissible ``a1``."""
     return ConvexPolygon(
@@ -278,37 +279,7 @@ def s2_triangle() -> ConvexPolygon:
     return ConvexPolygon([U_MINUS, V_MINUS, W_MINUS])
 
 
-@dataclass(frozen=True, eq=False)
-class NamedRegionSet:
-    """The named regions derived from a crossing frame.
-
-    Attributes
-    ----------
-    frame : CrossingFrame
-    regions : dict
-        Mapping from region name to ``Region``.
-    """
-
-    frame: CrossingFrame
-    regions: Dict[str, Region]
-
-    def __getitem__(self, name: str) -> Region:
-        return self.regions[name]
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self.regions)
-
-    def half(self, name: str, sign: str) -> Region:
-        """The part of region ``name`` on or above (``"+"``) / below (``"-"``)
-        the axis through ``b1`` and ``b2``."""
-        if sign == "+":
-            return Intersection((self.regions[name], _UPPER))
-        if sign == "-":
-            return Intersection((self.regions[name], _LOWER))
-        raise ValueError("sign must be '+' or '-'")
-
-
-def build_named_regions(f: CrossingFrame) -> NamedRegionSet:
+def build_named_regions(f: CrossingFrame) -> Dict[str, Region]:
     """Construct the named region system of a crossing frame.
 
     The system contains the bounding triangles ``T`` and ``T2``, the
@@ -318,10 +289,21 @@ def build_named_regions(f: CrossingFrame) -> NamedRegionSet:
     two neighbourhood disks, the crescents ``R1``/``R2``, the
     point-free regions ``L1``..``L6`` with their union ``L``, and the
     point-forcing regions ``H1``..``H5`` with their union ``H``
-    (``H5`` coincides with ``S2`` by construction).  ``S1``, ``L1``,
-    ``L2``, ``L5``, ``L6`` and ``H3`` are clamped to a half-plane, and
-    ``L3`` is the part of ``M_plus`` in either half-radius disk: this is
-    the system the certified censuses count.
+    (``H5`` coincides with ``S2`` by construction).  ``S2`` is the part
+    of ``A1`` in ``KITE``, and ``L4`` the part of ``Dk2`` in ``WEDGE_B1``
+    or ``WEDGE_B2``: the polygons the censuses test tiles against.
+    ``S1``, ``L1``, ``L2``, ``L5``, ``L6`` and ``H3`` are clamped to a
+    half-plane, and ``L3`` is the part of ``M_plus`` in either
+    half-radius disk.
+
+    ``H1`` and ``H2`` follow the ``intersection`` reading of
+    :func:`knnlab.bounds.verify_H_plus`: they drop a crescent point only
+    when it lies in both the joining ellipse and the half-radius disk
+    (``L1``, ``L2``).  The committed ``hplus`` certificate takes the
+    ``either`` reading, which drops it when it lies in one of them, so
+    that certificate is not an upper bound on the area of ``H1 | H2``;
+    ``tests/test_regions.py::test_committed_hplus_lies_below_h1_h2``
+    pins the gap at the certificate's witness.
 
     Parameters
     ----------
@@ -355,8 +337,6 @@ def build_named_regions(f: CrossingFrame) -> NamedRegionSet:
     E2 = Ellipse(a1, _B2, 1.0)
     F1 = Ellipse(a2, _B1, 1.0)
     F2 = Ellipse(a2, _B2, 1.0)
-    wedge1 = _wedge_at_b1()
-    wedge2 = _wedge_at_b2()
 
     T = ConvexPolygon([_B1, _B2, W_PLUS])
     T2 = ConvexPolygon([_B1, _B2, Z_MINUS])
@@ -364,7 +344,7 @@ def build_named_regions(f: CrossingFrame) -> NamedRegionSet:
     S1 = Difference(
         Intersection((T, HalfPlane(Point(0.5, 0.0), Point(1.0, 0.0)))), Dh1)
 
-    S2 = Difference(Intersection((T2, A1)), Union((wedge1, wedge2)))
+    S2 = Intersection((KITE, A1))
 
     M = Intersection((Dk1, Dk2))
     M_plus = Intersection((M, _UPPER))
@@ -378,7 +358,7 @@ def build_named_regions(f: CrossingFrame) -> NamedRegionSet:
     L6 = Difference(Intersection((Dk2, _LOWER, F2, Dh2)), T2)
     H3 = Difference(Intersection((A2, _LOWER)), Union((B1, B2)))
 
-    L4 = Intersection((T2, Dk2, Union((wedge1, wedge2))))
+    L4 = Intersection((Dk2, Union((WEDGE_B1, WEDGE_B2))))
     H1 = Difference(R1, L1)
     H2 = Difference(R2, L2)
     H4 = Difference(M_plus, L3)
@@ -386,7 +366,7 @@ def build_named_regions(f: CrossingFrame) -> NamedRegionSet:
     H = Union((S2, H1, H2, H3, H4))
     L = Union((L1, L2, L3, L4, L5, L6))
 
-    regions: Dict[str, Region] = {
+    return {
         "T": T,
         "T2": T2,
         "S1": S1,
@@ -421,5 +401,4 @@ def build_named_regions(f: CrossingFrame) -> NamedRegionSet:
         "H": H,
         "L": L,
     }
-    return NamedRegionSet(frame=f, regions=regions)
 

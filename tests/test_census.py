@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from knnlab import _census
+from knnlab.regions import KITE, WEDGE_B1, WEDGE_B2
 from knnlab._census import (
     census_H_minus,
     census_H_plus,
@@ -502,3 +503,24 @@ def test_hplus_tiles_reject_a_tile_in_both_exclusion_ellipses(monkeypatch):
     cj = (np.arange(0, 50) + 0.5) * 0.02
     with pytest.raises(RuntimeError, match="both crescents"):
         FAMILIES["hplus"](0.02).tiles(ci[:, None], cj[None, :], 0.02)
+
+
+def test_wedge_and_kite_tile_tests_hold_on_the_shared_polygons():
+    # The polygons are offset by 1e-12 to absorb the rounding of their
+    # float membership tests.
+    s = 0.01
+    I, J = np.meshgrid(np.arange(-5, 105), np.arange(-95, 5), indexing="ij")
+    CX, CY = (I.ravel() + 0.5) * s, (J.ravel() + 0.5) * s
+    corners = [(CX + dx, CY + dy) for dx in (-s / 2.0, s / 2.0)
+               for dy in (-s / 2.0, s / 2.0)]
+    for tests, wedge in zip(_census._WEDGE_TESTS, (WEDGE_B1, WEDGE_B2)):
+        inside = _census._all(tests, CX, CY, s)
+        grown = wedge._offset(1e-12)
+        assert inside.any()
+        for x, y in corners:
+            assert grown._contains(x[inside], y[inside]).all()
+    miss = ~_census._all(_census._KITE_TESTS, CX, CY, s)
+    shrunk = KITE._offset(-1e-12)
+    assert miss.any() and not miss.all()
+    for x, y in corners + [(CX, CY)]:
+        assert not shrunk._contains(x[miss], y[miss]).any()

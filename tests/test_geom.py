@@ -9,7 +9,6 @@ import pytest
 
 from knnlab.geom import (
     EMPTY,
-    AngularSector,
     ConvexPolygon,
     Difference,
     Disk,
@@ -195,13 +194,6 @@ def _polygon():
     return ConvexPolygon([Point(x, y) for x, y in verts]), shoelace
 
 
-def _sector_cut_by_disk():
-    apex, r = Point(0.2, 0.1), 0.8
-    sector = AngularSector(apex, Point(1.0, 0.2), Point(-0.3, 1.0))
-    assert sector.span < math.pi
-    return Intersection((sector, Disk(apex, r))), sector.span * r * r / 2.0
-
-
 def _half_disk():
     c, r = Point(0.3, -0.2), 0.7
     return (Intersection((Disk(c, r), HalfPlane(c, Point(1.0, 2.0)))),
@@ -214,7 +206,6 @@ _LENS = disk_lens_area(math.hypot(0.8, 0.3), 1.0, 0.7)
 _EXACT_AREAS = {
     "ellipse": _ellipse,
     "convex-polygon": _polygon,
-    "sector-cut-by-disk": _sector_cut_by_disk,
     "half-disk": _half_disk,
     "lens": lambda: (Intersection((_LEFT, _RIGHT)), _LENS),
     "crescent": lambda: (Difference(_LEFT, _RIGHT), math.pi - _LENS),
@@ -251,10 +242,3 @@ def test_grid_area_bounds_of_the_empty_region_are_zero():
 def test_grid_area_bounds_reject_unbounded_regions():
     with pytest.raises(ValueError):
         grid_area_bounds(HalfPlane(Point(0.0, 0.0), Point(1.0, 1.0)), 0.05)
-    reflex = AngularSector(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, -1.0))
-    assert reflex.span > math.pi
-    with pytest.raises(ValueError):
-        grid_area_bounds(reflex, 0.05)
-    with pytest.raises(ValueError, match="reflex"):
-        grid_area_bounds(Intersection((Disk(Point(0.0, 0.0), 1.0), reflex)),
-                         0.05)

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from knnlab.geom import Point, Segment, distance, membership, point_segment_distance
+from knnlab.geom import (Point, Segment, Union, distance, grid_area_bounds,
+                         membership, point_segment_distance)
 from knnlab.regions import (
+    KITE,
+    SQRT3,
+    WEDGE_B1,
+    WEDGE_B2,
+    Z_MINUS,
     CrossingFrame,
     build_named_regions,
     normalize_crossing_pair,
@@ -146,20 +154,51 @@ def test_admissible_placement_polygons():
 def test_named_regions_families_present():
     f = CrossingFrame(Point(0.45, 0.15), Point(0.5, -0.3))
     rs = build_named_regions(f)
-    names = set(rs.names())
+    names = set(rs)
     for expected in ("T", "T2", "S1", "S2", "M", "L", "H"):
         assert expected in names
     assert {"L1", "L2", "L3", "L4", "L5", "L6"} <= names
     assert {"H1", "H2", "H3", "H4", "H5"} <= names
 
 
-def test_named_regions_half_split():
-    f = CrossingFrame(Point(0.45, 0.15), Point(0.5, -0.3))
-    rs = build_named_regions(f)
-    upper = rs.half("M", "+")
-    lower = rs.half("M", "-")
-    below_axis = Point(0.475, -0.05)
-    assert not membership(upper, below_axis)
-    assert membership(lower, below_axis) == membership(rs["M"], below_axis)
-    with pytest.raises(ValueError):
-        rs.half("M", "x")
+def test_wedges_and_kite_split_t2_by_the_base_angles():
+    # Uniform points of T2 = (b1, b2, Z_MINUS), kept at least 1e-9 from
+    # the pi/6 rays at b1 and b2 and from T2's own edges, so that rounding
+    # cannot move a point across a boundary.
+    rng = np.random.default_rng(5)
+    u, v = rng.random((2, 4000))
+    fold = u + v > 1.0
+    u[fold], v[fold] = 1.0 - u[fold], 1.0 - v[fold]
+    x, y = u + Z_MINUS.x * v, Z_MINUS.y * v
+    lines = (0.5 * x + SQRT3 / 2.0 * y, 0.5 * (1.0 - x) + SQRT3 / 2.0 * y,
+             y, SQRT3 / 2.0 * x + 0.5 * y, SQRT3 / 2.0 * (1.0 - x) + 0.5 * y)
+    far = np.all(np.abs(lines) >= 1e-9, axis=0)
+    x, y = x[far], y[far]
+    in_b1, in_b2, in_kite = (poly._contains(x, y)
+                             for poly in (WEDGE_B1, WEDGE_B2, KITE))
+    np.testing.assert_array_equal(in_b1, np.arctan2(-y, x) <= math.pi / 6.0)
+    np.testing.assert_array_equal(in_b2,
+                                  np.arctan2(-y, 1.0 - x) <= math.pi / 6.0)
+    np.testing.assert_array_equal(in_kite, ~(in_b1 | in_b2))
+    assert in_b1.any() and in_b2.any() and in_kite.any()
+
+
+_HPLUS = (Path(__file__).resolve().parent.parent / "certificates"
+          / "hplus_0.001.json")
+
+
+def test_committed_hplus_lies_below_h1_h2():
+    # The committed hplus certificate takes the ``either`` reading, while
+    # H1 and H2 here take the ``intersection`` reading.  Its count holds
+    # for every a1 in its witness square, the centre included, yet there
+    # the certified lower bound on the area of H1 | H2 (0.130296 at grid
+    # 0.002) exceeds it, so under these regions the certificate is not an
+    # upper bound.  H1 and H2 depend on a2 only through the lens M, and
+    # any admissible a2 shows the gap.
+    cert = json.loads(_HPLUS.read_text(encoding="utf-8"))
+    a1, a2 = Point(*cert["witness"]), Point(0.5, -0.4)
+    assert membership(s2_triangle(), a2)
+    rs = build_named_regions(CrossingFrame(a1, a2))
+    bound = grid_area_bounds(Union((rs["H1"], rs["H2"])), 0.002)
+    assert cert["computed"] == 0.126008
+    assert cert["computed"] < bound.lower
