@@ -161,17 +161,16 @@ def validate_step(s: float) -> int:
 
 
 def _edges_of(poly):
-    """Outward half-plane form of a convex polygon: ``{p : n.p <= c}``."""
+    """Outward half-plane form of a convex polygon: ``{p : n.p <= c}``.
+
+    ``poly`` must list its vertices counter-clockwise, as every polygon
+    here does: each comes from :attr:`geom.ConvexPolygon.vertices`.
+    """
     n = len(poly)
-    area2 = sum(
-        poly[i][0] * poly[(i + 1) % n][1] - poly[(i + 1) % n][0] * poly[i][1]
-        for i in range(n)
-    )
-    pts = poly if area2 > 0 else poly[::-1]
     out = []
     for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
         nx, ny = (y2 - y1), -(x2 - x1)
         out.append((nx, ny, nx * x1 + ny * y1))
     return out

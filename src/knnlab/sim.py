@@ -805,8 +805,10 @@ def _ball_members(tree: cKDTree, centres: np.ndarray, radii: np.ndarray
     """Every point ``z`` of ``tree`` within ``radii[row]`` of ``centres[row]``.
 
     One batched ball query, flattened to the aligned arrays
-    ``(row, z)``.  Unsorted batched rows list each ball in the order of a
-    single query.
+    ``(row, z)``, rows in order.  An unsorted cKDTree ball, batched or
+    single, lists its points in kd-tree leaf order (ascending rank in
+    ``tree.indices``), so a smaller ball about the same centre lists a
+    subsequence of a larger one's.
     """
     balls = tree.query_ball_point(centres, radii, return_sorted=False)
     sizes = np.fromiter(map(len, balls), dtype=np.int64, count=balls.size)
@@ -822,22 +824,44 @@ def _half_disk_triples(g: NearestNeighborGraph, joined: bool
 
     For each edge ``x y`` of length ``L``, in the order of
     :meth:`NearestNeighborGraph.edges`, first about ``x`` and then about
-    ``y``, takes every ``z`` other than ``x`` and ``y`` that a cKDTree ball
-    query of radius ``L / 2`` proposes, in the order of a single query, and
-    yields it when ``|xz| < L / 2``.
+    ``y``, yields every ``z`` other than ``x`` and ``y`` with
+    ``|xz| < L / 2``, in kd-tree leaf order (see :func:`_ball_members`).
+
+    Each point ``x`` is queried once, with radius ``reach(x)``, the largest
+    ``L / 2`` over its edges, padded by ``_SLACK``; every half-disk about
+    ``x`` lies inside that ball, so its candidates are the ball's members
+    within ``L / 2`` (padded) of ``x``, still in leaf order.  Candidates
+    come from the point set, not the graph's rows, so a graph with edges
+    removed (:meth:`NearestNeighborGraph.without_edges`) is scanned in
+    full.
     """
     edges = g.edges()
     pts = g.points
     lengths = np.hypot(*(pts[edges[:, 1]] - pts[edges[:, 0]]).T)
-    # Query row 2e is the half-disk of edges[e, 0], row 2e + 1 that of
-    # edges[e, 1].
+    # Row 2e is the half-disk of edges[e, 0], row 2e + 1 that of edges[e, 1].
     centre = edges.reshape(-1)
     other = edges[:, ::-1].reshape(-1)
     halves = np.repeat(lengths / 2.0, 2)
-    row, z = _ball_members(g.pointset.tree, pts[centre], halves)
-    x, y = centre[row], other[row]
-    sel = (z != x) & (z != y)
-    x, y, z, half = x[sel], y[sel], z[sel], halves[row[sel]]
+    reach = np.zeros(len(pts))
+    np.maximum.at(reach, centre, halves)
+    queried = np.flatnonzero(reach > 0.0)
+    ball, member = _ball_members(g.pointset.tree, pts[queried],
+                                 reach[queried] * (1.0 + _SLACK))
+    owner = queried[ball]
+    keep = member != owner
+    owner, member = owner[keep], member[keep]
+    dist = np.hypot(pts[member, 0] - pts[owner, 0],
+                    pts[member, 1] - pts[owner, 1])
+    # member[first[x]:first[x] + size[x]] is the ball about point x, less x.
+    size = np.bincount(owner, minlength=len(pts))
+    first = np.cumsum(size) - size
+    count = size[centre]
+    row = np.repeat(np.arange(centre.size), count)
+    at = (np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+          + first[centre][row])
+    x, y, z, half = centre[row], other[row], member[at], halves[row]
+    sel = (z != y) & (dist[at] <= half * (1.0 + _SLACK))
+    x, y, z, half = x[sel], y[sel], z[sel], half[sel]
     sel = g.has_edges(x, z) == joined
     for xi, yi, zi, r in zip(x[sel].tolist(), y[sel].tolist(),
                              z[sel].tolist(), half[sel].tolist()):
@@ -853,8 +877,11 @@ def check_half_disk_lemma(g: NearestNeighborGraph
     open disk of radius ``L / 2`` around ``x`` must be joined to ``x`` (and
     symmetrically for ``y``).  Returns violating triples ``(x, y, z)`` where
     ``z`` lies inside the half-disk of ``x`` but ``x z`` is not an edge, in
-    the scan order of :func:`_half_disk_triples`; an empty list means the
-    property holds.
+    the scan order of :func:`_half_disk_triples`: edges in the order of
+    :meth:`NearestNeighborGraph.edges`, the half-disk of ``x`` before that
+    of ``y``, then ``z`` in kd-tree leaf order.  An empty list means the
+    property holds.  Each point is queried once, with a ball as large as
+    its largest half-disk, which holds every smaller one.
 
     Examples
     --------

@@ -693,6 +693,85 @@ def test_half_disk_check_order_matches_per_edge_scan():
     assert violations == _half_disk_violations_per_edge(g)
 
 
+def _half_disk_triples_all_points(g, joined):
+    """Reference for ``sim._half_disk_triples`` with no ball query: every
+    edge end against every point ``z``, taken in kd-tree leaf order."""
+    pts = g.points
+    leaf = g.pointset.tree.indices
+    dist = np.hypot(pts[:, None, 0] - pts[None, :, 0],
+                    pts[:, None, 1] - pts[None, :, 1])
+    out = []
+    for lo, hi in g.edges().tolist():
+        half = math.hypot(*(pts[hi] - pts[lo])) / 2.0
+        for x, y in ((lo, hi), (hi, lo)):
+            near = leaf[dist[x, leaf] <= half * (1.0 + 1e-6)]
+            for z in near.tolist():
+                if (z not in (x, y)
+                        and math.hypot(*(pts[z] - pts[x])) < half
+                        and g.has_edge(x, z) == joined):
+                    out.append((x, y, z))
+    return out
+
+
+def test_half_disk_triples_match_all_points_scan():
+    rng = np.random.default_rng(23)
+    base = rng.uniform(0.0, 10.0, size=(60, 2))
+    duplicated = PointSet(points=np.vstack([base, base[:25], base[:8]]),
+                          seed=0, window=SampleWindow(256.0))
+    graphs = [build_graph(sample_poisson(n, seed), k, model="mutual")
+              for n, k in ((300.0, 4), (600.0, 8)) for seed in (0, 1)]
+    graphs += [build_graph(duplicated, k, model="mutual") for k in (3, 9)]
+    violated = 0
+    for g in graphs:
+        # Without every other edge, many half-disks hold non-neighbours.
+        for h in (g, g.without_edges(g.edges()[::2])):
+            for joined in (False, True):
+                got = list(sim._half_disk_triples(h, joined))
+                assert got == _half_disk_triples_all_points(h, joined)
+            violated += len(check_half_disk_lemma(h))
+    assert violated >= 200
+
+
+def test_half_disk_scan_pads_its_ball_radius():
+    # |xz| falls short of |xy| / 2 = 1 by 1e-11, and a tree that rounds its
+    # radius down by 1e-10 (well inside _SLACK) must still propose z.
+    pts = np.array([[1.0, 1.0], [3.0, 1.0], [2.0 - 1e-11, 1.0]])
+    ps = PointSet(points=pts, seed=0, window=SampleWindow(16.0))
+    g = build_graph(ps, k=2, model="mutual")
+
+    class ShrunkTree(cKDTree):
+        def query_ball_point(self, x, r, **kwargs):
+            return super().query_ball_point(x, np.asarray(r) * (1.0 - 1e-10),
+                                            **kwargs)
+
+    ps.__dict__["tree"] = ShrunkTree(pts)  # fills the cached_property
+    assert list(sim._half_disk_triples(g, joined=True)) == [(0, 1, 2)]
+    assert check_half_disk_lemma(g) == []
+
+
+@pytest.mark.parametrize("n", [50, 1000])
+def test_unsorted_ball_queries_list_points_in_leaf_order(n):
+    # _half_disk_triples takes each half-disk's members from a larger ball
+    # about the same point; that keeps their order only if an unsorted
+    # ball lists its points in kd-tree leaf order.
+    rng = np.random.default_rng(n)
+    base = rng.uniform(0.0, math.sqrt(n), size=(n, 2))
+    for pts in (base, np.vstack([base, base, base])):
+        tree = cKDTree(pts)
+        rank = np.argsort(tree.indices)
+        centres = pts[rng.integers(0, len(pts), size=100)]
+        radii = rng.uniform(0.0, 4.0, size=100)
+        balls = tree.query_ball_point(centres, radii, return_sorted=False)
+        row, z = sim._ball_members(tree, centres, radii)
+        assert row.tolist() == [t for t, ball in enumerate(balls)
+                                for _ in ball]
+        assert z.tolist() == [i for ball in balls for i in ball]
+        assert max(map(len, balls)) >= 20
+        for c, r, ball in zip(centres, radii, balls):
+            assert tree.query_ball_point(c, r, return_sorted=False) == ball
+            assert ball == sorted(ball, key=rank.__getitem__)
+
+
 def test_intersect_union_degenerate_pairs_are_true():
     g = build_graph(sample_poisson(200.0, 8), k=4, model="mutual")
     e = g.edges()[0]
