@@ -392,24 +392,34 @@ def _knn_query(ps: PointSet, k: int) -> _CSR:
     return indptr, nbrs.ravel(), dists.ravel()
 
 
-def _radius_query(ps: PointSet, radius: float) -> _CSR:
-    """All other points within ``radius`` (closed ball), as CSR arrays.
+def _close_pairs(ps: PointSet, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(i, j)``, ``i < j``, within ``radius`` (closed), and their
+    squared distances.
 
-    A ``ps.tree`` pair query with a slightly padded radius proposes the pairs;
-    the exact ``d2 <= radius**2`` test decides them, and each point's row
-    is ordered by (distance, index).
+    A ``ps.tree`` pair query with the radius padded by ``_SLACK`` proposes
+    the pairs, in the tree's order; the exact ``d2 <= radius**2`` test
+    decides them.
     """
-    pts, n = ps.points, len(ps)
+    pts = ps.points
     pairs = ps.tree.query_pairs(radius * (1.0 + _SLACK), output_type="ndarray")
     diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
     d2 = np.einsum("ij,ij->i", diff, diff)
     within = d2 <= radius * radius
-    pairs = pairs[within].astype(np.int64)
-    d2 = np.tile(d2[within], 2)
+    return pairs[within].astype(np.int64), d2[within]
+
+
+def _radius_query(ps: PointSet, radius: float) -> _CSR:
+    """All other points within ``radius`` (closed ball), as CSR arrays.
+
+    The pairs come from :func:`_close_pairs`; each point's row is ordered
+    by (distance, index).
+    """
+    pairs, d2 = _close_pairs(ps, radius)
+    d2 = np.tile(d2, 2)
     src = np.concatenate((pairs[:, 0], pairs[:, 1]))
     dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
     order = np.lexsort((dst, d2, src))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    indptr = np.searchsorted(src[order], np.arange(len(ps) + 1))
     return indptr, dst[order], np.sqrt(d2[order])
 
 
@@ -580,9 +590,9 @@ def _component_diameter(pts: np.ndarray) -> float:
 
 
 def _diameter_sides(comps: ComponentDecomposition, big_d: float
-                    ) -> Dict[int, int]:
-    """Sign of ``diameter - big_d`` for every component, keyed by ascending
-    label, with the diameters of :attr:`ComponentDecomposition.diameters`.
+                    ) -> np.ndarray:
+    """Sign of ``diameter - big_d`` for every component, in ascending label
+    order, with the diameters of :attr:`ComponentDecomposition.diameters`.
 
     A component's bounding box of width ``w`` and height ``h`` brackets
     its diameter: the computed diameter is at least ``sqrt(max(w*w, h*h))``
@@ -591,22 +601,17 @@ def _diameter_sides(comps: ComponentDecomposition, big_d: float
     ``1e-12`` relative slack covers.  Only a component whose bracket holds
     ``big_d`` has its diameter computed.
     """
-    ids, order, starts, counts = comps._groups
+    _, order, starts, counts = comps._groups
     grouped = comps.points[order]
     extent = (np.maximum.reduceat(grouped, starts)
               - np.minimum.reduceat(grouped, starts))
     w2, h2 = extent[:, 0] * extent[:, 0], extent[:, 1] * extent[:, 1]
     lower = np.sqrt(np.maximum(w2, h2))
     upper = np.sqrt(w2 + h2) * (1.0 + 1e-12)
-    sides: Dict[int, int] = {}
-    for i, label in enumerate(ids.tolist()):
-        if lower[i] > big_d:
-            sides[label] = 1
-        elif upper[i] < big_d:
-            sides[label] = -1
-        else:
-            diam = _component_diameter(comps.points[comps.members(label)])
-            sides[label] = (diam > big_d) - (diam < big_d)
+    sides = (lower > big_d).astype(np.int64) - (upper < big_d)
+    for i in np.flatnonzero(sides == 0).tolist():
+        diam = _component_diameter(grouped[starts[i]:starts[i] + counts[i]])
+        sides[i] = (diam > big_d) - (diam < big_d)
     return sides
 
 
@@ -805,48 +810,43 @@ def _ball_members(tree: cKDTree, centres: np.ndarray, radii: np.ndarray
     """Every point ``z`` of ``tree`` within ``radii[row]`` of ``centres[row]``.
 
     One batched ball query, flattened to the aligned arrays
-    ``(row, z)``, rows in order.  An unsorted cKDTree ball, batched or
-    single, lists its points in kd-tree leaf order (ascending rank in
-    ``tree.indices``), so a smaller ball about the same centre lists a
-    subsequence of a larger one's.
+    ``(row, z)``, rows in order.  The radii are padded by ``_SLACK``, so
+    callers pass exact radii and test their candidates exactly.  An
+    unsorted cKDTree ball, batched or single, lists its points in kd-tree
+    leaf order (ascending rank in ``tree.indices``), so a smaller ball
+    about the same centre lists a subsequence of a larger one's.
     """
-    balls = tree.query_ball_point(centres, radii, return_sorted=False)
+    balls = tree.query_ball_point(centres, np.asarray(radii) * (1.0 + _SLACK),
+                                  return_sorted=False)
     sizes = np.fromiter(map(len, balls), dtype=np.int64, count=balls.size)
     z = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
                     count=int(sizes.sum()))
     return np.repeat(np.arange(balls.size), sizes), z
 
 
-def _half_disk_triples(g: NearestNeighborGraph, joined: bool
-                       ) -> Iterator[Tuple[int, int, int]]:
-    """Triples ``(x, y, z)`` with ``z`` strictly inside the open half-disk
-    at ``x`` of an edge ``x y`` and ``x z`` an edge (``joined``) or not.
+def _edge_end_members(g: NearestNeighborGraph, edges: np.ndarray,
+                      radii: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every point near each end of ``edges``, as aligned arrays ``(row, z)``.
 
-    For each edge ``x y`` of length ``L``, in the order of
-    :meth:`NearestNeighborGraph.edges`, first about ``x`` and then about
-    ``y``, yields every ``z`` other than ``x`` and ``y`` with
-    ``|xz| < L / 2``, in kd-tree leaf order (see :func:`_ball_members`).
+    Row ``2e`` lists the points ``z`` other than ``edges[e, 0]`` within
+    ``radii[e]`` of it, row ``2e + 1`` those about ``edges[e, 1]``; rows
+    ascend, and each row lists its points in kd-tree leaf order, padded as
+    :func:`_ball_members` pads.
 
-    Each point ``x`` is queried once, with radius ``reach(x)``, the largest
-    ``L / 2`` over its edges, padded by ``_SLACK``; every half-disk about
-    ``x`` lies inside that ball, so its candidates are the ball's members
-    within ``L / 2`` (padded) of ``x``, still in leaf order.  Candidates
-    come from the point set, not the graph's rows, so a graph with edges
-    removed (:meth:`NearestNeighborGraph.without_edges`) is scanned in
-    full.
+    Each point ``x`` is queried once, with the largest radius over the
+    edge ends at ``x``; every smaller ball about ``x`` lies inside it, so
+    its members are the large ball's members within its own radius
+    (padded), still in leaf order.  Candidates come from the point set,
+    not the graph's rows, so a graph with edges removed
+    (:meth:`NearestNeighborGraph.without_edges`) is scanned in full.
     """
-    edges = g.edges()
     pts = g.points
-    lengths = np.hypot(*(pts[edges[:, 1]] - pts[edges[:, 0]]).T)
-    # Row 2e is the half-disk of edges[e, 0], row 2e + 1 that of edges[e, 1].
     centre = edges.reshape(-1)
-    other = edges[:, ::-1].reshape(-1)
-    halves = np.repeat(lengths / 2.0, 2)
+    radius = np.repeat(radii, 2)
     reach = np.zeros(len(pts))
-    np.maximum.at(reach, centre, halves)
+    np.maximum.at(reach, centre, radius)
     queried = np.flatnonzero(reach > 0.0)
-    ball, member = _ball_members(g.pointset.tree, pts[queried],
-                                 reach[queried] * (1.0 + _SLACK))
+    ball, member = _ball_members(g.pointset.tree, pts[queried], reach[queried])
     owner = queried[ball]
     keep = member != owner
     owner, member = owner[keep], member[keep]
@@ -859,10 +859,29 @@ def _half_disk_triples(g: NearestNeighborGraph, joined: bool
     row = np.repeat(np.arange(centre.size), count)
     at = (np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
           + first[centre][row])
-    x, y, z, half = centre[row], other[row], member[at], halves[row]
-    sel = (z != y) & (dist[at] <= half * (1.0 + _SLACK))
-    x, y, z, half = x[sel], y[sel], z[sel], half[sel]
-    sel = g.has_edges(x, z) == joined
+    sel = dist[at] <= radius[row] * (1.0 + _SLACK)
+    return row[sel], member[at[sel]]
+
+
+def _half_disk_triples(g: NearestNeighborGraph, joined: bool
+                       ) -> Iterator[Tuple[int, int, int]]:
+    """Triples ``(x, y, z)`` with ``z`` strictly inside the open half-disk
+    at ``x`` of an edge ``x y`` and ``x z`` an edge (``joined``) or not.
+
+    For each edge ``x y`` of length ``L``, in the order of
+    :meth:`NearestNeighborGraph.edges`, first about ``x`` and then about
+    ``y``, yields every ``z`` other than ``x`` and ``y`` with
+    ``|xz| < L / 2``, in kd-tree leaf order.  The candidates are those of
+    :func:`_edge_end_members` with radius ``L / 2``.
+    """
+    edges = g.edges()
+    pts = g.points
+    halves = np.hypot(*(pts[edges[:, 1]] - pts[edges[:, 0]]).T) / 2.0
+    row, z = _edge_end_members(g, edges, halves)
+    # Row 2e is the half-disk of edges[e, 0], row 2e + 1 that of edges[e, 1].
+    x, y = edges.reshape(-1)[row], edges[:, ::-1].reshape(-1)[row]
+    sel = (z != y) & (g.has_edges(x, z) == joined)
+    half = halves[row // 2]
     for xi, yi, zi, r in zip(x[sel].tolist(), y[sel].tolist(),
                              z[sel].tolist(), half[sel].tolist()):
         if math.hypot(pts[zi, 0] - pts[xi, 0], pts[zi, 1] - pts[xi, 1]) < r:
@@ -1060,6 +1079,15 @@ def check_farapart(g: NearestNeighborGraph
     are exact point-to-closed-segment distances; the comparison allows a
     ``1e-12`` relative slack so boundary cases are not reported spuriously.
     The components are the cached :func:`components` of ``g``.
+
+    Violations are listed by edge, in the order of
+    :meth:`NearestNeighborGraph.edges` (zero-length edges skipped), and
+    for each edge by the points' kd-tree leaf order.  The point of the
+    segment nearest a point ``a`` lies within ``rho / 2`` of one end, so
+    an ``a`` within ``rho * FARAPART_RATIO`` of the segment lies within
+    ``rho * (1/2 + FARAPART_RATIO)`` of that end.  The candidates are
+    therefore those of :func:`_edge_end_members` with that radius, from
+    both ends; a point found from both is tested once.
     """
     if g.model != "mutual":
         raise ValueError("the separation property applies to the mutual "
@@ -1073,25 +1101,25 @@ def check_farapart(g: NearestNeighborGraph
     labels = comps.labels
     rho = np.hypot(*(pts[edges[:, 1]] - pts[edges[:, 0]]).T)
     edges, rho = edges[rho > 0.0], rho[rho > 0.0]
-    a = pts[edges[:, 0]]
-    b = pts[edges[:, 1]]
-    mid = (a + b) / 2.0
-    # Any point within FARAPART_RATIO * rho of the segment lies within
-    # rho * (1/2 + FARAPART_RATIO) of the midpoint; pad slightly.
-    search = rho * (0.5 + FARAPART_RATIO) * (1.0 + 1e-9)
-    e, z = _ball_members(g.pointset.tree, mid, search)
+    row, z = _edge_end_members(g, edges, rho * (0.5 + FARAPART_RATIO))
+    e = row // 2
     foreign = labels[z] != labels[edges[e, 0]]
     z, e = z[foreign], e[foreign]
     # point_segment_distance, vectorised.  Only np.hypot may differ from
     # math.hypot, in the last bit, far below the 1e-12 * rho slack, so the
     # scalar decides just the candidates below the cutoff itself.
-    ax, ay = a[e, 0], a[e, 1]
-    dx, dy = b[e, 0] - ax, b[e, 1] - ay
+    ax, ay = pts[edges[e, 0]].T
+    dx, dy = pts[edges[e, 1], 0] - ax, pts[edges[e, 1], 1] - ay
     t = np.clip(((pts[z, 0] - ax) * dx + (pts[z, 1] - ay) * dy)
                 / (dx * dx + dy * dy), 0.0, 1.0)
     near = (np.hypot(pts[z, 0] - (ax + t * dx), pts[z, 1] - (ay + t * dy))
             < rho[e] * FARAPART_RATIO)
-    for zi, ei in zip(z[near].tolist(), e[near].tolist()):
+    # Sort by (edge, leaf rank), dropping points found from both ends.
+    n, leaf = len(pts), g.pointset.tree.indices
+    rank = np.empty(n, dtype=np.int64)
+    rank[leaf] = np.arange(n)
+    key = np.unique(e[near] * n + rank[z[near]])
+    for zi, ei in zip(leaf[key % n].tolist(), (key // n).tolist()):
         b1, b2 = int(edges[ei, 0]), int(edges[ei, 1])
         seg = Segment(Point(*pts[b1]), Point(*pts[b2]))
         dist = point_segment_distance(Point(*pts[zi]), seg)
@@ -1146,9 +1174,8 @@ def _empty_half_disk(pts: np.ndarray, tree: cKDTree, idx: int, radius: float,
     :func:`_half_disk_survivors` skips the points where no box can fit.
     """
     p = pts[idx]
-    ids = [j for j in tree.query_ball_point(p, radius * (1.0 + 1e-12))
-           if j != idx]
-    rel = pts[ids] - p
+    _, ids = _ball_members(tree, p[None, :], [radius])
+    rel = pts[ids[ids != idx]] - p
     rel = rel[np.hypot(rel[:, 0], rel[:, 1]) <= radius]
     ang = np.sort(np.arctan2(rel[:, 1], rel[:, 0]))
     if ang.size == 0 or ang[0] == ang[-1]:
@@ -1269,9 +1296,7 @@ def check_goodness(g: NearestNeighborGraph, consts: ModelConstants
                             float(gap[e]))
 
     # Condition 2: near pair that is not an edge.
-    tree = g.pointset.tree
-    near = root / d
-    close_pairs = tree.query_pairs(near, output_type="ndarray")
+    close_pairs, _ = _close_pairs(g.pointset, root / d)
     missing = np.flatnonzero(~g.has_edges(close_pairs[:, 0],
                                           close_pairs[:, 1]))
     if missing.size:
@@ -1281,31 +1306,29 @@ def check_goodness(g: NearestNeighborGraph, consts: ModelConstants
 
     # Condition 3: empty half-disk of radius D fully inside the window.
     for i in _half_disk_survivors(pts, big_d, side).tolist():
-        u = _empty_half_disk(pts, tree, i, big_d, side)
+        u = _empty_half_disk(pts, g.pointset.tree, i, big_d, side)
         if u is not None:
             bad[2] = True
             witnesses[3] = (i, float(u))
             break
 
     # Condition 4: two components of diameter >= D.
-    side_of_d = _diameter_sides(comps, big_d)
-    wide = [c for c, sign in side_of_d.items() if sign >= 0]
-    if len(wide) >= 2:
+    ids, order, starts, _ = comps._groups
+    sides = _diameter_sides(comps, big_d)
+    wide = ids[sides >= 0]
+    if wide.size >= 2:
         bad[3] = True
-        witnesses[4] = sorted(wide)[:2]
+        witnesses[4] = wide[:2].tolist()
 
     # Condition 5: small component within 2 D of a corner.
     corners = np.array(g.pointset.window.corners)
-    for c, sign in side_of_d.items():
-        if sign > 0:
-            continue
-        members = comps.members(c)
-        dmin = np.hypot(pts[members, None, 0] - corners[None, :, 0],
-                        pts[members, None, 1] - corners[None, :, 1]).min()
-        if dmin <= 2.0 * big_d:
-            bad[4] = True
-            witnesses[5] = (int(c), float(dmin))
-            break
+    to_corner = np.hypot(pts[order, None, 0] - corners[None, :, 0],
+                         pts[order, None, 1] - corners[None, :, 1]).min(axis=1)
+    dmin = np.minimum.reduceat(to_corner, starts)
+    hit = np.flatnonzero((sides <= 0) & (dmin <= 2.0 * big_d))
+    if hit.size:
+        bad[4] = True
+        witnesses[5] = (int(ids[hit[0]]), float(dmin[hit[0]]))
 
     # Condition 6: cross-component edge crossing.
     report = find_crossing_pairs(g)

@@ -5,6 +5,7 @@ structural checks in :mod:`knnlab.sim`.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -732,21 +733,61 @@ def test_half_disk_triples_match_all_points_scan():
     assert violated >= 200
 
 
+class _ShrunkTree(cKDTree):
+    """A kd-tree that rounds every ball and pair radius down by 1e-10, well
+    inside ``sim._SLACK``: a query padded by the slack still finds the
+    points on its exact radius, an unpadded one misses them."""
+
+    def query_ball_point(self, x, r, **kwargs):
+        return super().query_ball_point(x, np.asarray(r) * (1.0 - 1e-10),
+                                        **kwargs)
+
+    def query_pairs(self, r, **kwargs):
+        return super().query_pairs(r * (1.0 - 1e-10), **kwargs)
+
+
+def _with_shrunk_tree(pts, side):
+    ps = PointSet(points=pts, seed=0, window=SampleWindow(side * side))
+    ps.__dict__["tree"] = _ShrunkTree(ps.points)  # fills the cached_property
+    return ps
+
+
 def test_half_disk_scan_pads_its_ball_radius():
-    # |xz| falls short of |xy| / 2 = 1 by 1e-11, and a tree that rounds its
-    # radius down by 1e-10 (well inside _SLACK) must still propose z.
+    # |xz| falls short of |xy| / 2 = 1 by 1e-11, and the shrunk tree must
+    # still propose z.
     pts = np.array([[1.0, 1.0], [3.0, 1.0], [2.0 - 1e-11, 1.0]])
-    ps = PointSet(points=pts, seed=0, window=SampleWindow(16.0))
-    g = build_graph(ps, k=2, model="mutual")
-
-    class ShrunkTree(cKDTree):
-        def query_ball_point(self, x, r, **kwargs):
-            return super().query_ball_point(x, np.asarray(r) * (1.0 - 1e-10),
-                                            **kwargs)
-
-    ps.__dict__["tree"] = ShrunkTree(pts)  # fills the cached_property
+    g = build_graph(_with_shrunk_tree(pts, 4.0), k=2, model="mutual")
     assert list(sim._half_disk_triples(g, joined=True)) == [(0, 1, 2)]
     assert check_half_disk_lemma(g) == []
+
+
+def test_condition_three_pads_its_ball_radius():
+    # A neighbour exactly D = 8 east of (50, 50) and three at D / 2, at 100,
+    # 180 and 260 degrees: the widest gap is 100 degrees, so no half-disk is
+    # empty.  Missing the east neighbour leaves a 200-degree gap about 0.
+    angles = np.radians([100.0, 180.0, 260.0])
+    pts = np.vstack([[[50.0, 50.0], [58.0, 50.0]],
+                     [50.0, 50.0] + 4.0 * np.column_stack((np.cos(angles),
+                                                           np.sin(angles)))])
+    assert sim._empty_half_disk(pts, cKDTree(pts), 0, 8.0, 100.0) is None
+    assert sim._empty_half_disk(pts, _ShrunkTree(pts), 0, 8.0, 100.0) is None
+    assert sim._empty_half_disk(pts[[0, 2, 3, 4]], cKDTree(pts[[0, 2, 3, 4]]),
+                                0, 8.0, 100.0) == 0.0
+
+
+def test_condition_two_pads_its_pair_radius():
+    # Points 0 and 1 are exactly `near` apart and not joined (k = 0); the
+    # gilbert graph of that radius joins them.
+    n = 100.0
+    consts = model_constants(1.0, n=n)
+    near = math.sqrt(math.log(n)) / consts.d
+    pts = np.array([[0.0, 5.0], [near, 5.0], [9.0, 9.0]])
+    ps = _with_shrunk_tree(pts, math.sqrt(n))
+    report = check_goodness(build_graph(ps, k=0, model="mutual"), consts)
+    assert report.bad[1]
+    assert report.witnesses[2] == (0, 1, near)
+    g = build_graph(ps, k=0, model="gilbert", radius=near)
+    assert g.edges().tolist() == [[0, 1]]
 
 
 @pytest.mark.parametrize("n", [50, 1000])
@@ -1000,29 +1041,74 @@ def _farapart_per_edge(g, comps):
     return violations
 
 
+def _planted_farapart(rng):
+    """Chains of three points with foreign points planted near their edges.
+
+    Near the first edge of every other chain: a point above the midpoint,
+    some on the cutoff itself.  Near one end of its second edge: a point
+    within the cutoff of the segment but farther than ``rho * (1/2 +
+    FARAPART_RATIO)`` from the other end.  And a zero-length edge.
+    """
+    pts = rng.uniform(5.0, 95.0, size=(90, 2))
+    groups = [list(range(i, i + 3)) for i in range(0, 90, 3)]
+    for i in range(0, 90, 6):
+        a, b = pts[i], pts[i + 1]
+        u = (b - a) / np.hypot(*(b - a))
+        offset = (np.hypot(*(b - a)) * sim.FARAPART_RATIO
+                  * rng.choice([0.2, 0.9, 1.0, 1.1]))
+        pts[i + 3] = (a + b) / 2.0 + offset * np.array([-u[1], u[0]])
+        end, other = pts[[i + 1, i + 2][::rng.choice([1, -1])]]
+        rho = np.hypot(*(other - end))
+        u = (other - end) / rho
+        along = rho * rng.choice([-0.03, 0.02, 0.1])
+        offset = rho * sim.FARAPART_RATIO * rng.choice([0.5, 0.9])
+        pts[i + 4] = end + along * u + offset * np.array([-u[1], u[0]])
+    pts[89] = pts[88]
+    return _chains(pts + 50.0, groups, side=200.0)
+
+
 def test_farapart_matches_per_edge_scan_on_planted_violations():
     rng = np.random.default_rng(12)
     for rep in range(8):
-        pts = rng.uniform(5.0, 95.0, size=(90, 2))
-        groups = [list(range(i, i + 3)) for i in range(0, 90, 3)]
-        # Foreign points near the first edge of every other chain, some on
-        # the cutoff itself, and a zero-length edge.
-        for i in range(0, 90, 6):
-            a, b = pts[i], pts[i + 1]
-            u = (b - a) / np.hypot(*(b - a))
-            offset = (np.hypot(*(b - a)) * sim.FARAPART_RATIO
-                      * rng.choice([0.2, 0.9, 1.0, 1.1]))
-            pts[i + 3] = (a + b) / 2.0 + offset * np.array([-u[1], u[0]])
-        pts[89] = pts[88]
-        g = _chains(pts, groups)
-        comps = components(g)
-        expected = _farapart_per_edge(g, comps)
-        assert len(expected) > 5
-        assert check_farapart(g) == expected
+        g = _planted_farapart(rng)
+        shrunk = replace(g, pointset=_with_shrunk_tree(g.points, 200.0))
+        for h in (g, g.without_edges(g.edges()[::4]), shrunk):
+            expected = _farapart_per_edge(h, components(h))
+            assert len(expected) > 5
+            assert check_farapart(h) == expected
+        # Each point planted near one end is a violation out of reach of a
+        # ball about the other end.
+        pts = g.points
+        found = {(a, b1, b2) for a, b1, b2, _, _ in check_farapart(g)}
+        for a, b1, b2 in ((i + 4, i + 1, i + 2) for i in range(0, 90, 6)):
+            rho = math.hypot(*(pts[b2] - pts[b1]))
+            assert (a, b1, b2) in found
+            assert max(math.hypot(*(pts[a] - pts[b1])),
+                       math.hypot(*(pts[a] - pts[b2]))) > 0.9 * rho
     for seed in (0, 1):
         g = build_graph(sample_poisson(400.0, seed), k=1, model="mutual")
         comps = components(g)
         assert check_farapart(g) == _farapart_per_edge(g, comps)
+
+
+def test_farapart_makes_one_ball_query_with_at_most_one_centre_per_point():
+    # With every edge of point 0 removed the graph is disconnected, so the
+    # scan runs, and it has about three times as many edges as points.
+    g = build_graph(sample_poisson(1000.0, 0), k=7, model="mutual")
+    g = g.without_edges([(0, int(j)) for j in g.indices[g.indptr[0]:
+                                                        g.indptr[1]]])
+    calls = []
+
+    class CountingTree(cKDTree):
+        def query_ball_point(self, x, r, **kwargs):
+            calls.append(len(np.atleast_2d(x)))
+            return super().query_ball_point(x, r, **kwargs)
+
+    expected = _farapart_per_edge(g, components(g))
+    g.pointset.__dict__["tree"] = CountingTree(g.points)
+    assert check_farapart(g) == expected
+    assert g.edges().shape[0] > 2 * g.n_points
+    assert len(calls) == 1 and calls[0] <= g.n_points
 
 
 def _exact_d(root, target):
