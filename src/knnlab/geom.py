@@ -708,8 +708,9 @@ def disks_intersection_area(disks: Sequence) -> float:
 
     Parameters
     ----------
-    disks : sequence of Disk or (x, y, radius) triples
-        At least one disk.  Exact duplicates are ignored.
+    disks : sequence of (x, y, radius) triples
+        At least one disk, with a finite centre and a positive, finite
+        radius (``ValueError`` otherwise).  Exact duplicates are ignored.
 
     Returns
     -------
@@ -729,11 +730,12 @@ def disks_intersection_area(disks: Sequence) -> float:
     0.0
     """
     norm = []
-    for d in disks:
-        if not isinstance(d, Disk):
-            x, y, r = d
-            d = Disk(Point(float(x), float(y)), float(r))
-        key = (d.center.x, d.center.y, d.radius)
+    for x, y, r in disks:
+        key = (float(x), float(y), float(r))
+        if not (math.isfinite(key[0]) and math.isfinite(key[1])
+                and 0.0 < key[2] < math.inf):
+            raise ValueError("disks need finite centres and positive, "
+                             "finite radii")
         if key not in norm:
             norm.append(key)
     if not norm:

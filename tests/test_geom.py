@@ -140,6 +140,17 @@ def test_triple_intersection_empty():
     assert disks_intersection_area(disks) == 0.0
 
 
+@pytest.mark.parametrize("bad", [
+    (0.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 0.0, math.nan),
+    (0.0, 0.0, math.inf), (math.nan, 0.0, 1.0), (0.0, -math.inf, 1.0),
+], ids=["zero-radius", "negative-radius", "nan-radius", "inf-radius",
+        "nan-centre", "inf-centre"])
+def test_intersection_area_rejects_degenerate_disks(bad):
+    for disks in ([bad], [(0.0, 0.0, 1.0), bad], [bad, (5.0, 0.0, 1.0)]):
+        with pytest.raises(ValueError):
+            disks_intersection_area(disks)
+
+
 def test_intersection_areas_near_tangency_are_never_negative():
     # The first two disks miss each other by about 1e-11: the area is 0.
     example = [(16.30132890114051, 85.54415445556461, 1.2327970118789355),

@@ -820,6 +820,22 @@ def test_intersect_union_degenerate_pairs_are_true():
     assert check_intersect_union_lemma(g, (e[0], e[1], e[0], e[1])) is True
 
 
+def test_intersect_union_needs_both_hypotheses():
+    # D(w) = D(x) lies half in D(y) and half in D(z), so the union
+    # hypothesis holds, but it reaches past D(z) on the left, so the lens
+    # hypothesis fails.  Moving D(y) and D(z) inwards makes both hold.
+    g = build_graph(sample_poisson(200.0, 8), k=4, model="mutual")
+    disks = list(g._disks)
+    disks[:4] = [(1.5, 0.0, 1.2), (1.5, 0.0, 1.2),
+                 (0.0, 0.0, 2.5), (3.0, 0.0, 2.5)]
+    g.__dict__["_disks"] = disks
+    assert sim._area_subset_union(disks[0], disks[2], disks[3])
+    assert check_intersect_union_lemma(g, (0, 1, 2, 3)) is None
+    disks[2:4] = [(0.5, 0.0, 2.5), (2.5, 0.0, 2.5)]
+    edge = any(g.has_edge(p, q) for p in (0, 1) for q in (2, 3))
+    assert check_intersect_union_lemma(g, (0, 1, 2, 3)) is edge
+
+
 def test_intersect_union_sampling_finds_no_counterexamples():
     # Plain samples qualify only in the trivial case {w, x} == {y, z}; with
     # every second point doubled, quadruples reach the edge test too.
@@ -1169,6 +1185,23 @@ def test_goodness_diameter_sides_match_exact_diameters():
                 straddled.add(c)
     assert diameters[0] == 3.0 and diameters[19] == 5.0
     assert {0, 2, 5, 8, 19} <= straddled
+
+
+@pytest.mark.parametrize("pts", [np.zeros((0, 2)), np.array([[3.0, 4.0]])],
+                         ids=["empty", "one-point"])
+def test_structure_checks_run_on_tiny_point_sets(pts):
+    ps = PointSet(points=pts, seed=0, window=SampleWindow(100.0))
+    g = build_graph(ps, k=5, model="mutual")
+    comps = components(g)
+    assert comps.num_components == len(pts)
+    assert comps.component_ids == list(range(len(pts)))
+    assert find_crossing_pairs(g).num_crossings == 0
+    assert check_half_disk_lemma(g) == []
+    assert check_farapart(g) == []
+    assert sample_intersect_union_quadruples(g, 10, 0) == ([], 0)
+    report = check_goodness(g, model_constants(1.0, n=100.0))
+    # The lone point is a component of diameter 0, 5 from a corner.
+    assert report.witnesses == ({5: (0, 5.0)} if len(pts) else {})
 
 
 def test_goodness_all_conditions_pass_on_dense_graph():
