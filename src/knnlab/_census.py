@@ -48,7 +48,10 @@ Few candidates come near the extremum, so the scan counts few of them.
 It bounds nested square blocks of candidates, 27, 9 and 3 tiles on a
 side, each with one kernel call at the block's middle tile with the disk
 and ellipses moved by the block's radius, so that the count is certified
-not to beat any member's.  Best bound first, it splits only the blocks
+not to beat any member's.  It first dives: it splits only the best of
+the blocks it has just bounded, one kernel call per level, and counts
+the members of the 3 x 3 block it reaches exactly, which gives the best
+count so far.  From then on, best bound first, it splits only the blocks
 whose bound can still reach the best count so far, and counts exactly
 only the members of such 3 x 3 blocks (0.02% to 1% of the candidates at
 step 0.001).  The extremum and witness are those of the full scan.  The
@@ -294,35 +297,72 @@ def _candidate_centers(s, poly):
 def _h_points(xs, ys, eps1):
     """Certified distances from candidate centres to the two forced
     boundary locations of the upper empty-census (one on each unit
-    circle), found by bisection on the sum-of-distances equations."""
+    circle), found by bisection on the sum-of-distances equations.
+
+    Each circle takes 60 bisection steps of ``[lo, hi]``, and its angle is
+    the last midpoint clamped to at least ``acos(-7/8)`` on the circle
+    about ``b2`` and at most ``acos(7/8)`` on the one about ``b1``.  The
+    bisection only lowers ``hi`` and raises ``lo``, and the float midpoint
+    of ``lo <= hi`` lies in ``[lo, hi]``.  So a candidate whose ``hi`` has
+    reached ``acos(-7/8)`` (whose ``lo`` has reached ``acos(7/8)``) gets
+    the clamp whatever its remaining steps do, and one whose ``(lo, hi)``
+    does not change in a step repeats that step to the end; such
+    candidates take no more steps (:func:`_bisect`).  The angles, and so
+    the distances, are those of all 60 steps, bit for bit.
+    """
     target = 1.0 - eps1
-    # On the circle about b2: q(phi) = (1 + cos phi, sin phi).
-    lo = np.full_like(xs, math.pi / 2)
-    hi = np.full_like(xs, math.pi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        qx = 1.0 + np.cos(mid)
-        qy = np.sin(mid)
-        g = 2.0 * np.cos(mid / 2.0) + np.hypot(qx - xs, qy - ys) - target
-        sel = g > 0.0
-        lo = np.where(sel, mid, lo)
-        hi = np.where(sel, hi, mid)
-    phi1 = np.maximum(0.5 * (lo + hi), math.acos(-7.0 / 8.0))
+
+    def g2(phi, idx):
+        # On the circle about b2: q(phi) = (1 + cos phi, sin phi).
+        qx = 1.0 + np.cos(phi)
+        qy = np.sin(phi)
+        return (2.0 * np.cos(phi / 2.0) + np.hypot(qx - xs[idx], qy - ys[idx])
+                - target)
+
+    def g1(phi, idx):
+        # On the circle about b1: q(phi) = (cos phi, sin phi).
+        qx = np.cos(phi)
+        qy = np.sin(phi)
+        return (2.0 * np.sin(phi / 2.0) + np.hypot(qx - xs[idx], qy - ys[idx])
+                - target)
+
+    phi1 = _bisect(g2, np.full_like(xs, math.pi / 2),
+                   np.full_like(xs, math.pi), True, math.acos(-7.0 / 8.0),
+                   math.inf)
     d1 = np.hypot(1.0 + np.cos(phi1) - xs, np.sin(phi1) - ys)
-    # On the circle about b1: q(phi) = (cos phi, sin phi).
-    lo = np.zeros_like(xs)
-    hi = np.full_like(xs, math.pi / 2)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        qx = np.cos(mid)
-        qy = np.sin(mid)
-        g = 2.0 * np.sin(mid / 2.0) + np.hypot(qx - xs, qy - ys) - target
-        sel = g > 0.0
-        hi = np.where(sel, mid, hi)
-        lo = np.where(sel, lo, mid)
-    phi2 = np.minimum(0.5 * (lo + hi), math.acos(7.0 / 8.0))
+    phi2 = _bisect(g1, np.zeros_like(xs), np.full_like(xs, math.pi / 2),
+                   False, -math.inf, math.acos(7.0 / 8.0))
     d2 = np.hypot(np.cos(phi2) - xs, np.sin(phi2) - ys)
     return d1, d2
+
+
+def _bisect(g, lo, hi, falling, floor, ceil):
+    """Sign change of ``g(phi, idx)`` (the function of the entries ``idx``
+    at the angles ``phi``) in each ``[lo, hi]``, after 60 bisection steps,
+    clipped to ``[floor, ceil]``.  ``lo`` and ``hi`` are updated in place.
+
+    A step keeps ``mid`` as ``lo`` where ``g(mid) > 0`` is ``falling`` and
+    as ``hi`` elsewhere.  The bracket must hold when it starts: ``g > 0``
+    at ``lo`` and ``g <= 0`` at ``hi`` if ``falling``, the other way round
+    otherwise; a ``ValueError`` is raised if any entry misses it.  An entry
+    stops once ``hi <= floor`` or ``lo >= ceil``, or once a step leaves
+    ``(lo, hi)`` unchanged (see :func:`_h_points`).
+    """
+    if not (((g(lo, slice(None)) > 0.0) == falling)
+            & ((g(hi, slice(None)) > 0.0) != falling)).all():
+        raise ValueError("a candidate lies outside the bisection bracket")
+    active = np.flatnonzero((hi > floor) & (lo < ceil))
+    for _ in range(60):
+        if not active.size:
+            break
+        a, b = lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        up = (g(mid, active) > 0.0) == falling
+        a2 = np.where(up, mid, a)
+        b2 = np.where(up, b, mid)
+        lo[active], hi[active] = a2, b2
+        active = active[((a2 != a) | (b2 != b)) & (b2 > floor) & (a2 < ceil)]
+    return np.clip(0.5 * (lo + hi), floor, ceil)
 
 
 # ---------------------------------------------------------------------------
@@ -789,24 +829,31 @@ def _scan(s, family, progress):
     too, so its key (below) is the better of its own and its parent's.
 
     *Search.*  Work with the key to minimise: the count, or minus it.  The
-    blocks of the largest side are bounded first and held in a heap by
-    key.  Each step takes, best key first, blocks whose key is at most the
-    incumbent (the best count so far), until they hold about ``_BLOCK``
-    items of the next level; it bounds the child blocks and pushes them,
-    and counts the candidates of last-level blocks exactly and updates the
-    incumbent.  The scan stops when the best key left is strictly worse
-    than the incumbent: every candidate not counted then lies in a block
-    whose key is, so its count is strictly worse than the extremum.  A
-    candidate whose count is the extremum has every enclosing key at most
-    it, so it is counted.  The witness is the first candidate in (column,
-    row) scan order, among those counted, whose count is the extremum, the
-    tie rule of ``argmin``/``argmax`` over all candidates.
-    ``CensusOutcome.counted`` records how many were counted.
+    blocks of the largest side are bounded first.  Until there is an
+    incumbent (the best count so far), the scan dives: each step takes
+    only the best-keyed of the blocks bounded by the step before, the
+    lower index among ties, and pushes the others on a heap by key.  So it
+    makes one kernel call per level of ``_SIDES`` and then counts at most
+    ``3 * 3`` candidates exactly, which sets the incumbent.  From then on
+    each step takes, best key first, blocks from the heap whose key is at
+    most the incumbent, until they hold about ``_BLOCK`` items of the next
+    level; it bounds the child blocks and pushes them, and counts the
+    candidates of last-level blocks exactly and updates the incumbent.
+    The scan stops when the best key left is strictly worse than the
+    incumbent: every candidate not counted then lies in a block whose key
+    is, so its count is strictly worse than the extremum.  A candidate
+    whose count is the extremum has every enclosing key at most it, so it
+    is counted, in whatever order the blocks were taken.  The witness is
+    the first candidate in (column, row) scan order, among those counted,
+    whose count is the extremum, the tie rule of ``argmin``/``argmax`` over
+    all candidates.  ``CensusOutcome.counted`` records how many were
+    counted; the order of the steps can change it, but not the extremum or
+    the witness.
 
     ``progress(done, total)`` is called after each step with the number
     of settled candidates: counted, or in a block whose key is strictly
-    worse than the incumbent.  It never falls and ends at ``(total,
-    total)``.
+    worse than the incumbent.  It stays at 0 during the dive, never falls
+    and ends at ``(total, total)``.
     """
     u = _universe(s, family)
     sign = 1 if family.minimise else -1
@@ -829,12 +876,10 @@ def _scan(s, family, progress):
         size.append(np.bincount(owner))
     size.append(np.ones(total, dtype=np.int64))
 
-    # Heap entries are (key, -level, block): deeper blocks first among ties.
-    heap = []
-
-    def push(parts):
+    def bound(parts):
         """Bound the blocks of every ``(level, blocks, parent key)`` of
-        ``parts`` in one kernel call, and push them."""
+        ``parts`` in one kernel call, and return their heap entries
+        ``(key, -level, block)``: deeper blocks first among ties."""
         level = np.concatenate([np.full(b.size, -lv) for lv, b, _ in parts])
         block = np.concatenate([b for _, b, _ in parts])
         parent = np.concatenate([np.full(b.size, key) for _, b, key in parts])
@@ -843,28 +888,39 @@ def _scan(s, family, progress):
                               for k in range(4))
         key = np.maximum(sign * _bound(u, family, x0, y0, reach0, c0),
                          parent)
-        for entry in zip(key.tolist(), level.tolist(), block.tolist()):
-            heapq.heappush(heap, entry)
+        return list(zip(key.tolist(), level.tolist(), block.tolist()))
 
-    push([(0, np.arange(size[0].size), -math.inf)])
+    def take(entry):
+        """The level and items of a heap entry's children, and its key."""
+        key, level, b = entry
+        order, start = children[-level]
+        return 1 - level, order[start[b]:start[b + 1]], key
+
+    heap = []
+    dive = bound([(0, np.arange(size[0].size), -math.inf)])
     best = math.inf
     batches, counts = [], []
     done = 0
-    while heap and heap[0][0] <= best:
-        blocks, members = [], []
-        # Descend one block at a time until there is an incumbent.
-        work, budget = 0, _BLOCK if best < math.inf else 1
-        while heap and heap[0][0] <= best and work < budget:
-            key, level, b = heapq.heappop(heap)
-            order, start = children[-level]
-            items = order[start[b]:start[b + 1]]
-            if 1 - level < len(_SIDES):
-                blocks.append((1 - level, items, key))
-            else:
-                members.append(items)
-            work += items.size
-        if blocks:
-            push(blocks)
+    while True:
+        if dive:
+            # Until the first exact count, expand only the best of the
+            # blocks just bounded (the lower index among ties), and push
+            # the rest.
+            dive.sort()
+            taken = [take(dive[0])]
+            for entry in dive[1:]:
+                heapq.heappush(heap, entry)
+        else:
+            taken, work = [], 0
+            while heap and heap[0][0] <= best and work < _BLOCK:
+                taken.append(take(heapq.heappop(heap)))
+                work += taken[-1][1].size
+            if not taken:
+                break
+        blocks = [part for part in taken if part[0] < len(_SIDES)]
+        entries = bound(blocks) if blocks else []
+        members = [items for level, items, _ in taken
+                   if level == len(_SIDES)]
         if members:
             idx = np.concatenate(members)
             cnt, _ = _counts(u, xs[idx], ys[idx], reach[idx],
@@ -873,6 +929,12 @@ def _scan(s, family, progress):
             counts.append(sign * cnt)
             best = min(best, counts[-1].min())
             done += idx.size
+        if best == math.inf:
+            dive = entries
+        else:
+            dive = []
+            for entry in entries:
+                heapq.heappush(heap, entry)
         if progress is not None:
             pruned = sum(size[-level][b] for key, level, b in heap
                          if key > best)

@@ -11,7 +11,9 @@ row kernel's count of every candidate against a direct per-candidate 2-D
 window count of the same family spec.  The pruned scan is checked against
 the kernel over every candidate, and the tile set of each sampled block
 bound, at every level of the block hierarchy, against the tile sets of
-the block's members.
+the block's members.  The scan's dive must reach its first exact count in
+one bound call per block level, and L+'s reach must equal a plain
+60-step bisection bit for bit.
 """
 
 from __future__ import annotations
@@ -341,6 +343,95 @@ def test_pruned_scan_matches_the_full_kernel(name, step):
     assert out.witness == (xs[t], ys[t])
     assert out.candidates == xs.size
     assert out.counted < out.candidates
+
+
+@pytest.mark.parametrize("step", [0.01, 0.004, 1 / 256])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_scan_dives_to_its_first_exact_count(name, step, monkeypatch):
+    # Until its first exact count the scan bounds one block per level of
+    # the hierarchy, not one block per kernel call.
+    family = FAMILIES[name](step)
+    xs, ys, counts = _full_counts(step, family)
+    t = int(np.argmin(counts) if family.minimise else np.argmax(counts))
+    kernel, exact = _census._counts, []
+
+    def spy(u, px, py, reach, C):
+        exact.append(bool(np.all(C == u.C)))
+        return kernel(u, px, py, reach, C)
+
+    monkeypatch.setattr(_census, "_counts", spy)
+    out = _run(name, step)
+    assert exact.index(True) <= len(_census._SIDES) + 1
+    assert out.count == counts[t]
+    assert out.witness == (xs[t], ys[t])
+
+
+def _plain_h_points(xs, ys, eps1):
+    """``_h_points`` as 60 bisection steps on every candidate, with no
+    early exit: the oracle for its bits."""
+    target = 1.0 - eps1
+    lo = np.full_like(xs, math.pi / 2)
+    hi = np.full_like(xs, math.pi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        qx = 1.0 + np.cos(mid)
+        qy = np.sin(mid)
+        g = 2.0 * np.cos(mid / 2.0) + np.hypot(qx - xs, qy - ys) - target
+        sel = g > 0.0
+        lo = np.where(sel, mid, lo)
+        hi = np.where(sel, hi, mid)
+    phi1 = np.maximum(0.5 * (lo + hi), math.acos(-7.0 / 8.0))
+    d1 = np.hypot(1.0 + np.cos(phi1) - xs, np.sin(phi1) - ys)
+    lo = np.zeros_like(xs)
+    hi = np.full_like(xs, math.pi / 2)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        qx = np.cos(mid)
+        qy = np.sin(mid)
+        g = 2.0 * np.sin(mid / 2.0) + np.hypot(qx - xs, qy - ys) - target
+        sel = g > 0.0
+        hi = np.where(sel, mid, hi)
+        lo = np.where(sel, lo, mid)
+    phi2 = np.minimum(0.5 * (lo + hi), math.acos(7.0 / 8.0))
+    d2 = np.hypot(np.cos(phi2) - xs, np.sin(phi2) - ys)
+    return d1, d2
+
+
+def _hull_points(m, rng):
+    """``m`` random points of the ``a1`` hull."""
+    x0, y0 = np.min(_census.A1_QUAD, axis=0)
+    x1, y1 = np.max(_census.A1_QUAD, axis=0)
+    xs = rng.uniform(x0, x1, 20 * m)
+    ys = rng.uniform(y0, y1, 20 * m)
+    inside = _census._all(_census._inside_tests(_census.A1_QUAD), xs, ys, 0.0)
+    return xs[inside][:m], ys[inside][:m]
+
+
+@pytest.mark.parametrize("step", [0.02, 0.01, 0.004, 1 / 256, 0.002,
+                                  "random"])
+def test_h_points_are_the_plain_bisection_bit_for_bit(step):
+    if step == "random":
+        step = 1 / 256
+        xs, ys = _hull_points(200, np.random.default_rng(12))
+        assert xs.size == 200
+    else:
+        xs, ys = _census._candidate_centers(step, _census.A1_QUAD)
+    eps1 = (math.sqrt(2.0) / 2.0) * step
+    got = _census._h_points(xs, ys, eps1)
+    for d, ref in zip(got, _plain_h_points(xs, ys, eps1)):
+        assert np.array_equal(d.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("point", [(1.1, 0.1), (-0.1, 0.1), (3.0, 3.0)],
+                         ids=["far-from-b1", "far-from-b2", "far-from-both"])
+def test_h_points_reject_a_point_outside_the_bracket(point):
+    # The bracket needs the point within 1 - eps1 of b1 (the circle about
+    # b2) and of b2 (the circle about b1); each point misses one or both.
+    xs, ys = _census._candidate_centers(0.02, _census.A1_QUAD)
+    xs = np.append(xs, point[0])
+    ys = np.append(ys, point[1])
+    with pytest.raises(ValueError, match="bracket"):
+        _census._h_points(xs, ys, (math.sqrt(2.0) / 2.0) * 0.02)
 
 
 def _grid(s):
