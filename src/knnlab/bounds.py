@@ -581,23 +581,23 @@ def verify_H_minus(s: float, *, semantics: str = "universal",
     return _census_certificate("hminus", out, {"semantics": semantics})
 
 
-def crossing_ratio(s: float, components: Mapping[str, Certificate], *,
-                   exclusion: str = "either") -> Certificate:
+def crossing_ratio(s: float, components: Mapping[str, Certificate]
+                   ) -> Certificate:
     """Certified bound on the occupied/total area ratio of a crossing
     frame, combining upper bounds for the occupied families with lower
     bounds for the empty families.
 
     ``components`` maps ``lplus``, ``lminus``, ``hplus`` and ``hminus`` to
     census certificates at step ``s``.  Each must carry the config hash
-    its ``verify_*`` function records at that step: ``hplus`` under
-    ``exclusion`` (which the ratio certificate records) and ``hminus``
-    under ``semantics="universal"``; anything else raises
-    :class:`ValueError`.  The certificate's ``witness`` carries the derived
-    coefficient threshold ``-1 / log(ratio)`` (0 when the ratio
-    degenerates to 0).
+    its ``verify_*`` function records at that step under the committed
+    readings: ``hplus`` under ``exclusion="either"`` (which the ratio
+    certificate records) and ``hminus`` under ``semantics="universal"``;
+    anything else raises :class:`ValueError`.  The certificate's
+    ``witness`` carries the derived coefficient threshold
+    ``-1 / log(ratio)`` (0 when the ratio degenerates to 0).
     """
     readings = {"lplus": {}, "lminus": {},
-                "hplus": {"exclusion": exclusion},
+                "hplus": {"exclusion": "either"},
                 "hminus": {"semantics": "universal"}}
     for key, reading in readings.items():
         if key not in components:
@@ -621,7 +621,7 @@ def crossing_ratio(s: float, components: Mapping[str, Certificate], *,
     return make_certificate(name="ratio", step=s, computed=ratio,
                             target=RATIO_TARGET, comparator="<=",
                             witness=c_threshold,
-                            config={"exclusion": exclusion})
+                            config=readings["hplus"])
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ import sys
 import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from . import __version__, bounds
 from ._census import validate_step
@@ -53,11 +53,11 @@ from ._census import validate_step
 if TYPE_CHECKING:
     from . import sim
 
-_WHICH_CHOICES = ("lplus", "lminus", "hplus", "hminus", "ratio", "all")
+_WHICH_CHOICES = ("lplus", "lminus", "hplus", "hminus", "all")
 #: ``sim.MODELS``, spelled out so that parsing the command line does not
 #: import :mod:`knnlab.sim` and scipy; ``tests/test_cli.py`` checks that
 #: the two agree.
-_MODEL_CHOICES = ("mutual", "either", "directed", "gilbert")
+_MODEL_CHOICES = ("mutual", "either", "gilbert")
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +253,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "hplus": bounds.verify_H_plus,
         "hminus": bounds.verify_H_minus,
     }
-    certificates: List[bounds.Certificate] = []
     if which in single:
-        certificates.append(single[which](step, progress=progress))
+        certificates = [single[which](step, progress=progress)]
     else:
-        parts = {name: single[name](step, progress=progress)
-                 for name in ("lplus", "lminus", "hplus", "hminus")}
-        if which != "ratio":
-            certificates.extend(parts.values())
-        certificates.append(bounds.crossing_ratio(step, components=parts))
+        parts = {name: verify(step, progress=progress)
+                 for name, verify in single.items()}
+        certificates = [*parts.values(),
+                        bounds.crossing_ratio(step, components=parts)]
 
     paths = []
     all_passed = True
@@ -424,8 +422,10 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
 
     ``--threads`` (on ``verify``, ``simulate`` and ``check``) and ``verify
     --seed`` are accepted, recorded in the run manifest and otherwise
-    ignored: the benchmark passes them and its recorded manifest digests
-    hold them.
+    ignored.  Both stay because the benchmark's recorded manifest digests
+    (``perfbench/reference.json``) hold their values: every workload passes
+    ``--threads 1``, and no workload passes ``verify --seed``, but its
+    ``null`` default is in the ``config`` of every ``verify`` manifest.
     """
     parser = argparse.ArgumentParser(
         prog="knnlab",

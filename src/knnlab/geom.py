@@ -15,9 +15,9 @@ is a :class:`Region` subclass that answers membership, a bounding box, a
 signed offset (outward for a positive distance, inward for a negative
 one) and a certified-inside test for grid squares.  Conservativeness is
 explicit: ``grid_area_bounds`` brackets the true area between a certified
-lower bound (squares proven inside) and a certified upper bound (squares
-that could meet the region), through the outward and inward offsets of
-the region by half a square's diagonal.
+lower bound (squares whose corners are certified inside) and a certified
+upper bound (squares that could meet the region, found through the
+outward offset of the region by half a square's diagonal).
 
 Areas of disk intersections are also available in closed form
 (``disk_lens_area``) and by an exact arc-decomposition
@@ -222,11 +222,9 @@ class Region:
     """
 
     def _certified_inside(self, cx, cy, half, delta):
-        out = self._contains(cx, cy)
-        for sx in (-half, half):
-            for sy in (-half, half):
-                out &= self._contains(cx + sx, cy + sy)
-        return out
+        return reduce(operator.and_, [self._contains(cx + sx, cy + sy)
+                                      for sx in (-half, half)
+                                      for sy in (-half, half)])
 
 
 def _check_region(r) -> Region:
@@ -578,13 +576,14 @@ def grid_area_bounds(region: Region, step: float) -> AreaBound:
 
     The plane is tiled by squares of side ``step`` with corners on the
     multiples of ``step``.  A square counts towards the *lower* bound only
-    when it is proven to lie entirely inside ``region`` (via
-    corner-and-centre certificates for convex shapes composed through the
-    algebra, or via the conservative erosion of ``region``).  A square
-    counts towards the *upper* bound whenever its centre lies in the
-    offset of ``region`` by half the square diagonal, which covers every
-    square meeting ``region``.  Counts are accumulated as integers and
-    scaled once, so results are exactly reproducible.
+    when its corners are certified inside ``region``: a convex shape holds
+    the square when it holds the four corners, and the algebra composes
+    those tests (a :class:`Difference` also needs the square's centre
+    outside the subtracted region grown by half the square diagonal).  A
+    square counts towards the *upper* bound whenever its centre lies in
+    the offset of ``region`` by half the square diagonal, which covers
+    every square meeting ``region``.  Counts are accumulated as integers
+    and scaled once, so results are exactly reproducible.
 
     Returns
     -------
@@ -620,16 +619,14 @@ def grid_area_bounds(region: Region, step: float) -> AreaBound:
         raise ValueError("grid too fine for the extent of the region")
 
     inflated = region._offset(delta)
-    deflated = region._offset(-delta)
     cx = (np.arange(i0, i1 + 1) + 0.5) * s
     lower_count = 0
     upper_count = 0
     for j in range(j0, j1 + 1):
         cy = np.full_like(cx, (j + 0.5) * s)
         upper_count += int(np.count_nonzero(inflated._contains(cx, cy)))
-        low = region._certified_inside(cx, cy, half, delta)
-        low |= deflated._contains(cx, cy)
-        lower_count += int(np.count_nonzero(low))
+        lower_count += int(np.count_nonzero(
+            region._certified_inside(cx, cy, half, delta)))
     return AreaBound(lower_count * s * s, upper_count * s * s)
 
 

@@ -75,11 +75,9 @@ from .geom import (
 from .regions import CrossingFrame, NormalizationMap, normalize_crossing_pair_with_map
 
 #: Supported graph models.  ``mutual`` joins two points when each lies in the
-#: other's ``k``-nearest list; ``either`` when at least one does; ``directed``
-#: keeps the asymmetric lists but its undirected edge set (used for
-#: components and crossings) coincides with ``either``; ``gilbert`` joins
-#: every pair within a fixed radius.
-MODELS = ("mutual", "either", "directed", "gilbert")
+#: other's ``k``-nearest list; ``either`` when at least one does; ``gilbert``
+#: joins every pair within a fixed radius.
+MODELS = ("mutual", "either", "gilbert")
 
 #: A point of a different component keeps distance at least
 #: ``FARAPART_RATIO * |b1 b2|`` from any edge ``b1 b2`` (mutual model).
@@ -201,10 +199,10 @@ class NearestNeighborGraph:
     within ``radius``.
 
     The undirected edge set, component structure, and crossing search all go
-    through :meth:`edges`: mutual keeps reciprocated pairs, ``either`` and
-    ``directed`` the union of directions (weak connectivity), ``gilbert`` the
-    radius pairs.  The graph caches its edges and :func:`components` and is
-    not edited in place; :meth:`without_edges` returns an edited copy.
+    through :meth:`edges`: mutual keeps reciprocated pairs, ``either`` the
+    union of directions, ``gilbert`` the radius pairs.  The graph caches
+    its edges and :func:`components` and is not edited in place;
+    :meth:`without_edges` returns an edited copy.
     """
 
     pointset: PointSet
@@ -626,11 +624,11 @@ def components(g: NearestNeighborGraph) -> ComponentDecomposition:
     """Connected components of ``g``, built once and cached on the graph.
 
     Uses ``scipy.sparse.csgraph.connected_components`` over
-    :meth:`NearestNeighborGraph.edges`; for the ``directed`` model this is
-    weak connectivity.  Diameters are left to the first read of
-    :attr:`ComponentDecomposition.diameters`: components of fewer than 5000
-    points get theirs by direct pairwise maximisation, larger ones via their
-    convex hull vertices (the diameter is attained at hull vertices).
+    :meth:`NearestNeighborGraph.edges`.  Diameters are left to the first
+    read of :attr:`ComponentDecomposition.diameters`: components of fewer
+    than 5000 points get theirs by direct pairwise maximisation, larger ones
+    via their convex hull vertices (the diameter is attained at hull
+    vertices).
 
     Examples
     --------
@@ -895,6 +893,14 @@ def _half_disk_triples(g: NearestNeighborGraph, joined: bool
             yield xi, yi, zi
 
 
+def _require_mutual(g: NearestNeighborGraph, prop: str) -> None:
+    """Raise :class:`ValueError` unless ``g`` is a mutual graph, the only
+    model for which ``prop`` holds."""
+    if g.model != "mutual":
+        raise ValueError("%s holds for the mutual model; got %r"
+                         % (prop, g.model))
+
+
 def check_half_disk_lemma(g: NearestNeighborGraph
                           ) -> List[Tuple[int, int, int]]:
     """Check half-neighbourhood containment on every edge of a mutual graph.
@@ -916,9 +922,7 @@ def check_half_disk_lemma(g: NearestNeighborGraph
     >>> check_half_disk_lemma(g)
     []
     """
-    if g.model != "mutual":
-        raise ValueError("half-neighbourhood containment holds for the "
-                         "mutual model; got %r" % g.model)
+    _require_mutual(g, "half-neighbourhood containment")
     return list(_half_disk_triples(g, joined=False))
 
 
@@ -979,9 +983,7 @@ def check_intersect_union_lemma(g: NearestNeighborGraph,
         ``{w, x}`` and ``{y, z}`` coincide, a trivially true case); ``False``
         on a genuine violation.
     """
-    if g.model != "mutual":
-        raise ValueError("the containment implication applies to the mutual "
-                         "model; got %r" % g.model)
+    _require_mutual(g, "the containment implication")
     w, x, y, z = map(int, quadruple)
     if {w, x} == {y, z}:
         return True
@@ -1019,9 +1021,7 @@ def sample_intersect_union_quadruples(g: NearestNeighborGraph, samples: int,
         ``results`` pairs each qualifying quadruple with the lemma verdict;
         ``tested`` counts all sampled quadruples.
     """
-    if g.model != "mutual":
-        raise ValueError("the containment implication applies to the mutual "
-                         "model; got %r" % g.model)
+    _require_mutual(g, "the containment implication")
     rng = np.random.default_rng(seed)
     n = g.n_points
     if n < 2:
@@ -1070,9 +1070,7 @@ def check_farapart(g: NearestNeighborGraph
     therefore those of :func:`_edge_end_members` with that radius, from
     both ends; a point found from both is tested once.
     """
-    if g.model != "mutual":
-        raise ValueError("the separation property applies to the mutual "
-                         "model; got %r" % g.model)
+    _require_mutual(g, "the separation property")
     comps = components(g)
     edges = g.edges()
     violations: List[Tuple[int, int, int, float, float]] = []

@@ -278,7 +278,7 @@ def test_acceptance_6_graph_construction_equivalence(capsys):
     instances = 0
     tree_s = brute_s = 0.0
     for model in sim.MODELS:
-        for _ in range(50):
+        for _ in range(67):
             n = float(rng.integers(50, 2001))
             seed = int(rng.integers(1 << 31))
             k = int(rng.integers(1, 51))

@@ -331,16 +331,6 @@ def test_crossing_ratio_checks_the_hplus_reading_it_records():
     parts = _census_parts(s, exclusion="intersection")
     with pytest.raises(ValueError, match="exclusion='either'"):
         bounds.crossing_ratio(s, components=parts)
-    strict = bounds.crossing_ratio(s, components=parts,
-                                   exclusion="intersection")
-    h = parts["hplus"].computed + parts["hminus"].computed
-    total = h + parts["lplus"].computed + parts["lminus"].computed
-    assert strict.computed == h / total
-    assert strict.witness == -1.0 / math.log(h / total)
-    either = bounds.crossing_ratio(
-        s, components={**parts, "hplus": bounds.verify_H_plus(s)})
-    assert either.config_hash != strict.config_hash
-    assert either.computed < strict.computed
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +342,7 @@ def parts_at_coarse_step():
                                   "hminus-cover"])
 def test_crossing_ratio_rejects_a_component_it_does_not_rest_on(
         case, parts_at_coarse_step):
-    s, parts, exclusion = 0.02, dict(parts_at_coarse_step), "either"
+    s, parts = 0.02, dict(parts_at_coarse_step)
     if case == "missing":
         del parts["lminus"]
         match = "missing component certificate: lminus"
@@ -360,14 +350,14 @@ def test_crossing_ratio_rejects_a_component_it_does_not_rest_on(
         parts["lplus"] = bounds.verify_L_plus(0.01)
         match = "component certificate lplus was not computed at step 0.02"
     elif case == "hplus-reading":
-        exclusion = "intersection"
-        match = "hplus .*exclusion='intersection'"
+        parts["hplus"] = bounds.verify_H_plus(s, exclusion="intersection")
+        match = "hplus .*exclusion='either'"
     else:
         parts["hminus"] = bounds.verify_H_minus(s, semantics="cover")
         match = "hminus .*semantics='universal'"
     bounds.crossing_ratio(s, components=parts_at_coarse_step)
     with pytest.raises(ValueError, match=match):
-        bounds.crossing_ratio(s, components=parts, exclusion=exclusion)
+        bounds.crossing_ratio(s, components=parts)
 
 
 _COMMITTED = Path(__file__).resolve().parent.parent / "certificates"

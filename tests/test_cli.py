@@ -185,6 +185,18 @@ def test_model_choices_are_the_simulated_models():
     assert _MODEL_CHOICES == sim.MODELS
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "100", "--c", "1.0", "--model", "directed"],
+    ["verify", "--step", "0.01", "--which", "ratio"],
+], ids=["simulate-model-directed", "verify-which-ratio"])
+def test_removed_option_values_are_usage_errors(argv, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_rejects_bad_usage(capsys):
     assert main(["simulate", "--n", "100", "--model", "voronoi"]) == 2
     assert main(["simulate", "--n", "100", "--c", "1.0", "--trials", "0"]) == 2

@@ -90,10 +90,22 @@ def test_mutual_versus_either_on_a_line():
     ps = _line_pointset([0.0, 1.0, 2.4])
     mutual = build_graph(ps, k=1, model="mutual").edges()
     either = build_graph(ps, k=1, model="either").edges()
-    directed = build_graph(ps, k=1, model="directed").edges()
     assert mutual.tolist() == [[0, 1]]
     assert either.tolist() == [[0, 1], [1, 2]]
-    assert directed.tolist() == either.tolist()
+
+
+def test_every_model_gives_its_own_edge_set():
+    # 0 -- 1 ---- 2.4 ------ 5 at k = 1: only 0 and 1 choose each other,
+    # every point's nearest joins the either graph, and radius 1.5 joins
+    # the two pairs at distance 1 and 1.4.
+    ps = _line_pointset([0.0, 1.0, 2.4, 5.0])
+    edge_sets = {model: build_graph(
+        ps, k=1, model=model,
+        radius=1.5 if model == "gilbert" else None).edges().tolist()
+        for model in sim.MODELS}
+    assert edge_sets == {"mutual": [[0, 1]],
+                         "either": [[0, 1], [1, 2], [2, 3]],
+                         "gilbert": [[0, 1], [1, 2]]}
 
 
 def test_gilbert_model_radius_rule():
@@ -109,7 +121,7 @@ def test_gilbert_model_radius_rule():
 def test_distance_ties_break_by_lower_index():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]) + 5.0
     ps = PointSet(points=pts, seed=0, window=SampleWindow(100.0))
-    g = build_graph(ps, k=1, model="directed")
+    g = build_graph(ps, k=1, model="either")
     assert g.indices[g.indptr[0]:g.indptr[1]].tolist() == [1]
 
 
@@ -140,7 +152,7 @@ def test_build_graph_matches_brute_force():
         if len(ps) < 2:
             continue
         k = int(rng.integers(1, 40))
-        model = sim.MODELS[trial % 4]
+        model = sim.MODELS[trial % len(sim.MODELS)]
         radius = float(rng.uniform(0.5, 2.0)) if model == "gilbert" else None
         _assert_matches_brute_force(ps, k, model, radius)
 
@@ -939,6 +951,24 @@ def test_intersect_union_sampler_rejects_non_mutual_graphs():
     g = build_graph(sample_poisson(200.0, 3), k=4, model="either")
     with pytest.raises(ValueError):
         sample_intersect_union_quadruples(g, 10, 3)
+
+
+@pytest.mark.parametrize("model", ["either", "gilbert"])
+@pytest.mark.parametrize("check, prop", [
+    (check_half_disk_lemma, "half-neighbourhood containment"),
+    (lambda g: check_intersect_union_lemma(g, (0, 1, 2, 3)),
+     "the containment implication"),
+    (lambda g: sample_intersect_union_quadruples(g, 10, 3),
+     "the containment implication"),
+    (check_farapart, "the separation property"),
+], ids=["half-disk", "intersect-union", "sampler", "farapart"])
+def test_mutual_only_checks_reject_other_models(check, prop, model):
+    radius = 1.5 if model == "gilbert" else None
+    g = build_graph(sample_poisson(200.0, 3), k=4, model=model,
+                    radius=radius)
+    with pytest.raises(ValueError, match="^%s holds for the mutual model; "
+                                         "got '%s'$" % (prop, model)):
+        check(g)
 
 
 def _near_tangent_triples(rng, count):
