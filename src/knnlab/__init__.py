@@ -46,12 +46,7 @@ from .geom import (
     point_segment_distance,
     segments_intersect,
 )
-from .regions import (
-    CrossingFrame,
-    NormalizationMap,
-    normalize_crossing_pair,
-    normalize_crossing_pair_with_map,
-)
+from .regions import CrossingFrame, crossing_roles, normalize_crossing_pair
 
 #: Names re-exported from :mod:`knnlab.sim`, and the ``sim`` part of
 #: ``__all__``.  The module is imported on first use, so that the analytic
@@ -116,9 +111,8 @@ __all__ = [
     "segments_intersect",
     # regions
     "CrossingFrame",
-    "NormalizationMap",
+    "crossing_roles",
     "normalize_crossing_pair",
-    "normalize_crossing_pair_with_map",
     # sim
     *_SIM_NAMES,
 ]

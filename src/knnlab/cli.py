@@ -362,9 +362,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for t in range(trials):
         trial_seed = sim._trial_seed(args.seed, 0, t)
         ps = sim.sample_poisson(n, trial_seed)
-        if len(ps) < 2:
-            good_count += 1
-            continue
         g = sim.build_graph(ps, k, model="mutual")
         if args.inject_bug and injected is None:
             g, injected = _inject_half_disk_bug(g)

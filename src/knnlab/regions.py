@@ -11,8 +11,10 @@ similarity transformation, into a canonical frame in which
   or above the axis (``a1.y >= 0 >= a2.y``), and
 * ``b1`` is the ``b`` endpoint closer to ``a1`` (hence ``a1.x <= 1/2``).
 
-This module builds that frame (:func:`normalize_crossing_pair`) and the
-named families of regions attached to it (:func:`build_named_regions`).
+The roles are decided once, by :func:`crossing_roles`, which also serves
+as the crossing test of :func:`knnlab.sim.find_crossing_pairs`.  This
+module builds the frame from them (:func:`normalize_crossing_pair`) and
+the named families of regions attached to it (:func:`build_named_regions`).
 It is the one home of the frame's fixed polygons, the pi/6 wedges
 ``WEDGE_B1``, ``WEDGE_B2`` and the ``KITE``, which the region system and
 the censuses of :mod:`knnlab._census` both read.
@@ -60,9 +62,8 @@ __all__ = [
     "WEDGE_B2",
     "KITE",
     "CrossingFrame",
-    "NormalizationMap",
+    "crossing_roles",
     "normalize_crossing_pair",
-    "normalize_crossing_pair_with_map",
     "build_named_regions",
     "s1_polygon",
     "s2_triangle",
@@ -154,14 +155,6 @@ class CrossingFrame:
         object.__setattr__(self, "rho2", min(rho2, r2))
 
     @property
-    def b1(self) -> Point:
-        return _B1
-
-    @property
-    def b2(self) -> Point:
-        return _B2
-
-    @property
     def r1(self) -> float:
         """Distance from ``a1`` to the nearer of ``b1`` and ``b2``."""
         return min(distance(self.a1, _B1), distance(self.a1, _B2))
@@ -172,65 +165,60 @@ class CrossingFrame:
         return min(distance(self.a2, _B1), distance(self.a2, _B2))
 
 
-@dataclass(frozen=True)
-class NormalizationMap:
-    """Bookkeeping for :func:`normalize_crossing_pair_with_map`.
-
-    ``roles`` maps each role name (``"a1"``, ``"a2"``, ``"b1"``, ``"b2"``)
-    to the position (0-3) of the input point that took that role, in the
-    argument order ``(a1, a2, b1, b2)``.  ``scale`` is the length of the
-    original ``b`` edge after relabelling (the similarity divisor), and
-    ``reflected`` records whether the frame was mirrored about the axis.
-    """
-
-    roles: Dict[str, int]
-    scale: float
-    reflected: bool
-
-
-def _similarity(p: Point, origin: Point, ex: float, ey: float, scale: float) -> Point:
-    dx, dy = p.x - origin.x, p.y - origin.y
-    return Point((dx * ex + dy * ey) / scale, (-dx * ey + dy * ex) / scale)
-
-
-def normalize_crossing_pair_with_map(
+def crossing_roles(
     a1: PointLike, a2: PointLike, b1: PointLike, b2: PointLike
-) -> Tuple[CrossingFrame, NormalizationMap]:
-    """Normalise a crossing configuration and report the relabelling used.
+) -> Optional[Tuple[int, int, int, int]]:
+    """The canonical roles of two edges, or ``None`` if they do not meet.
 
-    See :func:`normalize_crossing_pair` for the geometric conventions.
+    Returns the positions (0-3), in the argument order ``(a1, a2, b1,
+    b2)``, of the input points that take the roles ``(a1, a2, b1, b2)``:
+    the ``a`` edge is the shorter one, ``a1`` is the ``a`` endpoint nearer
+    the ``b`` segment, and ``b1`` is the ``b`` endpoint nearer ``a1``.
+    All ties keep the input labelling.  ``None`` means the two closed
+    segments share no point.
+
+    Examples
+    --------
+    >>> crossing_roles((0, 0), (1, 0), (0.4, 0.2), (0.5, -0.3))
+    (2, 3, 0, 1)
     """
     pts = [as_point(a1), as_point(a2), as_point(b1), as_point(b2)]
     if not segments_intersect(Segment(pts[0], pts[1]), Segment(pts[2], pts[3])):
-        raise ValueError("the two edges do not intersect")
+        return None
 
-    idx = [0, 1, 2, 3]  # positions of current (a1, a2, b1, b2) in the input
+    i0, i1, i2, i3 = 0, 1, 2, 3  # positions of current (a1, a2, b1, b2)
     # The a edge must be the shorter of the two (ties keep the labelling).
-    if distance(pts[idx[0]], pts[idx[1]]) > distance(pts[idx[2]], pts[idx[3]]):
-        idx = [idx[2], idx[3], idx[0], idx[1]]
+    if distance(pts[i0], pts[i1]) > distance(pts[i2], pts[i3]):
+        i0, i1, i2, i3 = i2, i3, i0, i1
     # a1 is the a endpoint closer to the segment b1 b2.
-    bseg = Segment(pts[idx[2]], pts[idx[3]])
-    if point_segment_distance(pts[idx[0]], bseg) > point_segment_distance(
-        pts[idx[1]], bseg
+    bseg = Segment(pts[i2], pts[i3])
+    if point_segment_distance(pts[i0], bseg) > point_segment_distance(
+        pts[i1], bseg
     ):
-        idx = [idx[1], idx[0], idx[2], idx[3]]
+        i0, i1 = i1, i0
     # b1 is the b endpoint closer to a1.
-    if distance(pts[idx[0]], pts[idx[3]]) < distance(pts[idx[0]], pts[idx[2]]):
-        idx = [idx[0], idx[1], idx[3], idx[2]]
+    if distance(pts[i0], pts[i3]) < distance(pts[i0], pts[i2]):
+        i2, i3 = i3, i2
+    return i0, i1, i2, i3
 
-    o = pts[idx[2]]
-    t = pts[idx[3]]
-    scale = distance(o, t)
-    ex, ey = (t.x - o.x) / scale, (t.y - o.y) / scale
-    na1 = _similarity(pts[idx[0]], o, ex, ey, scale)
-    na2 = _similarity(pts[idx[1]], o, ex, ey, scale)
-    reflected = na1.y < 0.0 or na2.y > 0.0
-    if reflected:
+
+def _frame_in_roles(a1: Point, a2: Point, b1: Point, b2: Point) -> CrossingFrame:
+    """The frame of points already in their canonical roles: the similarity
+    that takes ``b1`` to ``(0, 0)`` and ``b2`` to ``(1, 0)``, then the
+    reflection about the axis if ``a1`` falls below it or ``a2`` above.
+    Raises ``ValueError`` when the result violates the frame invariants."""
+    scale = distance(b1, b2)
+    ex, ey = (b2.x - b1.x) / scale, (b2.y - b1.y) / scale
+
+    def similarity(p: Point) -> Point:
+        dx, dy = p.x - b1.x, p.y - b1.y
+        return Point((dx * ex + dy * ey) / scale, (-dx * ey + dy * ex) / scale)
+
+    na1, na2 = similarity(a1), similarity(a2)
+    if na1.y < 0.0 or na2.y > 0.0:
         na1 = Point(na1.x, -na1.y)
         na2 = Point(na2.x, -na2.y)
-    frame = CrossingFrame(na1, na2)
-    roles = {"a1": idx[0], "a2": idx[1], "b1": idx[2], "b2": idx[3]}
-    return frame, NormalizationMap(roles=roles, scale=scale, reflected=reflected)
+    return CrossingFrame(na1, na2)
 
 
 def normalize_crossing_pair(
@@ -239,11 +227,9 @@ def normalize_crossing_pair(
     """Bring a crossing configuration into the canonical frame.
 
     The two closed segments must intersect.  Endpoint pairs are
-    relabelled so that the ``a`` edge is the shorter one, ``a1`` is the
-    ``a`` endpoint nearer the ``b`` segment and ``b1`` the ``b`` endpoint
-    nearer ``a1``; a similarity transformation then places ``b1`` at the
-    origin and ``b2`` at ``(1, 0)``, and a final reflection (if needed)
-    puts ``a1`` on or above the axis.  All ties keep the input labelling.
+    relabelled by :func:`crossing_roles`; a similarity transformation
+    then places ``b1`` at the origin and ``b2`` at ``(1, 0)``, and a final
+    reflection (if needed) puts ``a1`` on or above the axis.
 
     Returns
     -------
@@ -257,8 +243,11 @@ def normalize_crossing_pair(
         violate the frame invariants (which cannot happen for a genuine
         crossing pair of a mutual nearest-neighbour graph).
     """
-    frame, _ = normalize_crossing_pair_with_map(a1, a2, b1, b2)
-    return frame
+    pts = [as_point(a1), as_point(a2), as_point(b1), as_point(b2)]
+    roles = crossing_roles(*pts)
+    if roles is None:
+        raise ValueError("the two edges do not intersect")
+    return _frame_in_roles(*(pts[i] for i in roles))
 
 
 # ---------------------------------------------------------------------------

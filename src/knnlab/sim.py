@@ -70,9 +70,8 @@ from .geom import (
     disk_lens_area,
     disks_intersection_area,
     point_segment_distance,
-    segments_intersect,
 )
-from .regions import CrossingFrame, NormalizationMap, normalize_crossing_pair_with_map
+from .regions import CrossingFrame, _frame_in_roles, crossing_roles
 
 #: Supported graph models.  ``mutual`` joins two points when each lies in the
 #: other's ``k``-nearest list; ``either`` when at least one does; ``gilbert``
@@ -661,19 +660,20 @@ def components(g: NearestNeighborGraph) -> ComponentDecomposition:
 class CrossingReport:
     """Cross-component edge crossings of a graph.
 
-    ``quadruples`` lists point indices ``(a1, a2, b1, b2)`` in canonical
-    roles: segment ``a1 a2`` crosses segment ``b1 b2``, the two edges lie in
-    different components, ``|a1 a2| <= |b1 b2|``, ``a1`` is at least as close
-    to the ``b`` segment as ``a2``, and ``b1`` is the ``b`` endpoint nearer
-    ``a1``.  ``frames`` holds the matching normalized coordinate frames
-    (``b`` edge mapped to unit length; ``None`` when the normalized
-    configuration falls outside the frame's validity checks, which cannot
-    happen for crossings of the mutual model but can for artificial input).
+    ``quadruples`` lists point indices ``(a1, a2, b1, b2)``, in ascending
+    order, in the canonical roles of :func:`knnlab.regions.crossing_roles`:
+    segment ``a1 a2`` meets segment ``b1 b2``, the two edges lie in
+    different components, ``|a1 a2| <= |b1 b2|``, ``a1`` is at least as
+    close to the ``b`` segment as ``a2``, and ``b1`` is the ``b`` endpoint
+    nearer ``a1``.  Every crossing keeps these roles.  ``frames`` holds the
+    matching normalized coordinate frames (``b`` edge mapped to unit
+    length), or ``None`` where the normalized configuration violates the
+    frame invariants, which cannot happen for crossings of the mutual
+    model but can for artificial input.
     """
 
     quadruples: List[Tuple[int, int, int, int]]
     frames: List[Optional[CrossingFrame]]
-    maps: List[Optional[NormalizationMap]]
     candidates_tested: int
 
     @property
@@ -738,11 +738,13 @@ def find_crossing_pairs(g: NearestNeighborGraph) -> CrossingReport:
     ``<= h``, ties included.  So the windows hold every pair whose boxes
     meet, and more.  Labels, closed bounding-box overlap and non-zero
     lengths are then filtered exactly (``candidates_tested`` counts the
-    survivors), and the crossing test itself is the exact closed-segment
-    predicate :func:`knnlab.geom.segments_intersect`.  When ``W == 0``
-    every edge has zero length and nothing is tested.  Each hit is
-    normalized with :func:`knnlab.regions.normalize_crossing_pair_with_map`.
-    The components are the cached :func:`components` of ``g``.
+    survivors).  Each survivor takes one call of
+    :func:`knnlab.regions.crossing_roles`: its exact closed-segment test
+    is the crossing test, and its roles order the quadruple, so the roles
+    are decided once per crossing.  The points in those roles are then
+    mapped to their frame.  When ``W == 0`` every edge has zero length and
+    nothing is tested.  The components are the cached :func:`components`
+    of ``g``.
 
     Examples
     --------
@@ -755,9 +757,7 @@ def find_crossing_pairs(g: NearestNeighborGraph) -> CrossingReport:
     comps = components(g)
     edges = g.edges()
     pts = g.points
-    quadruples: List[Tuple[int, int, int, int]] = []
-    frames: List[Optional[CrossingFrame]] = []
-    maps: List[Optional[NormalizationMap]] = []
+    hits: List[Tuple[Tuple[int, int, int, int], Optional[CrossingFrame]]] = []
     tested = 0
     if edges.shape[0] >= 2 and comps.num_components >= 2:
         a = pts[edges[:, 0]]
@@ -778,30 +778,19 @@ def find_crossing_pairs(g: NearestNeighborGraph) -> CrossingReport:
         e1, e2 = e1[keep], e2[keep]
         tested = int(e1.size)
         for i, j in zip(e1.tolist(), e2.tolist()):
-            s1 = Segment(Point(*pts[edges[i, 0]]), Point(*pts[edges[i, 1]]))
-            s2 = Segment(Point(*pts[edges[j, 0]]), Point(*pts[edges[j, 1]]))
-            if not segments_intersect(s1, s2):
+            inputs = (*edges[i].tolist(), *edges[j].tolist())
+            corners = [Point(*pts[v]) for v in inputs]
+            roles = crossing_roles(*corners)
+            if roles is None:
                 continue
-            inputs = (int(edges[i, 0]), int(edges[i, 1]),
-                      int(edges[j, 0]), int(edges[j, 1]))
             try:
-                frame, nmap = normalize_crossing_pair_with_map(
-                    s1.a, s1.b, s2.a, s2.b)
+                frame = _frame_in_roles(*(corners[r] for r in roles))
             except ValueError:
-                frame, nmap = None, None
-            if nmap is not None:
-                quad = tuple(inputs[nmap.roles[r]]
-                             for r in ("a1", "a2", "b1", "b2"))
-            else:
-                quad = inputs
-            quadruples.append(quad)  # type: ignore[arg-type]
-            frames.append(frame)
-            maps.append(nmap)
-        order = sorted(range(len(quadruples)), key=lambda t: quadruples[t])
-        quadruples = [quadruples[t] for t in order]
-        frames = [frames[t] for t in order]
-        maps = [maps[t] for t in order]
-    return CrossingReport(quadruples=quadruples, frames=frames, maps=maps,
+                frame = None
+            hits.append((tuple(inputs[r] for r in roles), frame))
+        hits.sort(key=lambda hit: hit[0])
+    return CrossingReport(quadruples=[quad for quad, _ in hits],
+                          frames=[frame for _, frame in hits],
                           candidates_tested=tested)
 
 
@@ -1400,16 +1389,17 @@ def run_trial(n: float, c: float, seed: int, model: str = "mutual"
 
     ``k = ceil(c log n)``; for the ``gilbert`` model the connection radius
     is ``sqrt(c log n / pi)`` (disk area ``c log n``), the analogue of the
-    same coefficient scale.
+    same coefficient scale.  Both are checked as :func:`build_graph` checks
+    them before anything is sampled, so an invalid ``(n, c)`` raises
+    ``ValueError`` whatever the seed.  An empty sample takes the same path
+    as any other: no components, connected, no crossings.
     """
-    _validate_model(model)
-    k = int(math.ceil(c * math.log(n)))
+    scale = c * math.log(n)
+    k = int(math.ceil(scale))
+    radius = (math.sqrt(max(scale, 0.0) / math.pi) if model == "gilbert"
+              else None)
+    _validate_graph_args(model, k, radius)
     ps = sample_poisson(n, seed)
-    radius = math.sqrt(c * math.log(n) / math.pi) if model == "gilbert" else None
-    if len(ps) == 0:
-        return TrialResult(n=n, k=k, c=c, seed=seed, connected=True,
-                           num_components=0, num_crossing_pairs=0,
-                           second_component_size=0)
     g = build_graph(ps, k, model=model, radius=radius)
     comps = components(g)
     connected = comps.num_components <= 1

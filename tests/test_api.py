@@ -2,8 +2,9 @@
 
 Every ``__all__`` entry of the package and its modules must resolve, every
 layer that the benchmark tracer (``perfbench/spans.py``) wraps must exist,
-and every demo script must import and run.  A deletion that breaks any of
-them fails here rather than in a benchmark run or a demo.  The command-line
+every demo script must import and run, and so must README's library
+tour.  A deletion that breaks any of them fails here rather than in a
+benchmark run, a demo or a reader's session.  The command-line
 entry point must also load without ``scipy.optimize``, which the library
 no longer needs, and ``verify`` must run without scipy, which only the
 simulation half needs.
@@ -78,6 +79,16 @@ _DEMO_ARGS = {
 def test_demo_runs(name, capsys):
     _load(ROOT / "demos" / (name + ".py")).main(*_DEMO_ARGS[name])
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("## Library tour")) + 10
+    code = readme[start:readme.index("```", start)]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["cert"].name == "ratio"
+    assert len(scope["report"].quadruples) == len(scope["report"].frames)
 
 
 def _fresh(code, cwd=None):

@@ -319,23 +319,13 @@ def test_certificate_config_hash_tracks_config():
     assert c1.config_hash != c2.config_hash
 
 
-def _census_parts(s, exclusion="either"):
-    return {"lplus": bounds.verify_L_plus(s),
-            "lminus": bounds.verify_L_minus(s),
-            "hplus": bounds.verify_H_plus(s, exclusion=exclusion),
-            "hminus": bounds.verify_H_minus(s)}
-
-
-def test_crossing_ratio_checks_the_hplus_reading_it_records():
-    s = 0.02
-    parts = _census_parts(s, exclusion="intersection")
-    with pytest.raises(ValueError, match="exclusion='either'"):
-        bounds.crossing_ratio(s, components=parts)
-
-
 @pytest.fixture(scope="module")
 def parts_at_coarse_step():
-    return _census_parts(0.02)
+    s = 0.02
+    return {"lplus": bounds.verify_L_plus(s),
+            "lminus": bounds.verify_L_minus(s),
+            "hplus": bounds.verify_H_plus(s),
+            "hminus": bounds.verify_H_minus(s)}
 
 
 @pytest.mark.parametrize("case", ["missing", "other-step", "hplus-reading",

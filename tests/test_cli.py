@@ -204,6 +204,19 @@ def test_simulate_rejects_bad_usage(capsys):
     assert "provide --c" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "0.3", "--c", "2.0"], "k must be non-negative"),
+    (["--n", "1", "--c", "1.0", "--model", "gilbert"], "positive radius"),
+], ids=["negative-k", "zero-radius"])
+def test_simulate_rejects_invalid_graph_arguments_on_every_seed(
+        argv, message, capsys):
+    # An empty sample must not let an invalid k or radius through.
+    for seed in range(40):
+        assert main(["simulate", *argv, "--trials", "2",
+                     "--seed", str(seed)]) == 2
+        assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -224,6 +237,19 @@ def test_check_clean_run_reports_no_violations(capsys):
     assert 0.0 <= report["good_wilson_lo"] <= report["good_fraction"] \
         <= report["good_wilson_hi"] <= 1.0
     assert report["k"] == 6
+
+
+def test_check_counts_tiny_point_sets_by_check_goodness(capsys):
+    # At n = 2 most samples have 0 or 1 points, and none is counted good
+    # without being checked.
+    assert main(["check", "--n", "2", "--trials", "50", "--samples", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    consts = knnlab.model_constants(1.0, n=2.0)
+    good = sum(
+        sim.check_goodness(sim.build_graph(
+            sim.sample_poisson(2.0, sim._trial_seed(0, 0, t)), 1), consts).good
+        for t in range(50))
+    assert report["good_fraction"] == good / 50
 
 
 def test_check_injected_bug_is_caught(capsys):

@@ -7,10 +7,11 @@ import doctest
 import pytest
 
 import knnlab.geom
+import knnlab.regions
 import knnlab.sim
 
 
-@pytest.mark.parametrize("module", [knnlab.sim, knnlab.geom],
+@pytest.mark.parametrize("module", [knnlab.sim, knnlab.geom, knnlab.regions],
                          ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)

@@ -19,8 +19,8 @@ from knnlab.regions import (
     Z_MINUS,
     CrossingFrame,
     build_named_regions,
+    crossing_roles,
     normalize_crossing_pair,
-    normalize_crossing_pair_with_map,
     s1_polygon,
     s2_triangle,
 )
@@ -79,16 +79,28 @@ def test_normalize_undoes_similarity_transformations():
 
 
 def test_normalize_reflects_when_a1_below_axis():
-    f, nmap = normalize_crossing_pair_with_map(
-        Point(0.45, -0.2), Point(0.5, 0.3), Point(0.0, 0.0), Point(1.0, 0.0))
-    assert nmap.reflected
-    assert f.a1.y >= 0.0 >= f.a2.y
+    inputs = (Point(0.45, -0.2), Point(0.5, 0.3), Point(0.0, 0.0),
+              Point(1.0, 0.0))
+    assert crossing_roles(*inputs) == (0, 1, 2, 3)
+    f = normalize_crossing_pair(*inputs)
+    assert (f.a1, f.a2) == (Point(0.45, 0.2), Point(0.5, -0.3))
 
 
 def test_normalize_requires_intersecting_segments():
     with pytest.raises(ValueError):
         normalize_crossing_pair(Point(0.0, 1.0), Point(1.0, 1.0),
                                 Point(0.0, 0.0), Point(1.0, 0.0))
+
+
+def test_crossing_roles_is_none_for_segments_that_do_not_meet():
+    # Parallel, collinear but apart, and crossing lines whose segments
+    # stop short of the crossing.
+    assert crossing_roles((0.0, 1.0), (1.0, 1.0), (0.0, 0.0), (1.0, 0.0)) is None
+    assert crossing_roles((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)) is None
+    assert crossing_roles((0.0, 0.0), (1.0, 1.0), (3.0, 0.0), (2.1, 0.9)) is None
+    # A touch at an endpoint is a meeting.
+    assert crossing_roles((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 2.0)) \
+        is not None
 
 
 def test_normalize_roles_and_similarity_roundtrip():
@@ -109,34 +121,35 @@ def test_normalize_roles_and_similarity_roundtrip():
         a2 = Point(cross.x - lb * u[0], cross.y - lb * u[1])
         inputs = [a1, a2, b1, b2]
         try:
-            frame, nmap = normalize_crossing_pair_with_map(*inputs)
+            frame = normalize_crossing_pair(*inputs)
         except ValueError:
             # Extreme configurations may fall outside the frame's domain.
             continue
         built += 1
-        roles = nmap.roles
-        assert sorted(roles.values()) == [0, 1, 2, 3]
-        pa1, pa2 = inputs[roles["a1"]], inputs[roles["a2"]]
-        pb1, pb2 = inputs[roles["b1"]], inputs[roles["b2"]]
+        roles = crossing_roles(*inputs)
+        assert sorted(roles) == [0, 1, 2, 3]
+        pa1, pa2, pb1, pb2 = (inputs[r] for r in roles)
         # Role conventions in the original coordinates.
         assert distance(pa1, pa2) <= distance(pb1, pb2) * (1.0 + 1e-12)
         bseg = Segment(pb1, pb2)
         assert (point_segment_distance(pa1, bseg)
                 <= point_segment_distance(pa2, bseg) + 1e-12)
         assert distance(pa1, pb1) <= distance(pa1, pb2) + 1e-12
-        assert nmap.scale == pytest.approx(distance(pb1, pb2), rel=1e-15)
-        # Reapply the similarity by hand and compare with the frame.
-        ex = (pb2.x - pb1.x) / nmap.scale
-        ey = (pb2.y - pb1.y) / nmap.scale
+        # Reapply the similarity by hand, reflecting when a1 falls below
+        # the axis, and compare with the frame.
+        scale = distance(pb1, pb2)
+        ex = (pb2.x - pb1.x) / scale
+        ey = (pb2.y - pb1.y) / scale
 
         def forward(p: Point) -> Point:
             dx, dy = p.x - pb1.x, p.y - pb1.y
-            x = (dx * ex + dy * ey) / nmap.scale
-            y = (-dx * ey + dy * ex) / nmap.scale
-            return Point(x, -y) if nmap.reflected else Point(x, y)
+            return Point((dx * ex + dy * ey) / scale,
+                         (-dx * ey + dy * ex) / scale)
 
         fa1 = forward(pa1)
         fa2 = forward(pa2)
+        if fa1.y < 0.0 or fa2.y > 0.0:
+            fa1, fa2 = Point(fa1.x, -fa1.y), Point(fa2.x, -fa2.y)
         assert fa1.x == pytest.approx(frame.a1.x, abs=1e-12)
         assert fa1.y == pytest.approx(frame.a1.y, abs=1e-12)
         assert fa2.x == pytest.approx(frame.a2.x, abs=1e-12)
