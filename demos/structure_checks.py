@@ -15,10 +15,10 @@ decisions that matter):
   {w, x} == {y, z}, so the totals say how many were not.
 
 A goodness report then evaluates six conditions that together describe
-the typical geometry of a near-threshold graph.  Conditions 1, 2, 4, 5
-and 6 are exact.  Condition 3 (an empty half-disk of radius D in the
-window) tries five directions per wide angular gap, so it can miss an
-admissible one; it reports bad only on an exactly verified half-disk.
+the typical geometry of a near-threshold graph.  All six are exact.
+Condition 3 (an empty half-disk of radius D in the window) meets, per
+point, the closed arc of directions whose half-disk fits the window with
+the open arc whose half-disk holds no other point; both are closed form.
 
 Run:  python demos/structure_checks.py [seeds]
 """

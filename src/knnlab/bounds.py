@@ -177,24 +177,28 @@ def model_constants(c: float, n: Optional[float] = None,
     Parameters
     ----------
     c : float
-        Neighbour coefficient (``k = c log n``); must be positive.
+        Neighbour coefficient (``k = c log n``); must be positive and
+        finite.
     n : float, optional
         Window area; when given, the absolute radii ``r`` and ``R`` are
-        included (``n > 1`` required so ``log n > 0``).
+        included (finite ``n > 1`` required so ``0 < log n < inf``).
     c_prime : float, optional
         Extra competitor in the diameter coefficient ``d`` (defaults to 0;
-        the remaining terms dominate for all coefficients of interest).
+        the remaining terms dominate for all coefficients of interest);
+        must be finite.
     """
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not (c > 0.0 and math.isfinite(c)):
+        raise ValueError("c must be positive and finite")
+    if not math.isfinite(c_prime):
+        raise ValueError("c_prime must be finite")
     c_minus = c * math.exp(-1.0 - 1.0 / c)
     c_plus = 4.0 * math.e * (1.0 + c)
     d = max(c_prime, 4.0 * math.sqrt(c_plus / math.pi),
             1.0 / (4.0 * math.sqrt(c_minus / math.pi)), 1.0)
     r = R = None
     if n is not None:
-        if n <= 1.0:
-            raise ValueError("n must exceed 1")
+        if not (n > 1.0 and math.isfinite(n)):
+            raise ValueError("n must exceed 1 and be finite")
         r = math.sqrt(c_minus * math.log(n) / math.pi)
         R = math.sqrt(c_plus * math.log(n) / math.pi)
     return ModelConstants(c=c, c_minus=c_minus, c_plus=c_plus, d=d,

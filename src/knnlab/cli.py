@@ -21,7 +21,11 @@ Every option, its type and its default are declared once, in
 exactly like the flag of the same name, unknown keys are rejected, and
 explicit flags override file values.  Counts are validated when parsed:
 ``--threads`` and ``--trials`` must be positive, ``--samples``
-non-negative.  ``verify``, ``simulate`` and ``check`` accept ``--seed``
+non-negative.  Other numbers are checked before any ``log`` or ``int``
+of them: ``--n`` must be finite and positive (above 1 for ``constants``
+and ``check``), ``--c`` finite (and positive for ``constants`` and
+``check``), and a ``simulate`` sweep's ``(c_max - c_min) / c_step``
+finite.  ``verify``, ``simulate`` and ``check`` accept ``--seed``
 (``constants`` has nothing random to seed).  Every command writes a run
 manifest next to any file outputs recording the resolved configuration,
 the seed (``null`` when the command takes none) and SHA-256 digests of
@@ -300,15 +304,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.c_min = args.c_max = args.c
     if args.c_min is None or args.c_max is None:
         raise ValueError("provide --c or both --c-min and --c-max")
+    if not (math.isfinite(args.c_min) and math.isfinite(args.c_max)):
+        raise ValueError("c must be finite")
     if args.c_max < args.c_min:
         raise ValueError("c_max must be at least c_min")
-    if args.c_step <= 0.0:
+    if not args.c_step > 0.0:
         raise ValueError("c_step must be positive")
+    steps = (args.c_max - args.c_min) / args.c_step
+    if not math.isfinite(steps):
+        raise ValueError("(c_max - c_min) / c_step must be finite")
     from . import sim
 
     t0 = time.perf_counter()
-    count = int(math.floor((args.c_max - args.c_min) / args.c_step
-                           + 1e-9)) + 1
+    count = int(math.floor(steps + 1e-9)) + 1
     c_values = [args.c_min + i * args.c_step for i in range(count)]
     estimates = sim.estimate_connectivity(
         args.n, c_values, trials=args.trials, master_seed=args.seed,
@@ -347,8 +355,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     n, c, trials = args.n, args.c, args.trials
     t0 = time.perf_counter()
+    consts = bounds.model_constants(c, n=n)  # checks c and n before the log
     k = int(math.ceil(c * math.log(n)))
-    consts = bounds.model_constants(c, n=n)
 
     half_disk_violations = 0
     iu_failures = 0

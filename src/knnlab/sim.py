@@ -1101,89 +1101,74 @@ def check_farapart(g: NearestNeighborGraph
 # ---------------------------------------------------------------------------
 
 
-def _cos_extremes(lo: float, hi: float) -> Tuple[float, float]:
-    """Range of ``cos`` over the angle interval ``[lo, hi]``."""
-    vals = [math.cos(lo), math.cos(hi)]
-    two_pi = 2.0 * math.pi
-    k_lo = math.ceil(lo / two_pi)
-    if lo <= k_lo * two_pi <= hi:
-        vals.append(1.0)
-    k_lo = math.ceil((lo - math.pi) / two_pi)
-    if lo <= k_lo * two_pi + math.pi <= hi:
-        vals.append(-1.0)
-    return min(vals), max(vals)
+def _fitting_arcs(pts: np.ndarray, radius: float, side: float
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Directions whose half-disk at each point lies in the window.
 
+    The half-disk of direction ``u`` at ``p`` is ``{p + t v : 0 <= t <=
+    radius, v . u >= 0}``, ``v`` a unit vector.  Towards a wall with inward
+    normal ``w`` at distance ``d`` it reaches ``radius |sin(u - w)|`` past
+    ``p`` (at a diameter end) when ``u . w > 0``, and ``radius`` otherwise.
+    So a wall with ``d >= radius`` allows every direction, and one with
+    ``d < radius`` exactly the closed arc within ``asin(d / radius)`` of
+    ``w``.  Two opposite walls both nearer than ``radius`` allow no
+    direction.  Otherwise, reflected so that the nearer walls are the left
+    (``w = 0``) and the bottom (``w = pi / 2``) one, the two arcs meet in one
+    closed arc, which is empty iff ``asin(dx / radius) + asin(dy / radius) <
+    pi / 2``, that is iff ``dx**2 + dy**2 < radius**2``.
 
-def _half_disk_bbox(px: float, py: float, u: float, radius: float
-                    ) -> Tuple[float, float, float, float]:
-    """Axis-aligned bounding box of the closed half-disk at ``p``.
-
-    The half-disk is ``{p + t v : 0 <= t <= radius, v in unit directions
-    within pi/2 of u}`` — centre on the boundary diameter, bulge towards
-    ``u``.
+    Returns aligned arrays ``(centre, half)``: point ``i`` fits the arc
+    within ``half[i]`` of ``centre[i]``, every direction when ``half[i] >=
+    pi`` and none when ``half[i] < 0``.
     """
-    lo_c, hi_c = _cos_extremes(u - math.pi / 2.0, u + math.pi / 2.0)
-    lo_s, hi_s = _cos_extremes(u - math.pi, u)  # sin t = cos(t - pi/2)
-    return (px + radius * min(lo_c, 0.0), py + radius * min(lo_s, 0.0),
-            px + radius * max(hi_c, 0.0), py + radius * max(hi_s, 0.0))
+    near = np.minimum(pts, side - pts)
+    # A wall at least radius away allows every direction: half-width 2 pi.
+    wall = np.where(near < radius,
+                    np.arcsin(np.minimum(near, radius) / radius), 2.0 * math.pi)
+    lo = np.maximum(-wall[:, 0], 0.5 * math.pi - wall[:, 1])
+    hi = np.minimum(wall[:, 0], 0.5 * math.pi + wall[:, 1])
+    centre = 0.5 * (lo + hi)
+    centre = np.where(pts[:, 0] <= side - pts[:, 0], centre, math.pi - centre)
+    centre = np.where(pts[:, 1] <= side - pts[:, 1], centre, -centre)
+    opposite = np.any(np.maximum(pts, side - pts) < radius, axis=1)
+    return centre, np.where(opposite, -1.0, 0.5 * (hi - lo))
 
 
 def _empty_half_disk(pts: np.ndarray, tree: cKDTree, idx: int, radius: float,
-                     side: float) -> Optional[float]:
-    """Direction ``u`` of an empty half-disk at point ``idx``, if one exists.
+                     centre: float, half: float) -> Optional[float]:
+    """A direction ``u`` within ``half`` of ``centre`` whose closed half-disk
+    at point ``idx`` holds no other point, or ``None``.
 
-    The half-disk of direction ``u`` is empty of other points iff no
-    neighbour within ``radius`` has direction within ``pi/2`` of ``u``; such
-    ``u`` exist iff the sorted neighbour directions leave an angular gap
-    greater than ``pi``.  Candidate directions from each gap are then tested
-    for window containment through the exact half-disk bounding box.
-    Returns a valid direction or ``None``.
-
-    :func:`_half_disk_survivors` skips the points where no box can fit.
+    Copies of ``p = pts[idx]`` do not block.  Every other point within
+    ``radius`` blocks the directions within ``pi / 2`` of its own, ends
+    included, so the empty directions are the open arc ``(a + pi / 2, a +
+    gap - pi / 2)`` of the widest angular gap ``(a, a + gap)`` between
+    neighbour directions, empty unless ``gap > pi``, and the whole circle
+    when no other point is that near.  A straight edge (``gap == pi``)
+    leaves none.  ``(centre, half)`` is a non-empty fit arc of
+    :func:`_fitting_arcs`; returns the midpoint of the two arcs' meet,
+    reduced modulo ``2 pi``.
     """
     p = pts[idx]
     _, ids = _ball_members(tree, p[None, :], [radius])
-    rel = pts[ids[ids != idx]] - p
-    rel = rel[np.hypot(rel[:, 0], rel[:, 1]) <= radius]
+    rel = pts[ids] - p
+    dist = np.hypot(rel[:, 0], rel[:, 1])
+    rel = rel[(dist > 0.0) & (dist <= radius)]
+    two_pi = 2.0 * math.pi
+    if rel.size == 0:
+        return centre % two_pi
     ang = np.sort(np.arctan2(rel[:, 1], rel[:, 0]))
-    if ang.size == 0 or ang[0] == ang[-1]:
-        # No neighbour, or all in one direction (one point, a ray,
-        # duplicates): the rest of the circle is a single gap.
-        gaps = [(float(ang[0]) if ang.size else 0.0, 2.0 * math.pi)]
-    else:
-        # Gap t runs from ang[t] to the next direction, cyclically.
-        width = np.diff(ang, append=ang[0]) % (2.0 * math.pi)
-        gaps = [(float(ang[t]), float(width[t]))
-                for t in np.flatnonzero(width > math.pi)]
-    for start, width in gaps:
-        # u must keep all neighbour directions out of (u - pi/2, u + pi/2):
-        # any u in [start + pi/2, start + width - pi/2] does.
-        span = width - math.pi
-        for frac in (0.5, 0.0, 1.0, 0.25, 0.75):
-            u = start + math.pi / 2.0 + span * frac
-            x0, y0, x1, y1 = _half_disk_bbox(float(p[0]), float(p[1]), u,
-                                             radius)
-            if x0 >= 0.0 and y0 >= 0.0 and x1 <= side and y1 <= side:
-                return u % (2.0 * math.pi)
-    return None
-
-
-def _half_disk_survivors(pts: np.ndarray, radius: float,
-                         side: float) -> np.ndarray:
-    """Ascending indices of the points :func:`_empty_half_disk` may accept.
-
-    A direction is accepted only if the half-disk's bounding box lies in the
-    window.  The box holds both ends ``p +- radius v`` of the diameter
-    (``v`` a unit vector), so ``radius |v_x| <= min(p_x, side - p_x)`` and
-    likewise for ``y``, hence ``min(p_x, side - p_x)**2 +
-    min(p_y, side - p_y)**2 >= radius**2``.  Points within ``1e-9 radius`` of
-    passing are kept, far above the rounding of the quantities compared, so
-    every point left out is one where :func:`_empty_half_disk` returns
-    ``None``.
-    """
-    near = np.minimum(pts, side - pts)
-    return np.flatnonzero(np.hypot(near[:, 0], near[:, 1])
-                          >= radius - _SLACK * radius)
+    # Gap t runs from ang[t] to the next direction, cyclically.
+    gaps = np.diff(ang, append=ang[0] + two_pi)
+    t = int(np.argmax(gaps))
+    # The empty arc, centred within pi of the fit arc's centre.  A fit arc
+    # that is not the circle is narrower than pi and the empty arc at most
+    # pi wide, so no other lap of the empty arc can meet it.
+    m = (ang[t] + 0.5 * gaps[t] - centre + math.pi) % two_pi - math.pi
+    e = 0.5 * (gaps[t] - math.pi)
+    u = 0.5 * (max(-half, m - e) + min(half, m + e))
+    # u lies in the fit arc whenever it lies in the open empty arc.
+    return (centre + u) % two_pi if m - e < u < m + e else None
 
 
 @dataclass(frozen=True)
@@ -1192,7 +1177,8 @@ class GoodnessReport:
 
     ``bad[i]`` is ``True`` when condition ``i + 1`` fails (the configuration
     is bad in that sense); ``witnesses`` maps the 1-based condition number of
-    each failure to a witness object.  ``good`` means all six passed.
+    each failure to a witness object.  ``good`` means all six passed.  All
+    six are decided exactly (see :func:`check_goodness`).
 
     The conditions, with ``D = d * sqrt(log n)`` and tile side
     ``sqrt(log n) / (20000 d)``:
@@ -1219,14 +1205,20 @@ def check_goodness(g: NearestNeighborGraph, consts: ModelConstants
     """Evaluate the six badness conditions of :class:`GoodnessReport`.
 
     ``consts`` supplies the diameter scale ``d``; the intensity ``n`` comes
-    from the graph's window.  Every test is deterministic, and conditions 1,
-    2, 4, 5 and 6 are exact.  Condition 3 reports bad only on an exactly
-    verified empty half-disk (direction-gap argument plus exact bounding-box
-    containment), so a bad verdict is always genuine.  Points too close to
-    the boundary for any half-disk to fit are skipped first (see
-    :func:`_half_disk_survivors`); the rest are scanned in index order, so the
-    verdict and witness are those of a scan of every point.  Conditions 2
-    and 3 query the point set's tree, 4 to 6 the cached :func:`components`.
+    from the graph's window.  Every test is deterministic and all six are
+    exact.  Condition 3 meets two closed-form sets of directions per point:
+    the arc whose half-disk lies in the window (:func:`_fitting_arcs`, one
+    vectorised pass) and the arc whose closed half-disk holds no other point
+    (:func:`_empty_half_disk`).  Only points with a non-empty fit arc are
+    scanned, in index order, so the verdict and witness ``(index,
+    direction)`` are those of a scan of every point, and the direction lies
+    in both arcs.  Both arcs come from ``asin``, ``arctan2`` and
+    comparisons of the coordinates, so a configuration is decided by its
+    exact geometry except within a few ulps of a tie (a wall at distance
+    exactly ``D``, a gap of exactly ``pi``, ``dx**2 + dy**2 == D**2``); the
+    skip and the scan read the same arcs, so no slack is needed between
+    them.  Conditions 2 and 3 query the point set's tree, 4 to 6 the cached
+    :func:`components`.
 
     Examples
     --------
@@ -1244,7 +1236,6 @@ def check_goodness(g: NearestNeighborGraph, consts: ModelConstants
     root = math.sqrt(log_n)
     d = consts.d
     big_d = d * root
-    side = g.pointset.window.side
     pts = g.points
     edges = g.edges()
     bad = [False] * 6
@@ -1273,8 +1264,10 @@ def check_goodness(g: NearestNeighborGraph, consts: ModelConstants
         witnesses[2] = (int(i), int(j), float(math.hypot(*(pts[j] - pts[i]))))
 
     # Condition 3: empty half-disk of radius D fully inside the window.
-    for i in _half_disk_survivors(pts, big_d, side).tolist():
-        u = _empty_half_disk(pts, g.pointset.tree, i, big_d, side)
+    centre, half = _fitting_arcs(pts, big_d, g.pointset.window.side)
+    for i in np.flatnonzero(half >= 0.0).tolist():
+        u = _empty_half_disk(pts, g.pointset.tree, i, big_d, centre[i],
+                             half[i])
         if u is not None:
             bad[2] = True
             witnesses[3] = (i, float(u))
@@ -1389,11 +1382,17 @@ def run_trial(n: float, c: float, seed: int, model: str = "mutual"
 
     ``k = ceil(c log n)``; for the ``gilbert`` model the connection radius
     is ``sqrt(c log n / pi)`` (disk area ``c log n``), the analogue of the
-    same coefficient scale.  Both are checked as :func:`build_graph` checks
-    them before anything is sampled, so an invalid ``(n, c)`` raises
-    ``ValueError`` whatever the seed.  An empty sample takes the same path
-    as any other: no components, connected, no crossings.
+    same coefficient scale.  ``n`` must be positive and finite and ``c``
+    finite, and both ``k`` and the radius are checked as
+    :func:`build_graph` checks them, all before anything is sampled, so an
+    invalid ``(n, c)`` raises ``ValueError`` whatever the seed.  An empty
+    sample takes the same path as any other: no components, connected, no
+    crossings.
     """
+    if not (n > 0.0 and math.isfinite(n)):
+        raise ValueError("n must be positive and finite")
+    if not math.isfinite(c):
+        raise ValueError("c must be finite")
     scale = c * math.log(n)
     k = int(math.ceil(scale))
     radius = (math.sqrt(max(scale, 0.0) / math.pi) if model == "gilbert"

@@ -85,6 +85,20 @@ def test_model_constants_reject_nonpositive_c():
         model_constants(0.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(c=math.nan), "c must be positive and finite"),
+    (dict(c=math.inf), "c must be positive and finite"),
+    (dict(c=1.0, n=math.nan), "n must exceed 1 and be finite"),
+    (dict(c=1.0, n=math.inf), "n must exceed 1 and be finite"),
+    (dict(c=1.0, c_prime=math.nan), "c_prime must be finite"),
+], ids=["c-nan", "c-inf", "n-nan", "n-inf", "c_prime-nan"])
+def test_model_constants_reject_non_finite_arguments(kwargs, message):
+    # NaN slips past every comparison, so each argument is checked to be
+    # finite, not only compared with its bound.
+    with pytest.raises(ValueError, match=message):
+        model_constants(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # closed-form constants
 # ---------------------------------------------------------------------------

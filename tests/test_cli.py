@@ -217,6 +217,34 @@ def test_simulate_rejects_invalid_graph_arguments_on_every_seed(
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--n", "0", "--c", "1"], "n must be positive and finite"),
+    (["simulate", "--n", "-3", "--c", "1"], "n must be positive and finite"),
+    (["simulate", "--n", "inf", "--c", "1"], "n must be positive and finite"),
+    (["simulate", "--n", "nan", "--c", "1"], "n must be positive and finite"),
+    (["simulate", "--n", "100", "--c", "nan"], "c must be finite"),
+    (["simulate", "--n", "100", "--c-min", "1", "--c-max", "inf"],
+     "c must be finite"),
+    (["simulate", "--n", "100", "--c-min", "0.5", "--c-max", "1",
+      "--c-step", "1e-320"], "(c_max - c_min) / c_step must be finite"),
+    (["simulate", "--n", "100", "--c-min", "0.5", "--c-max", "1",
+      "--c-step", "nan"], "c_step must be positive"),
+    (["check", "--n", "0"], "n must exceed 1 and be finite"),
+    (["check", "--n", "-2"], "n must exceed 1 and be finite"),
+    (["check", "--n", "inf"], "n must exceed 1 and be finite"),
+    (["check", "--n", "100", "--c", "nan"], "c must be positive and finite"),
+    (["constants", "--c", "nan"], "c must be positive and finite"),
+], ids=["simulate-n-0", "simulate-n-negative", "simulate-n-inf",
+        "simulate-n-nan", "simulate-c-nan", "simulate-c-max-inf",
+        "simulate-c-step-tiny", "simulate-c-step-nan", "check-n-0",
+        "check-n-negative", "check-n-inf", "check-c-nan", "constants-c-nan"])
+def test_out_of_range_numbers_are_usage_errors(argv, message, capsys):
+    # Each is rejected by the rule it breaks before any log or int
+    # conversion, so none ends in a math error or a traceback.
+    assert main(argv) == 2
+    assert "error: %s" % message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

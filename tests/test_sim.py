@@ -802,10 +802,13 @@ def test_condition_three_pads_its_ball_radius():
     pts = np.vstack([[[50.0, 50.0], [58.0, 50.0]],
                      [50.0, 50.0] + 4.0 * np.column_stack((np.cos(angles),
                                                            np.sin(angles)))])
-    assert sim._empty_half_disk(pts, cKDTree(pts), 0, 8.0, 100.0) is None
-    assert sim._empty_half_disk(pts, _ShrunkTree(pts), 0, 8.0, 100.0) is None
+    centre, half = sim._fitting_arcs(pts[:1], 8.0, 100.0)
+    arc = (0, 8.0, centre[0], half[0])
+    assert half[0] >= math.pi
+    assert sim._empty_half_disk(pts, cKDTree(pts), *arc) is None
+    assert sim._empty_half_disk(pts, _ShrunkTree(pts), *arc) is None
     assert sim._empty_half_disk(pts[[0, 2, 3, 4]], cKDTree(pts[[0, 2, 3, 4]]),
-                                0, 8.0, 100.0) == 0.0
+                                *arc) == 0.0
 
 
 def test_condition_two_pads_its_pair_radius():
@@ -1295,6 +1298,113 @@ def test_goodness_detects_empty_half_disk():
     assert 0.0 <= direction < 2.0 * math.pi
 
 
+def _fits_window(p, u, radius, side, tol=0.0):
+    """Whether the closed half-disk of each direction ``u`` at ``p`` lies in
+    the window, to within ``tol``.
+
+    Its extreme points in ``x`` and ``y`` are its diameter ends and those
+    of ``p +- radius e_x``, ``p +- radius e_y`` that lie on its arc.
+    """
+    v = np.column_stack((np.cos(u), np.sin(u)))
+    perp = radius * v[:, ::-1] * [-1.0, 1.0]
+
+    def inside(q):
+        return np.all((q >= -tol) & (q <= side + tol), axis=-1)
+
+    ok = inside(p + perp) & inside(p - perp)
+    for e in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]):
+        ok &= (v @ e < 0.0) | inside(p + radius * np.array(e))
+    return ok
+
+
+def _empty_towards(pts, i, u, radius):
+    """Whether the closed half-disk of each direction ``u`` at ``pts[i]``
+    holds no point other than copies of ``pts[i]``, by brute force."""
+    rel = pts - pts[i]
+    dist = np.hypot(rel[:, 0], rel[:, 1])
+    rel = rel[(dist > 0.0) & (dist <= radius)]
+    v = np.column_stack((np.cos(u), np.sin(u)))
+    return ~np.any(v @ rel.T >= 0.0, axis=1)
+
+
+def _between(angles):
+    """Midpoints between cyclically consecutive ``angles`` (``[0.0]`` when
+    there are none)."""
+    a = np.unique(np.mod(angles, 2.0 * math.pi))
+    if a.size == 0:
+        return np.array([0.0])
+    return (a + np.append(a[1:], a[0] + 2.0 * math.pi)) / 2.0
+
+
+def _condition_three_reference(pts, radius, side):
+    """Per point, whether some half-disk fits the window, and a direction
+    of an empty fitting half-disk or ``None``.
+
+    Both direction sets change only at critical angles: the ends of each
+    wall's arc ``w +- asin(d / radius)`` (inward normal ``w``, distance
+    ``d < radius``), and each neighbour's direction ``+- pi / 2``.  A
+    non-empty fit set (closed) holds a wall-arc end or a midpoint between
+    consecutive wall-arc ends; a non-empty meet with the empty set (open)
+    holds a wall-arc end or a midpoint between consecutive critical angles.
+    Each candidate is tested directly.
+    """
+    tol = 1e-9 * radius
+    fits, found = [], []
+    for i, p in enumerate(pts):
+        walls = []
+        for d, w in ((p[0], 0.0), (side - p[0], math.pi),
+                     (p[1], math.pi / 2.0), (side - p[1], -math.pi / 2.0)):
+            if d < radius:
+                h = math.asin(d / radius)
+                walls += [w - h, w + h]
+        fit = np.concatenate([walls, _between(walls)])
+        fits.append(bool(_fits_window(p, fit, radius, side, tol).any()))
+        found.append(None)
+        if not fits[-1]:
+            continue
+        rel = pts - p
+        dist = np.hypot(rel[:, 0], rel[:, 1])
+        phi = np.arctan2(rel[:, 1], rel[:, 0])[(dist > 0.0) & (dist <= radius)]
+        u = np.concatenate([walls, _between(np.concatenate(
+            [walls, phi - math.pi / 2.0, phi + math.pi / 2.0]))])
+        u = u[_fits_window(p, u, radius, side, tol)]
+        hit = u[_empty_towards(pts, i, u, radius)]
+        if hit.size:
+            found[-1] = float(hit[0])
+    return fits, found
+
+
+def _check_condition_three(ps, consts, k=3):
+    """Compare condition 3 of ``check_goodness`` with a direct scan of every
+    point, and every point's fit arc and empty-half-disk verdict with that
+    scan's.  Returns the reference witness, or ``None``.
+    """
+    pts = ps.points
+    radius = consts.d * math.sqrt(math.log(ps.window.n))
+    side = ps.window.side
+    fits, found = _condition_three_reference(pts, radius, side)
+    centre, half = sim._fitting_arcs(pts, radius, side)
+    assert (half >= 0.0).tolist() == fits
+    tree = cKDTree(pts)
+    for i in np.flatnonzero(half >= 0.0):
+        u = sim._empty_half_disk(pts, tree, i, radius, centre[i], half[i])
+        assert (u is None) == (found[i] is None)
+        if u is not None:
+            assert 0.0 <= u < 2.0 * math.pi
+            assert _fits_window(pts[i], [u], radius, side, 1e-9 * radius)
+            assert _empty_towards(pts, i, [u], radius)
+    first = next(((i, u) for i, u in enumerate(found) if u is not None),
+                 None)
+    report = check_goodness(build_graph(ps, k=k, model="mutual"), consts)
+    assert report.bad[2] == (first is not None)
+    if first is not None:
+        i, u = report.witnesses[3]
+        assert i == first[0]
+        assert _fits_window(pts[i], [u], radius, side, 1e-9 * radius)
+        assert _empty_towards(pts, i, [u], radius)
+    return first
+
+
 @pytest.mark.parametrize("others", [
     [[40.0, 50.0]],                   # one neighbour
     [[40.0, 50.0], [45.0, 50.0]],     # two neighbours on one ray
@@ -1307,39 +1417,19 @@ def test_empty_half_disk_when_neighbours_share_one_direction(others):
     # window.
     pts = np.array([[50.0, 50.0]] + others)
     radius, side = 31.9, 100.0
-    u = sim._empty_half_disk(pts, cKDTree(pts), 0, radius, side)
+    centre, half = sim._fitting_arcs(pts, radius, side)
+    u = sim._empty_half_disk(pts, cKDTree(pts), 0, radius, centre[0],
+                             half[0])
     assert u is not None
-    # No neighbour lies strictly within pi/2 of u ...
-    assert np.all((pts[1:] - pts[0]) @ [math.cos(u), math.sin(u)] <= 0.0)
+    # No neighbour lies within pi/2 of u ...
+    assert np.all(((pts[1:] - pts[0]) @ [math.cos(u), math.sin(u)] < 0.0)
+                  | np.all(pts[1:] == pts[0], axis=1))
     # ... and the half-disk, diameter ends included, lies in the window.
     t = u + np.linspace(-math.pi / 2.0, math.pi / 2.0, 10001)
     arc = pts[0] + radius * np.column_stack((np.cos(t), np.sin(t)))
     assert np.all((arc >= 0.0) & (arc <= side))
     ps = PointSet(points=pts, seed=0, window=SampleWindow(side * side))
     assert _check_condition_three(ps, _small_d(side * side, radius))[0] == 0
-
-
-def _check_condition_three(ps, consts, k=3):
-    """Compare condition 3 of ``check_goodness`` with a scan of every point.
-
-    Also checks that every point with an empty half-disk survives the
-    pre-filter, not just the first.  Returns the reference witness.
-    """
-    pts = ps.points
-    radius = consts.d * math.sqrt(math.log(ps.window.n))
-    side = ps.window.side
-    tree = cKDTree(pts)
-    found = [(i, sim._empty_half_disk(pts, tree, i, radius, side))
-             for i in range(len(pts))]
-    accepted = [(i, float(u)) for i, u in found if u is not None]
-    expected = accepted[0] if accepted else None
-    report = check_goodness(build_graph(ps, k=k, model="mutual"), consts)
-    assert report.bad[2] == (expected is not None)
-    assert report.witnesses.get(3) == expected
-    survivors = sim._half_disk_survivors(pts, radius, side).tolist()
-    assert survivors == sorted(set(survivors))
-    assert {i for i, _ in accepted} <= set(survivors)
-    return expected
 
 
 def _small_d(n, radius):
@@ -1365,7 +1455,30 @@ def test_fit_test_leaves_no_point_when_the_window_is_small():
     ps = sample_poisson(1000.0, 0)
     radius = model_constants(1.0, n=1000.0).d * math.sqrt(math.log(1000.0))
     assert radius > ps.window.side / math.sqrt(2.0)
-    assert sim._half_disk_survivors(ps.points, radius, ps.window.side).size == 0
+    _, half = sim._fitting_arcs(ps.points, radius, ps.window.side)
+    assert np.all(half < 0.0)
+
+
+@pytest.mark.parametrize("radius", [5.0, 31.9, 50.0, 70.0])
+def test_fitting_arcs_hold_exactly_the_fitting_directions(radius):
+    # On a grid over a side-100 window: every direction of an arc fits, and
+    # directions 1e-6 beyond its ends do not.
+    side = 100.0
+    grid = np.linspace(0.0, side, 41)
+    pts = np.array([(x, y) for x in grid for y in grid])
+    centre, half = sim._fitting_arcs(pts, radius, side)
+    for p, c, h in zip(pts, centre, half):
+        if h < 0.0:
+            assert not _fits_window(p, np.linspace(0.0, 2.0 * math.pi, 3601),
+                                    radius, side).any()
+            continue
+        assert _fits_window(p, c + np.linspace(-h, h, 9), radius, side,
+                            1e-9 * radius).all()
+        if h < math.pi:
+            assert not _fits_window(p, [c - h - 1e-6, c + h + 1e-6], radius,
+                                    side).any()
+    assert not np.all(half >= 0.0)
+    assert np.any(half >= 0.0) == (radius <= 50.0)
 
 
 def _cone_under_a_hole():
@@ -1400,8 +1513,28 @@ def _lattice_with_duplicates():
     return pts, 100.0, _small_d(100.0, 1.5), grid.index((5.0, 5.0))
 
 
+def _lone_point_by_the_left_wall():
+    # A lone point 5 from the left wall with D = 10: only the directions
+    # within 30 degrees of due east fit, and all of them are empty.
+    return np.array([[5.0, 50.0]]), 10000.0, _small_d(10000.0, 10.0), 0
+
+
+def _narrow_corner_arc():
+    # A point at (0.708 D, 0.708 D) by the lower left corner fits only the
+    # directions within about 0.07 degrees of 45 degrees.  Its one
+    # neighbour, 3 away at 205 degrees, leaves them empty.
+    consts = _small_d(10000.0, 10.0)
+    radius = consts.d * math.sqrt(math.log(10000.0))
+    p = np.array([0.708, 0.708]) * radius
+    t = math.radians(205.0)
+    return (np.array([p + 3.0 * np.array([math.cos(t), math.sin(t)]), p]),
+            10000.0, consts, 1)
+
+
 @pytest.mark.parametrize("make", [_cone_under_a_hole, _touching_two_walls,
-                                  _lattice_with_duplicates])
+                                  _lattice_with_duplicates,
+                                  _lone_point_by_the_left_wall,
+                                  _narrow_corner_arc])
 def test_condition_three_matches_full_scan_on_planted_sets(make):
     pts, n, consts, index = make()
     ps = PointSet(points=pts, seed=0, window=SampleWindow(n))
