@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import _census
@@ -157,17 +157,7 @@ class ModelConstants:
         return None if self.r is None else self.r / 5.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "c_minus": self.c_minus,
-            "c_plus": self.c_plus,
-            "d": self.d,
-            "c_prime": self.c_prime,
-            "n": self.n,
-            "r": self.r,
-            "R": self.R,
-            "separation": self.separation,
-        }
+        return {**asdict(self), "separation": self.separation}
 
 
 def model_constants(c: float, n: Optional[float] = None,
@@ -459,19 +449,10 @@ class Certificate:
         return _passes(self.computed, self.target, self.comparator, self.step)
 
     def to_json_dict(self) -> dict:
-        w = self.witness
-        if isinstance(w, tuple):
-            w = list(w)
-        return {
-            "name": self.name,
-            "step": self.step,
-            "computed": self.computed,
-            "target": self.target,
-            "comparator": self.comparator,
-            "witness": w,
-            "passed": self.passed,
-            "config_hash": self.config_hash,
-        }
+        d = asdict(self)
+        if isinstance(d["witness"], tuple):
+            d["witness"] = list(d["witness"])
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -482,13 +463,10 @@ class Certificate:
 
     @staticmethod
     def from_json_dict(d: Mapping) -> "Certificate":
-        w = d["witness"]
-        if isinstance(w, list):
-            w = tuple(w)
-        return Certificate(name=d["name"], step=d["step"],
-                           computed=d["computed"], target=d["target"],
-                           comparator=d["comparator"], witness=w,
-                           passed=d["passed"], config_hash=d["config_hash"])
+        values = {f.name: d[f.name] for f in fields(Certificate)}
+        if isinstance(values["witness"], list):
+            values["witness"] = tuple(values["witness"])
+        return Certificate(**values)
 
     @staticmethod
     def load(path) -> "Certificate":

@@ -25,11 +25,11 @@ non-negative.  Other numbers are checked before any ``log`` or ``int``
 of them: ``--n`` must be finite and positive (above 1 for ``constants``
 and ``check``), ``--c`` finite (and positive for ``constants`` and
 ``check``), and a ``simulate`` sweep's ``(c_max - c_min) / c_step``
-finite.  ``verify``, ``simulate`` and ``check`` accept ``--seed``
-(``constants`` has nothing random to seed).  Every command writes a run
-manifest next to any file outputs recording the resolved configuration,
-the seed (``null`` when the command takes none) and SHA-256 digests of
-what was produced.  ``verify``, ``simulate`` and ``check`` accept
+finite, giving at most ``10**6`` coefficients.  ``verify``, ``simulate``
+and ``check`` accept ``--seed`` (``constants`` has nothing random to
+seed).  Every command writes a run manifest next to any file outputs
+recording the resolved configuration, the seed (``null`` when the
+command takes none) and SHA-256 digests of what was produced.  ``verify``, ``simulate`` and ``check`` accept
 ``--threads`` (or a config file's ``threads``) and record it; knnlab
 starts no threads of its own, so the value changes nothing else.
 
@@ -62,6 +62,10 @@ _WHICH_CHOICES = ("lplus", "lminus", "hplus", "hminus", "all")
 #: import :mod:`knnlab.sim` and scipy; ``tests/test_cli.py`` checks that
 #: the two agree.
 _MODEL_CHOICES = ("mutual", "either", "gilbert")
+#: Most coefficients one ``simulate`` sweep may take.  Each samples
+#: ``--trials`` graphs, so a longer sweep could never finish, and its
+#: coefficient list is built before the first trial.
+_SWEEP_MAX = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +227,20 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _progress_printer(enabled: bool):
-    if not enabled:
-        return None
+def _progress_printer(name: str):
+    """A census ``progress`` callback that reports to standard error.
+
+    Lines are named after the census and rewritten in place at most every
+    2 s; the last one, with every candidate settled, ends the line.
+    """
     state = {"last": 0.0}
 
     def report(done: int, total: int) -> None:
         now = time.perf_counter()
         if done == total or now - state["last"] > 2.0:
             state["last"] = now
-            sys.stderr.write("\r  %d/%d candidate squares settled"
-                             % (done, total))
+            sys.stderr.write("\r  %s: %d/%d candidate squares settled"
+                             % (name, done, total))
             sys.stderr.flush()
             if done == total:
                 sys.stderr.write("\n")
@@ -246,7 +253,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     validate_step(step)
     if step > 0.01:
         raise ValueError("verification step must be at most 0.01")
-    progress = _progress_printer(args.progress)
     t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,11 +263,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "hplus": bounds.verify_H_plus,
         "hminus": bounds.verify_H_minus,
     }
+
+    def run(name: str) -> bounds.Certificate:
+        progress = _progress_printer(name) if args.progress else None
+        return single[name](step, progress=progress)
+
     if which in single:
-        certificates = [single[which](step, progress=progress)]
+        certificates = [run(which)]
     else:
-        parts = {name: verify(step, progress=progress)
-                 for name, verify in single.items()}
+        parts = {name: run(name) for name in single}
         certificates = [*parts.values(),
                         bounds.crossing_ratio(step, components=parts)]
 
@@ -313,10 +323,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     steps = (args.c_max - args.c_min) / args.c_step
     if not math.isfinite(steps):
         raise ValueError("(c_max - c_min) / c_step must be finite")
+    count = int(math.floor(steps + 1e-9)) + 1
+    if count > _SWEEP_MAX:
+        raise ValueError("(c_max - c_min) / c_step must give at most %d "
+                         "coefficients, since each one samples --trials "
+                         "graphs" % _SWEEP_MAX)
     from . import sim
 
     t0 = time.perf_counter()
-    count = int(math.floor(steps + 1e-9)) + 1
     c_values = [args.c_min + i * args.c_step for i in range(count)]
     estimates = sim.estimate_connectivity(
         args.n, c_values, trials=args.trials, master_seed=args.seed,

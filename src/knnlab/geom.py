@@ -703,6 +703,19 @@ def disks_intersection_area(disks: Sequence) -> float:
     the area follows from the divergence theorem.  Exact up to rounding;
     no sampling or discretisation is involved.
 
+    One pass over the circles decides every case.  A circle that no other
+    circle cuts bounds the intersection alone exactly when its disk lies
+    in every other disk (within ``1e-9``), and then the area is its own
+    ``pi r^2``; a single disk is the case with no other disk to test.  A
+    circle with cuts contributes each arc whose midpoint lies in every
+    other disk.  No arc qualifies only when the intersection is empty or
+    a single point: if the smallest disk lay inside all the others it
+    would either have no cuts, and be returned whole, or at most
+    ``2 (m - 1)`` cuts among ``m`` disks, so that its longest arc, far
+    longer than the ``1e-12`` skipped as degenerate, has its midpoint
+    inside every other disk within the same ``1e-9``.  The empty sum is
+    then returned as ``0.0``.
+
     Parameters
     ----------
     disks : sequence of (x, y, radius) triples
@@ -737,9 +750,6 @@ def disks_intersection_area(disks: Sequence) -> float:
             norm.append(key)
     if not norm:
         raise ValueError("need at least one disk")
-    if len(norm) == 1:
-        r = norm[0][2]
-        return math.pi * r * r
     # Two disjoint or tangent disks meet in at most a point.  Left to the
     # arc loop, the 1e-9 slack of ``inside_all`` can count arcs of such a
     # pair and give a negative area.
@@ -759,7 +769,6 @@ def disks_intersection_area(disks: Sequence) -> float:
         return True
 
     total = 0.0
-    boundary_found = False
     for i, (cx, cy, cr) in enumerate(norm):
         cuts = []
         for j, (ox, oy, orr) in enumerate(norm):
@@ -770,13 +779,12 @@ def disks_intersection_area(disks: Sequence) -> float:
         if not cuts:
             # Circle i is either entirely inside every other disk (it
             # bounds the intersection alone) or entirely outside some disk.
-            if inside_all(cx + cr, cy, i):
-                if all(
-                    math.hypot(cx - ox, cy - oy) + cr <= orr + 1e-9
-                    for j, (ox, oy, orr) in enumerate(norm)
-                    if j != i
-                ):
-                    return math.pi * cr * cr
+            if all(
+                math.hypot(cx - ox, cy - oy) + cr <= orr + 1e-9
+                for j, (ox, oy, orr) in enumerate(norm)
+                if j != i
+            ):
+                return math.pi * cr * cr
             continue
         cuts = sorted(set(cuts))
         m = len(cuts)
@@ -791,23 +799,9 @@ def disks_intersection_area(disks: Sequence) -> float:
             px = cx + cr * math.cos(tm)
             py = cy + cr * math.sin(tm)
             if inside_all(px, py, i):
-                boundary_found = True
                 total += 0.5 * (
                     cr * cx * (math.sin(t2) - math.sin(t1))
                     - cr * cy * (math.cos(t2) - math.cos(t1))
                     + cr * cr * (t2 - t1)
                 )
-    if not boundary_found:
-        # No arc of any circle bounds the intersection: either one disk
-        # lies inside all others (handled above) or the intersection is
-        # empty or a single point.
-        smallest = min(range(len(norm)), key=lambda t: norm[t][2])
-        cx, cy, cr = norm[smallest]
-        if inside_all(cx, cy, smallest) and all(
-            math.hypot(cx - ox, cy - oy) + cr <= orr + 1e-9
-            for j, (ox, oy, orr) in enumerate(norm)
-            if j != smallest
-        ):
-            return math.pi * cr * cr
-        return 0.0
     return max(total, 0.0)

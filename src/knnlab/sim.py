@@ -82,6 +82,11 @@ MODELS = ("mutual", "either", "gilbert")
 #: ``FARAPART_RATIO * |b1 b2|`` from any edge ``b1 b2`` (mutual model).
 FARAPART_RATIO = 1.0 / (4.0 * math.sqrt(6.0))
 
+#: Largest mean numpy's Poisson sampler accepts, ``2**63 - 1`` less ten
+#: standard deviations (about ``9.22e18``), as numpy computes it.
+_POISSON_MEAN_MAX = (np.iinfo(np.int64).max
+                     - 10.0 * math.sqrt(np.iinfo(np.int64).max))
+
 # ---------------------------------------------------------------------------
 # Point sets
 # ---------------------------------------------------------------------------
@@ -164,6 +169,8 @@ def sample_poisson(n: float, seed: int) -> PointSet:
     The number of points is Poisson with mean ``n`` and the locations are
     independent uniforms, both drawn from ``numpy.random.default_rng(seed)``
     (count first, then coordinates), so equal seeds give equal point sets.
+    A mean above numpy's limit for the count (about ``9.22e18``) raises
+    ``ValueError`` before anything is drawn.
 
     Examples
     --------
@@ -175,6 +182,9 @@ def sample_poisson(n: float, seed: int) -> PointSet:
     True
     """
     window = SampleWindow(n)
+    if n > _POISSON_MEAN_MAX:
+        raise ValueError("n must be at most %r, the largest Poisson mean "
+                         "numpy can sample" % _POISSON_MEAN_MAX)
     rng = np.random.default_rng(seed)
     count = int(rng.poisson(n))
     pts = rng.uniform(0.0, window.side, size=(count, 2))
@@ -943,10 +953,12 @@ def _lens_subset_disk(a: Tuple[float, float, float],
                       b: Tuple[float, float, float],
                       c: Tuple[float, float, float],
                       rel_tol: float = 1e-9) -> bool:
-    """Whether the lens ``a ∩ b`` is contained in disk ``c`` (by areas)."""
+    """Whether the lens ``a ∩ b`` is contained in disk ``c`` (by areas).
+
+    An empty lens needs no special case: the triple area is never
+    negative, so ``lens - triple`` is then at most ``0``.
+    """
     lens = disk_lens_area(math.hypot(a[0] - b[0], a[1] - b[1]), a[2], b[2])
-    if lens <= 0.0:
-        return True
     triple = disks_intersection_area([a, b, c])
     return lens - triple <= rel_tol * max(lens, 1e-300)
 
@@ -1327,8 +1339,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96
 class TrialResult:
     """Outcome of a single sampled-graph trial.
 
-    ``num_crossing_pairs`` is 0 for connected graphs without running the
-    crossing search.
+    ``num_crossing_pairs`` counts cross-component crossings, so it is 0
+    for a connected graph.
     ``second_component_size`` is the size of the second-largest component
     (0 when connected).
     """
@@ -1401,16 +1413,11 @@ def run_trial(n: float, c: float, seed: int, model: str = "mutual"
     ps = sample_poisson(n, seed)
     g = build_graph(ps, k, model=model, radius=radius)
     comps = components(g)
-    connected = comps.num_components <= 1
-    if connected:
-        crossings = 0
-    else:
-        crossings = find_crossing_pairs(g).num_crossings
     sizes = comps.sizes_sorted()
     return TrialResult(
-        n=n, k=k, c=c, seed=seed, connected=connected,
+        n=n, k=k, c=c, seed=seed, connected=comps.num_components <= 1,
         num_components=comps.num_components,
-        num_crossing_pairs=crossings,
+        num_crossing_pairs=find_crossing_pairs(g).num_crossings,
         second_component_size=sizes[1] if len(sizes) > 1 else 0)
 
 

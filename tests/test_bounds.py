@@ -11,6 +11,7 @@ scan of their objectives, written out here from the formulas.
 
 from __future__ import annotations
 
+import dataclasses
 import decimal
 import json
 import math
@@ -325,6 +326,16 @@ def test_certificate_json_roundtrip(tmp_path):
     assert set(payload) == {"name", "step", "computed", "target",
                             "comparator", "witness", "passed", "config_hash"}
     assert payload["passed"] is True
+
+
+def test_model_constants_json_holds_every_field_and_the_separation():
+    consts = model_constants(0.9684, n=10000.0)
+    blob = consts.to_json_dict()
+    names = [f.name for f in dataclasses.fields(consts)]
+    assert list(blob) == names + ["separation"]
+    assert blob == {**{name: getattr(consts, name) for name in names},
+                    "separation": consts.separation}
+    assert model_constants(1.0).to_json_dict()["separation"] is None
 
 
 def test_certificate_config_hash_tracks_config():

@@ -118,6 +118,27 @@ def test_verify_all_writes_five_certificates(tmp_path, capsys):
     assert len(manifest["outputs"]) == 5
 
 
+def test_verify_progress_names_each_census(tmp_path, capsys):
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["verify", "--step", "0.01", "--out-dir", str(quiet)]) == 1
+    assert capsys.readouterr().err == ""
+    assert main(["verify", "--step", "0.01", "--out-dir", str(loud),
+                 "--progress"]) == 1
+    lines = capsys.readouterr().err.split("\n")
+    assert lines.pop() == ""
+    names = ("lplus", "lminus", "hplus", "hminus")
+    assert len(lines) == len(names)
+    for name, line in zip(names, lines):
+        updates = line.split("\r")[1:]
+        assert updates and all(u.startswith("  %s: " % name) for u in updates)
+        done, total = updates[-1].split()[1].split("/")
+        assert updates[-1].endswith(" candidate squares settled")
+        assert done == total
+    for cert in quiet.glob("*_0.01.json"):
+        assert (loud / cert.name).read_bytes() == cert.read_bytes()
+    assert len(list(quiet.glob("*_0.01.json"))) == 5
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -217,6 +238,12 @@ def test_simulate_rejects_invalid_graph_arguments_on_every_seed(
         assert message in capsys.readouterr().err
 
 
+_SWEEP_RULE = ("(c_max - c_min) / c_step must give at most 1000000 "
+               "coefficients")
+_MEAN_RULE = ("n must be at most 9.223372006484771e+18, the largest Poisson "
+              "mean numpy can sample")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--n", "0", "--c", "1"], "n must be positive and finite"),
     (["simulate", "--n", "-3", "--c", "1"], "n must be positive and finite"),
@@ -229,6 +256,14 @@ def test_simulate_rejects_invalid_graph_arguments_on_every_seed(
       "--c-step", "1e-320"], "(c_max - c_min) / c_step must be finite"),
     (["simulate", "--n", "100", "--c-min", "0.5", "--c-max", "1",
       "--c-step", "nan"], "c_step must be positive"),
+    (["simulate", "--n", "100", "--c-min", "0", "--c-max", "1",
+      "--c-step", "1e-300"], _SWEEP_RULE),
+    (["simulate", "--n", "100", "--c-min", "0", "--c-max", "1000000",
+      "--c-step", "1"], _SWEEP_RULE),
+    (["simulate", "--n", "1e19", "--c", "1", "--trials", "1"], _MEAN_RULE),
+    (["simulate", "--n", "1e308", "--c", "1", "--trials", "1"], _MEAN_RULE),
+    (["check", "--n", "1e19", "--trials", "1"], _MEAN_RULE),
+    (["check", "--n", "1e308", "--trials", "1"], _MEAN_RULE),
     (["check", "--n", "0"], "n must exceed 1 and be finite"),
     (["check", "--n", "-2"], "n must exceed 1 and be finite"),
     (["check", "--n", "inf"], "n must exceed 1 and be finite"),
@@ -236,11 +271,15 @@ def test_simulate_rejects_invalid_graph_arguments_on_every_seed(
     (["constants", "--c", "nan"], "c must be positive and finite"),
 ], ids=["simulate-n-0", "simulate-n-negative", "simulate-n-inf",
         "simulate-n-nan", "simulate-c-nan", "simulate-c-max-inf",
-        "simulate-c-step-tiny", "simulate-c-step-nan", "check-n-0",
-        "check-n-negative", "check-n-inf", "check-c-nan", "constants-c-nan"])
+        "simulate-c-step-tiny", "simulate-c-step-nan",
+        "simulate-c-step-1e-300", "simulate-sweep-past-the-cap",
+        "simulate-n-1e19", "simulate-n-1e308", "check-n-1e19",
+        "check-n-1e308", "check-n-0", "check-n-negative", "check-n-inf",
+        "check-c-nan", "constants-c-nan"])
 def test_out_of_range_numbers_are_usage_errors(argv, message, capsys):
-    # Each is rejected by the rule it breaks before any log or int
-    # conversion, so none ends in a math error or a traceback.
+    # Each is rejected by the rule it breaks before it is used, so none
+    # ends in a math or numpy error, a traceback, or a sweep that starts
+    # building an endless coefficient list.
     assert main(argv) == 2
     assert "error: %s" % message in capsys.readouterr().err
 
@@ -291,6 +330,16 @@ def test_check_injected_bug_is_caught(capsys):
     assert report["first_violation"]["kind"] == "half_disk"
     assert report["first_violation"]["trial"] == 0
     assert report["first_violation"]["witness"][0] in (x, y)
+
+
+def test_check_injected_bug_needs_a_half_disk_triple(capsys):
+    # No half-disk of these three points holds a third point, so nothing
+    # is planted and the run is clean.
+    assert main(["check", "--n", "3", "--c", "1", "--trials", "1",
+                 "--samples", "5", "--seed", "0", "--inject-bug"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["injected_bug"] is None
+    assert report["deterministic_violations"] == 0
 
 
 @pytest.fixture

@@ -135,6 +135,19 @@ def test_triple_intersection_with_containing_disk():
         disk_lens_area(1.0, 1.0, 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("disks, radius", [
+    ([(0.3, -0.2, 0.7)], 0.7),
+    ([(0.0, 0.0, 2.0), (0.2, 0.1, 0.5), (-0.1, 0.0, 1.5)], 0.5),
+    ([(0.0, 0.0, 1.0), (0.5, 0.0, 0.5)], 0.5),
+    ([(0.0, 0.0, 1.0), (0.5, 0.0, 0.5), (0.25, 0.0, 0.75)], 0.5),
+], ids=["single", "nested", "internally-tangent", "tangent-twice"])
+def test_a_disk_inside_every_other_gives_its_own_area(disks, radius):
+    # The disk of radius ``radius`` lies in every other disk (touching
+    # some from inside), so it is the intersection, cut or not.
+    assert disks_intersection_area(disks) == pytest.approx(
+        math.pi * radius * radius, rel=1e-12)
+
+
 def test_triple_intersection_empty():
     disks = [(0.0, 0.0, 1.0), (5.0, 0.0, 1.0), (2.5, 4.0, 1.0)]
     assert disks_intersection_area(disks) == 0.0

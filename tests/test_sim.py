@@ -63,6 +63,17 @@ def test_sample_poisson_count_is_poisson_scale():
     assert 300 < np.mean(counts) < 500
 
 
+def test_poisson_mean_limit_is_numpys():
+    # numpy draws a count at the limit and refuses the next float up;
+    # ``sample_poisson`` refuses it before drawing.
+    with pytest.raises(ValueError, match="largest Poisson mean"):
+        sample_poisson(np.nextafter(sim._POISSON_MEAN_MAX, math.inf), 0)
+    rng = np.random.default_rng(0)
+    assert rng.poisson(sim._POISSON_MEAN_MAX) > 0
+    with pytest.raises(ValueError):
+        rng.poisson(np.nextafter(sim._POISSON_MEAN_MAX, math.inf))
+
+
 def test_pointset_validation():
     w = SampleWindow(4.0)
     with pytest.raises(ValueError):
@@ -856,6 +867,12 @@ def test_intersect_union_degenerate_pairs_are_true():
     assert check_intersect_union_lemma(g, (e[0], e[1], e[0], e[1])) is True
 
 
+@pytest.mark.parametrize("b", [(3.0, 0.0, 1.0), (2.0, 0.0, 1.0)],
+                         ids=["apart", "tangent"])
+def test_an_empty_lens_lies_in_any_disk(b):
+    assert sim._lens_subset_disk((0.0, 0.0, 1.0), b, (10.0, 10.0, 1.0))
+
+
 def test_intersect_union_needs_both_hypotheses():
     # D(w) = D(x) lies half in D(y) and half in D(z), so the union
     # hypothesis holds, but it reaches past D(z) on the left, so the lens
@@ -1298,6 +1315,14 @@ def test_goodness_detects_empty_half_disk():
     assert 0.0 <= direction < 2.0 * math.pi
 
 
+def test_goodness_condition_six_reports_the_first_crossing():
+    g = build_graph(figure_one_pointset()[0], 20)
+    report = check_goodness(g, model_constants(1.0, n=25.0))
+    assert report.bad[5]
+    assert report.witnesses[6] == find_crossing_pairs(g).quadruples[0] \
+        == (2, 3, 0, 1)
+
+
 def _fits_window(p, u, radius, side, tol=0.0):
     """Whether the closed half-disk of each direction ``u`` at ``p`` lies in
     the window, to within ``tol``.
@@ -1579,6 +1604,18 @@ def test_estimate_connectivity_is_reproducible():
         seconds.append(sizes[1] if len(sizes) > 1 else 0)
         assert r.second_component_size == seconds[-1]
     assert sparse.max_small_component == max(seconds) > 0
+
+
+@pytest.mark.parametrize("c", [0.2, 1.0])
+def test_trial_crossings_are_those_of_its_graph(c):
+    # A connected graph has no cross-component crossing to count.
+    for seed in range(3):
+        r = sim.run_trial(300.0, c, seed)
+        g = build_graph(sample_poisson(300.0, seed), r.k, model="mutual")
+        assert r.num_crossing_pairs == find_crossing_pairs(g).num_crossings
+        assert r.connected == (r.num_components == 1)
+        if r.connected:
+            assert r.num_crossing_pairs == 0
 
 
 def test_trial_results_vary_with_trial_index():
